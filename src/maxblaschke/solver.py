@@ -9,11 +9,15 @@ so the unknowns are the ``m - N`` free zeros ``b_k``.  The defining equations
 say the critical numerator polynomial ``Q`` vanishes at each prescribed
 nonzero point to its multiplicity.  The solver follows the path ``C(t) = t C``
 from the collapsed state ``B_0 = z^(m+1)`` at ``t = 0``, correcting with a
-damped Newton iteration at each step; ``Q`` and its derivatives with respect
-to ``b_k`` and ``conj(b_k)`` are evaluated as short Taylor jets in factored
-form, and the conjugate-linear structure is handled by assembling the real
-``2(m-N)``-dimensional system.  The unimodular factor is set last so that
-``B^(N+1)(0) > 0``.
+damped Newton iteration at each step, and halves the step on failure until
+it falls below ``2**-step_halving_limit / steps``, where it raises.  ``Q``
+and its derivatives with respect to ``b_k`` and ``conj(b_k)`` are short
+Taylor jets at the targets, all targets at once, built in factored form by
+one forward and one backward scan over the zeros; the Newton line search
+evaluates only the residual (the forward scan), and the Jacobian is built
+only when a step is taken.  The conjugate-linear structure is handled by
+assembling the real ``2(m-N)``-dimensional system.  The unimodular factor is
+set last so that ``B^(N+1)(0) > 0``.
 """
 
 from __future__ import annotations
@@ -69,67 +73,82 @@ class SolveReport:
 
 
 # ----------------------------------------------------------------------
-# jet arithmetic: a jet is the array [f(c), f'(c)/1!, ..., f^(K)(c)/K!]
+# jet arithmetic: a jet is [f(c), f'(c)/1!, ..., f^(K)(c)/K!] along the last
+# axis; leading axes stack zeros and targets.
 
-def _jet_mul(a, b, K):
-    return np.convolve(a, b)[: K + 1]
-
-
-def _jet_prod_chain(jets, K):
-    """Prefix and suffix products of a list of jets."""
-    one = np.zeros(K + 1, dtype=complex)
-    one[0] = 1.0
-    prefix = [one]
-    for j in jets:
-        prefix.append(_jet_mul(prefix[-1], j, K))
-    suffix = [one]
-    for j in reversed(jets):
-        suffix.append(_jet_mul(suffix[-1], j, K))
-    suffix.reverse()
-    return prefix, suffix
+def _jets(coeffs, length):
+    """Stack broadcast coefficient arrays as jets, truncated or zero-padded."""
+    shape = np.broadcast_shapes(*map(np.shape, coeffs))
+    out = np.zeros(shape + (length,), dtype=complex)
+    for i, ci in enumerate(coeffs[:length]):
+        out[..., i] = ci
+    return out
 
 
-def _conditions_at(zeros, c, K):
-    """Jets of Q and its Wirtinger derivatives at ``c``, truncated at order K.
+def _jet_mul(a, b):
+    """Truncated product of (broadcast-compatible) stacked jets."""
+    out = a[..., :1] * b
+    for i in range(1, a.shape[-1]):
+        out[..., i:] += a[..., i:i + 1] * b[..., :-i]
+    return out
 
-    Returns ``(q, dq, dqbar, scale)`` where ``q`` has length K+1, ``dq`` and
-    ``dqbar`` map zero-index -> jet, and ``scale`` bounds the accumulated
-    magnitude for noise-floor estimates.
+
+def _assemble(free, n_origin, targets, jacobian=True):
+    """Condition residual and, if ``jacobian``, its Wirtinger blocks.
+
+    With ``P_j(z) = (z - a_j)(1 - conj(a_j) z)`` and ``w_j = 1 - |a_j|^2``
+    over all zeros ``a_j`` (the origin ones included), the critical numerator
+    is ``Q = sum_k w_k prod_{j != k} P_j``.  The residual stacks the Taylor
+    coefficients ``0..k-1`` of ``Q`` at every target ``(c, k)``; the blocks
+    ``A``, ``Bm`` hold their derivatives with respect to each free zero ``b``
+    and ``conj(b)``.
+
+    Jets at all targets are stacked and padded to the largest multiplicity,
+    then scanned over the zeros carrying pairs ``(prod P, weighted
+    leave-one-out sum)``, combined as ``(p_a, s_a)(p_b, s_b) = (p_a p_b,
+    s_a p_b + p_a s_b)``.  The forward scan alone gives ``Q``; with the
+    backward scan, ``u_l = prod_{j != l} P_j`` and ``S_l = sum_{k != l} w_k
+    prod_{j not in {k, l}} P_j`` come from the prefix before ``l`` and the
+    suffix after it, and ``dQ/db_l = -conj(b_l) u_l - (1 - conj(b_l) z) S_l``,
+    ``dQ/dconj(b_l) = -b_l u_l - (z - b_l) z S_l``.  So an assembly costs
+    O(d) vectorized jet products and no factor is ever divided out.
     """
-    d = len(zeros)
-    jets = []
-    for a in zeros:
-        jets.append(
-            np.array(
-                [(c - a) * (1 - np.conj(a) * c), 1 - 2 * np.conj(a) * c + abs(a) ** 2,
-                 -np.conj(a)][: K + 1],
-                dtype=complex,
-            )
-        )
-    prefix, suffix = _jet_prod_chain(jets, K)
-    w = np.array([1.0 - abs(a) ** 2 for a in zeros])
-    q = np.zeros(K + 1, dtype=complex)
-    for k in range(d):
-        q += w[k] * _jet_mul(prefix[k], suffix[k + 1], K)
-    scale = float(np.sum(w * np.abs([_jet_mul(prefix[k], suffix[k + 1], K)[0]
-                                     for k in range(d)]))) + 1.0
-    dq, dqbar = {}, {}
+    c = np.array([t for t, _ in targets], dtype=complex)
+    ks = np.array([k for _, k in targets])
+    rows_t = np.repeat(np.arange(len(ks)), ks)
+    rows_j = np.concatenate([np.arange(k) for k in ks])
+    K1 = int(ks.max())
+    a = np.concatenate([np.zeros(n_origin, dtype=complex), free])[:, None]
+    ac = np.conj(a)
+    w = (1.0 - np.abs(a) ** 2)[..., None]
+    P = _jets([(c - a) * (1 - ac * c), 1 - 2 * ac * c + np.abs(a) ** 2, -ac],
+              K1)
+    d = len(a)
+    pre_p = np.empty((d + 1, len(c), K1), dtype=complex)
+    pre_s = np.empty_like(pre_p)
+    pre_p[0], pre_s[0] = _jets([np.ones_like(c)], K1), 0.0
     for l in range(d):
-        u = _jet_mul(prefix[l], suffix[l + 1], K)  # prod_{j != l} P_j
-        reduced = jets[:l] + jets[l + 1:]
-        rpre, rsuf = _jet_prod_chain(reduced, K)
-        s = np.zeros(K + 1, dtype=complex)
-        wk = [w[j] for j in range(d) if j != l]
-        for k in range(d - 1):
-            s += wk[k] * _jet_mul(rpre[k], rsuf[k + 1], K)
-        a = zeros[l]
-        lin = np.array([1 - np.conj(a) * c, -np.conj(a)][: K + 1], dtype=complex)
-        lin = np.pad(lin, (0, K + 1 - len(lin)))
-        dq[l] = -np.conj(a) * u - _jet_mul(lin, s, K)
-        quad = np.array([(c - a) * c, 2 * c - a, 1.0][: K + 1], dtype=complex)
-        quad = np.pad(quad, (0, K + 1 - len(quad)))
-        dqbar[l] = -a * u - _jet_mul(quad, s, K)
-    return q, dq, dqbar, scale
+        pre_s[l + 1] = _jet_mul(pre_s[l], P[l]) + w[l] * pre_p[l]
+        pre_p[l + 1] = _jet_mul(pre_p[l], P[l])
+    R = pre_s[d][rows_t, rows_j]
+    if not jacobian:
+        return R
+    suf_p = np.empty_like(pre_p)
+    suf_s = np.empty_like(pre_p)
+    suf_p[d], suf_s[d] = pre_p[0], 0.0
+    for l in range(d - 1, n_origin, -1):
+        suf_s[l] = _jet_mul(P[l], suf_s[l + 1]) + w[l] * suf_p[l + 1]
+        suf_p[l] = _jet_mul(P[l], suf_p[l + 1])
+    pp, ps = pre_p[n_origin:d], pre_s[n_origin:d]
+    sp, ss = suf_p[n_origin + 1:], suf_s[n_origin + 1:]
+    u = _jet_mul(pp, sp)
+    S = _jet_mul(ps, sp) + _jet_mul(pp, ss)
+    b, bc = a[n_origin:], ac[n_origin:]
+    lin = _jets([1 - bc * c, -bc], K1)
+    quad = _jets([(c - b) * c, 2 * c - b, 1.0], K1)
+    dq = -bc[..., None] * u - _jet_mul(lin, S)
+    dqbar = -b[..., None] * u - _jet_mul(quad, S)
+    return R, dq[:, rows_t, rows_j].T, dqbar[:, rows_t, rows_j].T
 
 
 def _q_coefficient_scale(zeros):
@@ -137,33 +156,20 @@ def _q_coefficient_scale(zeros):
     return float(np.max(np.abs(critical_numerator_coeffs(zeros))))
 
 
-def _assemble(free, n_origin, targets):
-    """Residual and Wirtinger Jacobian blocks for the current free zeros."""
-    zeros = [0j] * n_origin + list(free)
-    n = len(free)
-    rows = sum(k for _, k in targets)
-    R = np.zeros(rows, dtype=complex)
-    A = np.zeros((rows, n), dtype=complex)
-    Bm = np.zeros((rows, n), dtype=complex)
-    row = 0
-    for c, k in targets:
-        q, dq, dqbar, _ = _conditions_at(zeros, c, k - 1)
-        R[row: row + k] = q[:k]
-        for l in range(n):
-            A[row: row + k, l] = dq[n_origin + l][:k]
-            Bm[row: row + k, l] = dqbar[n_origin + l][:k]
-        row += k
-    return R, A, Bm
-
-
 def _newton(free, n_origin, targets, cfg, scale):
-    """Damped Newton on the free zeros; returns (free, iters, residual)."""
+    """Damped Newton on the free zeros; returns (free, iters, residual).
+
+    The convergence test and every damping trial evaluate the residual
+    alone; an accepted trial's residual carries into the next iteration, and
+    the Jacobian is built only when a step is taken.
+    """
     n = len(free)
+    R = _assemble(free, n_origin, targets, jacobian=False)
     for it in range(1, cfg.max_newton_iters + 1):
-        R, A, Bm = _assemble(free, n_origin, targets)
-        res = float(np.max(np.abs(R))) / scale if len(R) else 0.0
+        res = float(np.max(np.abs(R))) / scale
         if res <= cfg.newton_tol:
             return free, it, res
+        _, A, Bm = _assemble(free, n_origin, targets)
         J = np.block(
             [
                 [(A + Bm).real, -(A - Bm).imag],
@@ -180,13 +186,12 @@ def _newton(free, n_origin, targets, cfg, scale):
             trial = free + alpha * delta
             if np.any(np.abs(trial) >= 1.0):
                 continue  # a zero escaped the closed disk: shrink the step
-            Rt, _, _ = _assemble(trial, n_origin, targets)
+            Rt = _assemble(trial, n_origin, targets, jacobian=False)
             if np.max(np.abs(Rt)) <= (1 - 0.25 * alpha) * np.max(np.abs(R)):
-                free = trial
+                free, R = trial, Rt
                 break
         else:
             raise NumericalError("Newton step rejected (no admissible damping)")
-    R, _, _ = _assemble(free, n_origin, targets)
     res = float(np.max(np.abs(R))) / scale
     if res <= cfg.newton_tol:
         return free, cfg.max_newton_iters, res
@@ -214,19 +219,16 @@ def _collapsed_predictor(order, targets, total):
 
 
 def solve_maximal(
-    C: CriticalSet, cfg: HomotopyConfig | None = None, schedule=None
+    C: CriticalSet, cfg: HomotopyConfig | None = None
 ) -> SolveReport:
     """Compute the maximal Blaschke product with critical set ``C``.
+
+    The solve follows the radial path ``C(t) = t * C`` from ``t = 0`` to 1.
 
     Parameters
     ----------
     C : CriticalSet
     cfg : HomotopyConfig, optional
-    schedule : callable, optional
-        Maps ``t`` in (0, 1] to per-entry scale factors for the path
-        ``C(t)``; defaults to the radial path ``t * C``.  Alternative
-        schedules reach the same product along different paths and exist for
-        cross-validation.
 
     Returns
     -------
@@ -235,8 +237,9 @@ def solve_maximal(
     Raises
     ------
     NumericalError
-        On homotopy breakdown, Newton failure, zero escape that persists
-        through step halving, or a failed critical-set round trip.
+        On homotopy breakdown (no predictor's Newton correction is accepted
+        before the path step falls below ``2**-step_halving_limit / steps``)
+        or a failed critical-set round trip.
     """
     cfg = cfg or HomotopyConfig()
     m = C.total
@@ -249,22 +252,14 @@ def solve_maximal(
         free = np.array([], dtype=complex)
         trace.append((1.0, 0.0, 0))
     else:
-        if schedule is None:
-            schedule = lambda t: [t] * len(entries)
-
-        def targets_at(t):
-            factors = schedule(t)
-            return [(f * c, k) for f, (c, k) in zip(factors, entries)]
-
         free = None
         free_prev = None
         t = 0.0
         t_prev = 0.0
         dt = 1.0 / cfg.steps
-        halvings = 0
         while t < 1.0:
             t_next = min(1.0, t + dt)
-            targets = targets_at(t_next)
+            targets = [(t_next * c, k) for c, k in entries]
             # Predictors, in order of preference: secant extrapolation from
             # the last two accepted states, the last state unchanged, and --
             # early in the deformation, where the Jacobian is nearly
@@ -296,8 +291,7 @@ def solve_maximal(
                 break
             if accepted is None:
                 dt *= 0.5
-                halvings += 1
-                if halvings > cfg.step_halving_limit:
+                if dt * cfg.steps < 2.0 ** -cfg.step_halving_limit:
                     raise NumericalError(
                         f"homotopy breakdown near t = {t_next:.6f}"
                     )
@@ -305,7 +299,6 @@ def solve_maximal(
             nxt, iters, res = accepted
             free_prev, t_prev = free, t
             free, t = nxt, t_next
-            halvings = 0
             dt = min(2 * dt, 1.0 / cfg.steps)
             trace.append((t, res, iters))
 

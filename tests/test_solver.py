@@ -1,14 +1,21 @@
 import math
+import signal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxblaschke.blaschke import CriticalSet, critical_points, evaluate
+from maxblaschke.blaschke import (
+    CriticalSet,
+    critical_numerator_coeffs,
+    critical_points,
+    evaluate,
+)
 from maxblaschke.disk import DiskAutomorphism, RiemannMapSpec
 from maxblaschke.errors import InputError, NumericalError
 from maxblaschke.solver import (
     HomotopyConfig,
+    _assemble,
     solve_maximal,
     solve_maximal_normalized,
     transplant,
@@ -104,6 +111,75 @@ def test_tight_tolerance_is_honored():
 def test_trace_reaches_t_one():
     rep = solve_maximal(CriticalSet.from_points([0.4 + 0.3j]))
     assert rep.homotopy_trace[-1][0] == 1.0
+
+
+def test_sixteen_points_end_in_bounded_work():
+    """The m = 16 set of the solve-time sweep (seed 1) once livelocked with
+    the path step shrinking towards zero; it must now end, either verified
+    or with a typed error."""
+    rng = np.random.default_rng([1, 16])
+    points = rng.uniform(0.15, 0.7, 16) * np.exp(2j * np.pi * rng.random(16))
+    C = CriticalSet.from_points(points)
+
+    def hung(signum, frame):
+        raise TimeoutError("solve_maximal did not end within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        rep = solve_maximal(C)
+    except NumericalError as exc:
+        assert "homotopy breakdown" in str(exc)
+    else:
+        assert critical_points(rep.solution).match(C) <= 1e-8
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# ----------------------------------------------------------------------
+# condition assembly, checked against the expanded critical numerator and
+# against central differences
+
+def _taylor_rows(zeros, targets):
+    """Taylor coefficients 0..k-1 of the critical numerator at each target."""
+    q = critical_numerator_coeffs(zeros)
+    return np.array([np.polyval(np.polyder(q, j), c) / math.factorial(j)
+                     for c, k in targets for j in range(k)])
+
+
+ASSEMBLY_CASES = [
+    # (origin zeros, free zeros, targets): multiplicities 1 to 3
+    (1, [0.5 + 0.2j, -0.3 + 0.6j, 0.1 - 0.7j, -0.45j, 0.62],
+     [(0.3 + 0.1j, 1), (-0.2 + 0.4j, 2), (0.1 - 0.5j, 3)]),
+    (3, [0.35 - 0.55j, -0.6 + 0.1j, 0.2 + 0.3j],
+     [(-0.15 - 0.25j, 3), (0.4j, 1)]),
+    # a composite z^2 o B: every zero of B is doubled, so a free zero sits
+    # exactly on a prescribed critical point
+    (2, [0.4 + 0.2j, 0.4 + 0.2j, -0.3j, -0.3j],
+     [(0.4 + 0.2j, 1), (-0.3j, 1), (0.25, 2)]),
+]
+
+
+@pytest.mark.parametrize("n_origin, free, targets", ASSEMBLY_CASES)
+def test_assembly_matches_expanded_numerator(n_origin, free, targets):
+    free = np.array(free, dtype=complex)
+
+    def rows(f):
+        return _taylor_rows([0j] * n_origin + list(f), targets)
+
+    R, A, Bm = _assemble(free, n_origin, targets)
+    assert np.allclose(R, rows(free), rtol=1e-12, atol=1e-14)
+    assert np.array_equal(_assemble(free, n_origin, targets, jacobian=False), R)
+
+    h = 1e-6
+    for l in range(len(free)):
+        e = np.zeros(len(free), dtype=complex)
+        e[l] = h
+        dx = (rows(free + e) - rows(free - e)) / (2 * h)
+        dy = (rows(free + 1j * e) - rows(free - 1j * e)) / (2 * h)
+        assert np.allclose(A[:, l], (dx - 1j * dy) / 2, rtol=0, atol=1e-8)
+        assert np.allclose(Bm[:, l], (dx + 1j * dy) / 2, rtol=0, atol=1e-8)
 
 
 # ----------------------------------------------------------------------
