@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .disk import BOUNDARY_TOL, pseudo_hyperbolic_distance
 from .errors import InputError, NumericalError
@@ -140,6 +139,10 @@ class CriticalSet:
         Entries pair only within equal multiplicity; a differing multiplicity
         profile raises, since no pairing then reproduces the multiset.
         """
+        # imported here: scipy.optimize is a large share of the package's
+        # import time, and only the critical-point round trip needs it
+        from scipy.optimize import linear_sum_assignment
+
         by_mult_a, by_mult_b = {}, {}
         for p, m in self.entries:
             by_mult_a.setdefault(m, []).append(p)

@@ -2,8 +2,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg
 
-from maxblaschke.blaschke import CriticalSet, FiniteBlaschke
+from maxblaschke import pde
+from maxblaschke.blaschke import (
+    CriticalSet,
+    FiniteBlaschke,
+    critical_points,
+    derivative,
+    evaluate,
+)
 from maxblaschke.errors import InputError, NumericalError
 from maxblaschke.pde import (
     PdeProblem,
@@ -123,3 +132,94 @@ def test_rejects_nonpositive_boundary():
     prob = constant_curvature_problem(65, 0.5, -4.0, const_boundary(-1.0))
     with pytest.raises(InputError):
         solve_dirichlet(prob)
+
+
+def _two_point_problem():
+    """Divisor-reduced problem for a degree-3 product with two simple
+    critical points inside the sub-disk, from its pullback trace."""
+    B = FiniteBlaschke(zeros=(0j, 0.5 + 0j, 0.4j), eta=1.0)
+
+    def trace(xi):
+        return np.abs(derivative(B, xi)) / (1.0 - np.abs(evaluate(B, xi)) ** 2)
+
+    C = critical_points(B)
+    assert len(C.entries) == 2
+    return divisor_reduced_problem(C, 0.75, trace, 129)
+
+
+def _direct_newton(problem):
+    """Reference: the same damped Newton with every step solved by one
+    sparse direct solve of the current Jacobian."""
+    A, g, mask, nodes = pde._assemble(problem)
+    kappa = problem.curvature_at(nodes[mask])
+    h2 = problem.spacing ** 2 / 4.0
+    As, gs = A * h2, g * h2
+    theta = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
+    btrace = problem.boundary(problem.radius * np.exp(1j * theta))
+    u = np.full(A.shape[0], float(np.log(np.min(btrace))))
+
+    def residual(v):
+        return As @ v + gs + h2 * kappa * np.exp(2.0 * v)
+
+    res = residual(u)
+    rnorm = float(np.max(np.abs(res)))
+    iters = 0
+    while rnorm > pde.RESIDUAL_TOL:
+        assert iters < pde.MAX_NEWTON_ITERS
+        J = As + sp.diags(2.0 * h2 * kappa * np.exp(2.0 * u))
+        step = scipy.sparse.linalg.spsolve(J.tocsc(), -res)
+        for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
+            trial = u + alpha * step
+            tres = residual(trial)
+            tnorm = float(np.max(np.abs(tres)))
+            if tnorm < rnorm:
+                u, res, rnorm = trial, tres, tnorm
+                break
+        else:
+            raise AssertionError("reference Newton stalled")
+        iters += 1
+    full = np.full(mask.shape, np.nan)
+    full[mask] = u
+    return full, iters
+
+
+@pytest.fixture(scope="module")
+def two_point_reference():
+    return _direct_newton(_two_point_problem())
+
+
+def test_preconditioned_newton_matches_direct_newton(two_point_reference):
+    u_ref, iters_ref = two_point_reference
+    sol = solve_dirichlet(_two_point_problem())
+    assert sol.newton_iters == iters_ref
+    assert np.nanmax(np.abs(sol.u - u_ref)) <= 1e-12
+    assert sol.residual_norm <= 1e-10
+
+
+def test_jacobian_factored_once(monkeypatch):
+    factored = []
+    splu = pde.spla.splu
+
+    def counted_splu(*args, **kwargs):
+        factored.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(pde.spla, "splu", counted_splu)
+    sol = solve_dirichlet(_two_point_problem())
+    assert len(factored) == 1
+    assert sol.factorizations == 1
+    assert sol.newton_iters >= 2 and sol.krylov_iters > 0
+
+
+def test_refactors_when_krylov_fails(monkeypatch, two_point_reference):
+    u_ref, iters_ref = two_point_reference
+
+    def failing_gmres(A, b, **kwargs):
+        return np.zeros_like(b), 1
+
+    monkeypatch.setattr(pde.spla, "gmres", failing_gmres)
+    sol = solve_dirichlet(_two_point_problem())
+    assert sol.residual_norm <= 1e-10
+    assert sol.newton_iters == iters_ref
+    assert sol.factorizations == sol.newton_iters
+    assert np.nanmax(np.abs(sol.u - u_ref)) <= 1e-12
