@@ -31,14 +31,6 @@ from .metrics import (
     refinement_contraction,
     union_metric,
 )
-from .pde import (
-    PdeProblem,
-    PdeSolution,
-    constant_curvature_problem,
-    divisor_reduced_problem,
-    oracle_validate,
-    solve_dirichlet,
-)
 from .solver import (
     HomotopyConfig,
     SolveReport,
@@ -117,3 +109,23 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+#: Served from ``maxblaschke.pde`` on first use: the PDE oracle is the only
+#: layer that needs scipy, whose import would otherwise dominate every
+#: command-line run.
+_PDE_NAMES = frozenset((
+    "PdeProblem",
+    "PdeSolution",
+    "constant_curvature_problem",
+    "divisor_reduced_problem",
+    "oracle_validate",
+    "solve_dirichlet",
+))
+
+
+def __getattr__(name):
+    if name in _PDE_NAMES:
+        from . import pde
+
+        return getattr(pde, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -47,6 +47,43 @@ def _as_complex(x):
     return complex(x)
 
 
+def _min_cost_pairing(cost: np.ndarray):
+    """Row and column indices of a minimum-total-cost perfect pairing of a
+    square cost matrix.
+
+    Hungarian method with dual potentials ``u`` (rows) and ``v`` (columns),
+    as shortest augmenting paths (Crouse, IEEE Trans. Aerosp. Electron.
+    Syst. 52(4), 2016): each row is added by a Dijkstra search over the
+    reduced costs, vectorised over the columns.  Rows and columns count
+    from 1; column 0 is a virtual column where every search starts, and
+    ``row_of[j] == 0`` marks column ``j`` as unpaired.
+    """
+    n = cost.shape[0]
+    u, v = np.zeros(n + 1), np.zeros(n + 1)
+    row_of = np.zeros(n + 1, dtype=int)  # 1-based row paired with a column
+    prev = np.zeros(n + 1, dtype=int)  # predecessor column on the path
+    for i in range(1, n + 1):
+        row_of[0], j = i, 0
+        dist = np.full(n + 1, np.inf)
+        done = np.zeros(n + 1, dtype=bool)
+        while row_of[j]:
+            done[j] = True
+            r = row_of[j]
+            reduced = cost[r - 1] - u[r] - v[1:]
+            closer = ~done[1:] & (reduced < dist[1:])
+            dist[1:][closer] = reduced[closer]
+            prev[1:][closer] = j
+            j = int(np.argmin(np.where(done, np.inf, dist)))
+            delta = dist[j]
+            u[row_of[done]] += delta
+            v[done] -= delta
+            dist[~done] -= delta
+        while j:
+            row_of[j] = row_of[prev[j]]
+            j = prev[j]
+    return row_of[1:] - 1, np.arange(n)
+
+
 @dataclass(frozen=True)
 class CriticalSet:
     """Multiset of prescribed critical points inside the unit disk.
@@ -139,10 +176,6 @@ class CriticalSet:
         Entries pair only within equal multiplicity; a differing multiplicity
         profile raises, since no pairing then reproduces the multiset.
         """
-        # imported here: scipy.optimize is a large share of the package's
-        # import time, and only the critical-point round trip needs it
-        from scipy.optimize import linear_sum_assignment
-
         by_mult_a, by_mult_b = {}, {}
         for p, m in self.entries:
             by_mult_a.setdefault(m, []).append(p)
@@ -158,8 +191,7 @@ class CriticalSet:
             cost = np.array(
                 [[pseudo_hyperbolic_distance(x, y) for y in pb] for x in pa]
             )
-            rows, cols = linear_sum_assignment(cost)
-            worst = max(worst, float(cost[rows, cols].max()))
+            worst = max(worst, float(cost[_min_cost_pairing(cost)].max()))
         return worst
 
     def to_dict(self):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -19,7 +20,6 @@ from .blaschke import CriticalSet, FiniteBlaschke, compose, critical_points
 from .disk import RiemannMapSpec
 from .errors import InputError, NumericalError
 from .metrics import PolarGrid, discrete_curvature, pullback_density
-from .pde import oracle_validate
 from .serialize import dumps, field_to_csv, read_json, write_json
 from .solver import (
     HomotopyConfig,
@@ -72,11 +72,17 @@ class JobConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise InputError(f"unknown command {self.command!r}")
+        if not isinstance(self.grid, dict):
+            raise InputError("grid must be a JSON object")
+        if not isinstance(self.tolerances, dict):
+            raise InputError("tolerances must be a JSON object")
         for key, value in self.grid.items():
             if key not in ("n_r", "n_theta", "r_max", "n", "r"):
                 raise InputError(f"unknown grid parameter {key!r}")
-            if not value > 0:
-                raise InputError(f"grid parameter {key} must be positive")
+            if not (isinstance(value, (int, float)) and 0 < value < math.inf):
+                raise InputError(
+                    f"grid parameter {key} must be a positive finite number"
+                )
         if self.grid.get("r_max", 0.0) >= 1.0 or self.grid.get("r", 0.0) >= 1.0:
             raise InputError("grid radius must be < 1")
         for key in self.tolerances:
@@ -85,7 +91,11 @@ class JobConfig:
 
 
 def _homotopy(cfg: JobConfig) -> HomotopyConfig:
-    return HomotopyConfig(**{k: float(v) for k, v in cfg.tolerances.items()})
+    try:
+        tols = {k: float(v) for k, v in cfg.tolerances.items()}
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"tolerances must be numbers: {exc}") from exc
+    return HomotopyConfig(**tols)
 
 
 def _polar_grid(cfg: JobConfig) -> PolarGrid:
@@ -101,9 +111,20 @@ def _load(cfg: JobConfig):
     if cfg.input_path is None:
         raise InputError(f"command {cfg.command!r} requires --input")
     try:
-        return read_json(cfg.input_path)
+        data = read_json(cfg.input_path)
     except OSError as exc:
         raise InputError(f"cannot read input: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError("input must hold a JSON object")
+    return data
+
+
+def _scalar(data: dict, key: str, default, kind):
+    """``kind(data[key])``, or ``kind(default)`` when the key is absent."""
+    try:
+        return kind(data.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"input field {key!r}: {exc}") from exc
 
 
 def _emit(report: dict, cfg: JobConfig) -> None:
@@ -197,6 +218,9 @@ def _run_curvature(cfg: JobConfig) -> int:
 
 
 def _run_pde_oracle(cfg: JobConfig) -> int:
+    # imported here: no other command needs the PDE layer's scipy.sparse
+    from .pde import oracle_validate
+
     B = FiniteBlaschke.from_dict(_load(cfg))
     n = int(cfg.grid.get("n", 257))
     r = float(cfg.grid.get("r", 0.75))
@@ -217,7 +241,7 @@ def _run_pde_oracle(cfg: JobConfig) -> int:
 def _run_verify_extremal(cfg: JobConfig) -> int:
     data = _load(cfg)
     C = CriticalSet.from_dict(data)
-    count = int(data.get("competitors", 1000))
+    count = _scalar(data, "competitors", 1000, int)
     hc = _homotopy(cfg)
     rep = solve_maximal(C, hc)
     rng = np.random.default_rng(cfg.seed)
@@ -289,7 +313,7 @@ def _run_union(cfg: JobConfig) -> int:
         raise InputError(
             "union input needs 'first' and 'second' critical sets"
         ) from exc
-    c = float(data.get("scale", 0.5))
+    c = _scalar(data, "scale", 0.5, float)
     hc = _homotopy(cfg)
     suite = union_suite(C1, C2, c, _polar_grid(cfg), hc)
     report = {
@@ -308,7 +332,7 @@ def _run_converge(cfg: JobConfig) -> int:
         points = [complex(e["re"], e["im"]) for e in data["points"]]
     except (KeyError, TypeError) as exc:
         raise InputError("converge input needs a 'points' list") from exc
-    n_max = int(data.get("n_max", len(points)))
+    n_max = _scalar(data, "n_max", len(points), int)
     hc = _homotopy(cfg)
     result = truncation_sequence(points, n_max, hc)
     fn = result.functionals
@@ -336,12 +360,17 @@ def _map_spec(data) -> RiemannMapSpec:
         kind = data["kind"]
     except (KeyError, TypeError) as exc:
         raise InputError("transplant map needs a 'kind'") from exc
-    if kind == "scaled_disk":
-        return RiemannMapSpec(kind=kind, radius=float(data["radius"]))
-    if kind == "moebius":
-        coeffs = tuple(complex(c["re"], c["im"]) for c in data["coeffs"])
-        return RiemannMapSpec(kind=kind, coeffs=coeffs)
-    return RiemannMapSpec(kind=kind)
+    try:
+        if kind == "scaled_disk":
+            return RiemannMapSpec(kind=kind, radius=float(data["radius"]))
+        if kind == "moebius":
+            coeffs = tuple(complex(c["re"], c["im"]) for c in data["coeffs"])
+            return RiemannMapSpec(kind=kind, coeffs=coeffs)
+        return RiemannMapSpec(kind=kind)
+    except KeyError as exc:
+        raise InputError(f"{kind} map needs {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed {kind} map: {exc}") from exc
 
 
 def _run_transplant(cfg: JobConfig) -> int:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.ndimage import maximum_filter
 
 from .blaschke import CriticalSet, FiniteBlaschke, critical_points, derivative, evaluate
 from .errors import InputError, NumericalError
@@ -75,6 +74,23 @@ class PolarGrid:
         return PolarGrid(2 * self.n_r, 2 * self.n_theta, self.r_max)
 
 
+def _clear_of_zeros(nodes: np.ndarray, zero_set: CriticalSet, h: float):
+    """True at the nodes farther than two spacings ``h`` from every point of
+    ``zero_set`` (everywhere when the set is empty)."""
+    if not zero_set.entries:
+        return np.ones(nodes.shape, dtype=bool)
+    zs = np.array([p for p, _ in zero_set.entries])
+    return np.min(np.abs(nodes[..., None] - zs), axis=-1) > 2.0 * h
+
+
+def _max_filter3(a: np.ndarray) -> np.ndarray:
+    """Maximum over each node's 3 x 3 neighbourhood, periodic in angle
+    (axis 1) and edge-clamped across rings (axis 0)."""
+    a = np.maximum(a, np.maximum(np.roll(a, 1, axis=1), np.roll(a, -1, axis=1)))
+    p = np.pad(a, ((1, 1), (0, 0)), mode="edge")
+    return np.maximum(np.maximum(p[:-2], p[1:-1]), p[2:])
+
+
 @dataclass(frozen=True, eq=False)
 class DensityField:
     """Nonnegative density values on a grid, with an annotation of where the
@@ -90,15 +106,8 @@ class DensityField:
             raise InputError("values shape does not match the grid")
         if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
             raise InputError("density values must be finite and nonnegative")
-        h = self.grid.h
-        if self.zero_set.entries:
-            zs = np.array(self.zero_set.points())
-            clearance = np.min(
-                np.abs(self.grid.nodes[..., None] - zs[None, None, :]), axis=-1
-            )
-        else:
-            clearance = np.full(vals.shape, np.inf)
-        if np.any(vals[clearance > 2.0 * h] == 0.0):
+        clear = _clear_of_zeros(self.grid.nodes, self.zero_set, self.grid.h)
+        if np.any(vals[clear] == 0.0):
             raise InputError(
                 "density vanishes farther than two spacings from its "
                 "annotated zeros"
@@ -218,20 +227,14 @@ def discrete_curvature(
     a2 = k2
     est = np.abs(a2 - a1) / 3.0
     est = np.where(np.isfinite(est), est, np.inf)
-    est = maximum_filter(est, size=3, mode=("nearest", "wrap"))
+    est = _max_filter3(est)
     h = grid.h
     with np.errstate(invalid="ignore"):
         scale = np.clip(np.abs(a1) / 4.0, 1.0, 16.0)
     scale = np.where(np.isfinite(a1), scale, 1.0)
     defined = est <= theta * h * h * scale
     defined &= np.isfinite(a1)
-    if field.zero_set.entries:
-        zs = np.array(field.zero_set.points())
-        clearance = np.min(
-            np.abs(grid.nodes[2 : n_r - 2, :, None] - zs[None, None, :]),
-            axis=-1,
-        )
-        defined &= clearance > 2.0 * h
+    defined &= _clear_of_zeros(grid.nodes[2 : n_r - 2, :], field.zero_set, h)
     values = np.full((n_r, n_t), np.nan)
     dmask = np.zeros((n_r, n_t), dtype=bool)
     emb = np.full((n_r, n_t), np.inf)
@@ -395,10 +398,5 @@ def dominance_check(
     band = 10.0 * h * h if curvature_band is None else curvature_band
     _enforce_curvature(lam_star, band, two_sided=True)
     mask = lam_max.values > 0.0
-    if lam_max.zero_set.entries:
-        zs = np.array(lam_max.zero_set.points())
-        clearance = np.min(
-            np.abs(lam_max.grid.nodes[..., None] - zs[None, None, :]), axis=-1
-        )
-        mask &= clearance > 2.0 * h
+    mask &= _clear_of_zeros(lam_max.grid.nodes, lam_max.zero_set, h)
     return float(np.max(lam_star.values[mask] / lam_max.values[mask]))

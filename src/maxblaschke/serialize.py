@@ -80,14 +80,16 @@ def field_to_csv(grid, values, path, sidecar: dict | None = None) -> None:
     values = np.asarray(values, dtype=float)
     if values.shape != nodes.shape:
         raise InputError("field values do not match the grid shape")
-    lines = ["re,im,value"]
-    for z, v in zip(nodes.ravel(), values.ravel()):
-        tail = format(float(v), ".17g") if math.isfinite(v) else ""
-        lines.append(
-            f"{format(z.real, '.17g')},{format(z.imag, '.17g')},{tail}"
-        )
+    finite = np.isfinite(values.ravel())
+    template = "".join(
+        np.where(finite, "%.17g,%.17g,%.17g\n", "%.17g,%.17g,\n").tolist()
+    )
+    cells = np.column_stack((nodes.real.ravel(), nodes.imag.ravel(),
+                             values.ravel()))
+    keep = np.ones(cells.shape, dtype=bool)
+    keep[:, 2] = finite
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("re,im,value\n" + template % tuple(cells[keep].tolist()))
     meta = {
         "grid": {
             "n_r": grid.n_r,

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from maxblaschke.blaschke import (
     CriticalSet,
+    _min_cost_pairing,
     FiniteBlaschke,
     compose,
     critical_numerator_coeffs,
@@ -15,6 +17,7 @@ from maxblaschke.blaschke import (
     evaluate,
     reflect_check,
 )
+from maxblaschke.disk import pseudo_hyperbolic_distance
 from maxblaschke.errors import InputError, NumericalError
 from maxblaschke.roots import polynomial_roots
 
@@ -66,6 +69,47 @@ def test_critical_set_match_is_pseudo_hyperbolic():
     assert A.match(B) < 2e-10
     with pytest.raises(NumericalError):
         A.match(CriticalSet(((0.5 + 0j, 2),)))  # profile mismatch
+
+
+def test_pairing_cost_equals_scipy_assignment():
+    rng = np.random.default_rng(11)
+    for n in range(1, 65):
+        cost = rng.random((n, n))
+        rows, cols = _min_cost_pairing(cost)
+        assert sorted(rows.tolist()) == list(range(n))
+        assert sorted(cols.tolist()) == list(range(n))
+        ref = cost[linear_sum_assignment(cost)].sum()
+        assert abs(cost[rows, cols].sum() - ref) <= 1e-12, n
+
+
+def _scipy_match(A, B):
+    """``CriticalSet.match`` as it was written on scipy's assignment."""
+    by_mult_a, by_mult_b = {}, {}
+    for p, m in A.entries:
+        by_mult_a.setdefault(m, []).append(p)
+    for p, m in B.entries:
+        by_mult_b.setdefault(m, []).append(p)
+    worst = 0.0
+    for m, pa in by_mult_a.items():
+        cost = np.array(
+            [[pseudo_hyperbolic_distance(x, y) for y in by_mult_b[m]]
+             for x in pa]
+        )
+        worst = max(worst, float(cost[linear_sum_assignment(cost)].max()))
+    return worst
+
+
+def test_match_equals_scipy_reference_on_corpus(corpus, corpus_solves):
+    for C, (rep, _) in zip(corpus, corpus_solves):
+        found = critical_points(rep.solution)
+        assert C.match(found) == _scipy_match(C, found)
+        # a perturbed copy moves every pairing cost off zero
+        rng = np.random.default_rng(len(C.entries))
+        moved = CriticalSet(tuple(
+            (p + 1e-3 * complex(*rng.standard_normal(2)), m)
+            for p, m in C.entries
+        ))
+        assert C.match(moved) == _scipy_match(C, moved)
 
 
 def test_critical_set_dict_round_trip():

@@ -85,6 +85,36 @@ def test_unknown_command_rejected_by_parser(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "command, data, flags",
+    [
+        ("solve", {"points": []}, ["--grid", "[1]"]),
+        ("solve", {"points": []}, ["--grid", '{"n_r": "x"}']),
+        ("solve", {"points": []}, ["--grid", '{"n_r": Infinity}']),
+        ("solve", {"points": []}, ["--tol", '{"newton_tol": "abc"}']),
+        ("transplant", {"map": {"kind": "scaled_disk"}, "points": []}, []),
+        ("transplant", {"map": {"kind": "moebius"}, "points": []}, []),
+        ("transplant",
+         {"map": {"kind": "scaled_disk", "radius": -1.0}, "points": []}, []),
+        ("transplant", {"map": {"kind": "spiral"}, "points": []}, []),
+        ("transplant", [1], []),
+        ("verify-extremal", {"points": [], "competitors": "x"}, []),
+        ("converge", {"points": [], "n_max": "x"}, []),
+        ("union",
+         {"first": {"points": []}, "second": {"points": []}, "scale": "x"},
+         []),
+    ],
+    ids=["grid-list", "grid-string", "grid-inf", "tol-string",
+         "scaled-no-radius", "moebius-no-coeffs", "scaled-negative",
+         "unknown-map", "transplant-list", "competitors-string",
+         "n-max-string", "scale-string"],
+)
+def test_bad_parameters_are_exit_2(tmp_path, capsys, command, data, flags):
+    inp = _write(tmp_path, "in.json", data)
+    assert main([command, "--input", inp] + flags) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_critpoints_report_recovers_input(tmp_path):
     inp = _write(tmp_path, "c.json", _crit([(0.3 + 0.2j, 1)]))
     solved = tmp_path / "solved.json"
@@ -259,12 +289,17 @@ def _console_script_command():
         target = tomllib.load(f)["project"]["scripts"]["maxblaschke"]
     module, function = target.split(":")
     code = f"import sys; from {module} import {function}; sys.exit({function}())"
+    return [sys.executable, "-c", code], _child_env()
+
+
+def _child_env():
+    """Environment for a fresh interpreter that imports this very package."""
     package_root = str(Path(maxblaschke.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p
     )
-    return [sys.executable, "-c", code], env
+    return env
 
 
 def test_console_script_runs(tmp_path):
@@ -280,3 +315,29 @@ def test_console_script_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     rep = json.loads(proc.stdout)
     assert rep["functional"] == pytest.approx(0.8, abs=1e-10)
+
+
+def test_cli_solve_loads_no_scipy(tmp_path, corpus):
+    """Only the PDE oracle needs scipy: importing the CLI and solving a
+    corpus set must not load it, while the oracle's names still resolve."""
+    C = max(corpus, key=lambda c: (c.total, len(c.entries)))
+    inp = _write(tmp_path, "c.json", C.to_dict())
+    code = f"""
+import sys
+import maxblaschke.cli
+assert maxblaschke.cli.main(["solve", "--input", {inp!r}]) == 0
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, loaded
+import maxblaschke
+assert callable(maxblaschke.oracle_validate)
+from maxblaschke import pde
+assert pde.oracle_validate is maxblaschke.oracle_validate
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

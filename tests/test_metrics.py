@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.ndimage import maximum_filter
 
 from maxblaschke.blaschke import CriticalSet, FiniteBlaschke
 from maxblaschke.errors import InputError, NumericalError
 from maxblaschke.metrics import (
     DensityField,
+    _max_filter3,
     PolarGrid,
     ahlfors_check,
     constant_field,
@@ -30,6 +32,16 @@ def test_grid_layout():
     assert g.radii[-1] == pytest.approx(0.95, abs=1e-15)
     assert g.h == pytest.approx(0.011658253987930873, rel=1e-12)
     assert g.nodes.shape == (128, 512)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 9), (124, 512)])
+def test_max_filter_equals_scipy(shape):
+    rng = np.random.default_rng(shape)
+    for _ in range(5):
+        a = rng.standard_normal(shape)
+        a[rng.random(shape) < 0.1] = np.inf
+        ref = maximum_filter(a, size=3, mode=("nearest", "wrap"))
+        assert np.array_equal(_max_filter3(a), ref)
 
 
 def test_grid_refine_doubles():

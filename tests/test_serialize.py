@@ -1,6 +1,7 @@
 """Determinism and formatting checks for the report writers."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -96,3 +97,27 @@ def test_field_csv_shape_mismatch(tmp_path):
     grid = PolarGrid(8, 8, 0.5)
     with pytest.raises(InputError):
         field_to_csv(grid, np.zeros((3, 8)), tmp_path / "x.csv")
+
+
+def _field_csv_by_rows(grid, values):
+    """The CSV text as the original per-row loop rendered it."""
+    lines = ["re,im,value"]
+    for z, v in zip(grid.nodes.ravel(), values.ravel()):
+        tail = format(float(v), ".17g") if math.isfinite(v) else ""
+        lines.append(
+            f"{format(z.real, '.17g')},{format(z.imag, '.17g')},{tail}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def test_field_csv_matches_per_row_rendering(tmp_path):
+    grid = PolarGrid(16, 32, 0.9)
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(grid.nodes.shape) * 10.0 ** rng.integers(
+        -300, 300, grid.nodes.shape
+    )
+    values.flat[:8] = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324,
+                       -2.2e-309, 0.1]
+    out = tmp_path / "field.csv"
+    field_to_csv(grid, values, out)
+    assert out.read_bytes() == _field_csv_by_rows(grid, values).encode()
