@@ -1,131 +1,86 @@
 """Maximal Blaschke products: prescribed critical sets, maximal conformal
 pseudometrics, and verification suites for the associated extremal problem."""
 
-from .blaschke import (
-    CriticalSet,
-    FiniteBlaschke,
-    compose,
-    critical_numerator_coeffs,
-    critical_points,
-    derivative,
-    derivative_at_origin_order,
-    evaluate,
-)
-from .disk import (
-    DiskAutomorphism,
-    RiemannMapSpec,
-    hyperbolic_density,
-    pseudo_hyperbolic_distance,
-)
-from .errors import InputError, NumericalError
-from .metrics import (
-    CurvatureField,
-    DensityField,
-    PolarGrid,
-    ahlfors_check,
-    discrete_curvature,
-    dominance_check,
-    hyperbolic_field,
-    product_density,
-    pullback_density,
-    refinement_contraction,
-    union_metric,
-)
-from .solver import (
-    HomotopyConfig,
-    SolveReport,
-    TransplantResult,
-    TruncationResult,
-    solve_maximal,
-    solve_maximal_normalized,
-    transplant,
-    truncation_sequence,
-)
-from .verify import (
-    BoundaryProbe,
-    CompetitorSpec,
-    boundary_probes,
-    boundary_quotient,
-    default_competitor_specs,
-    extremality_suite,
-    fit_automorphism,
-    left_factor_check,
-    phi_boundary_bound,
-    semigroup_check,
-    union_suite,
-)
+from importlib import import_module as _import_module
 
-__all__ = [
-    "CriticalSet",
-    "FiniteBlaschke",
-    "compose",
-    "critical_numerator_coeffs",
-    "critical_points",
-    "derivative",
-    "derivative_at_origin_order",
-    "evaluate",
-    "DiskAutomorphism",
-    "RiemannMapSpec",
-    "hyperbolic_density",
-    "pseudo_hyperbolic_distance",
-    "InputError",
-    "NumericalError",
-    "CurvatureField",
-    "DensityField",
-    "PolarGrid",
-    "ahlfors_check",
-    "discrete_curvature",
-    "dominance_check",
-    "hyperbolic_field",
-    "product_density",
-    "pullback_density",
-    "refinement_contraction",
-    "union_metric",
-    "PdeProblem",
-    "PdeSolution",
-    "constant_curvature_problem",
-    "divisor_reduced_problem",
-    "oracle_validate",
-    "solve_dirichlet",
-    "HomotopyConfig",
-    "SolveReport",
-    "TransplantResult",
-    "TruncationResult",
-    "solve_maximal",
-    "solve_maximal_normalized",
-    "transplant",
-    "truncation_sequence",
-    "BoundaryProbe",
-    "CompetitorSpec",
-    "boundary_probes",
-    "boundary_quotient",
-    "default_competitor_specs",
-    "extremality_suite",
-    "fit_automorphism",
-    "left_factor_check",
-    "phi_boundary_bound",
-    "semigroup_check",
-    "union_suite",
-]
+#: Public names by the module that defines them.  The ``pde`` names are
+#: served on first use: the PDE oracle is the only layer that needs scipy,
+#: whose import would otherwise dominate every command-line run.
+_EXPORTS = {
+    "blaschke": (
+        "CriticalSet",
+        "FiniteBlaschke",
+        "compose",
+        "critical_numerator_coeffs",
+        "critical_points",
+        "derivative",
+        "derivative_at_origin_order",
+        "evaluate",
+    ),
+    "disk": (
+        "DiskAutomorphism",
+        "RiemannMapSpec",
+        "hyperbolic_density",
+        "pseudo_hyperbolic_distance",
+    ),
+    "errors": ("InputError", "NumericalError"),
+    "metrics": (
+        "CurvatureField",
+        "DensityField",
+        "PolarGrid",
+        "ahlfors_check",
+        "discrete_curvature",
+        "dominance_check",
+        "hyperbolic_field",
+        "product_density",
+        "pullback_density",
+        "refinement_contraction",
+        "union_metric",
+    ),
+    "pde": (
+        "PdeProblem",
+        "PdeSolution",
+        "constant_curvature_problem",
+        "divisor_reduced_problem",
+        "oracle_validate",
+        "solve_dirichlet",
+    ),
+    "solver": (
+        "HomotopyConfig",
+        "SolveReport",
+        "TransplantResult",
+        "TruncationResult",
+        "solve_maximal",
+        "transplant",
+        "truncation_sequence",
+    ),
+    "verify": (
+        "BoundaryProbe",
+        "CompetitorSpec",
+        "boundary_probes",
+        "boundary_quotient",
+        "default_competitor_specs",
+        "extremality_suite",
+        "fit_automorphism",
+        "left_factor_check",
+        "phi_boundary_bound",
+        "semigroup_check",
+        "union_suite",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
 
 __version__ = "0.1.0"
 
-#: Served from ``maxblaschke.pde`` on first use: the PDE oracle is the only
-#: layer that needs scipy, whose import would otherwise dominate every
-#: command-line run.
-_PDE_NAMES = frozenset((
-    "PdeProblem",
-    "PdeSolution",
-    "constant_curvature_problem",
-    "divisor_reduced_problem",
-    "oracle_validate",
-    "solve_dirichlet",
-))
+for _module, _names in _EXPORTS.items():
+    if _module != "pde":
+        _source = _import_module(f".{_module}", __name__)
+        globals().update({name: getattr(_source, name) for name in _names})
+del _module, _names, _source
 
 
 def __getattr__(name):
-    if name in _PDE_NAMES:
-        from . import pde
-
-        return getattr(pde, name)
+    if name in _EXPORTS["pde"]:
+        return getattr(_import_module(".pde", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -38,20 +38,6 @@ from .verify import (
     union_suite,
 )
 
-COMMANDS = (
-    "solve",
-    "critpoints",
-    "metric",
-    "curvature",
-    "pde-oracle",
-    "verify-extremal",
-    "verify-boundary",
-    "compose",
-    "union",
-    "converge",
-    "transplant",
-)
-
 EXIT_PASS = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_ERROR = 2
@@ -72,6 +58,11 @@ class JobConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise InputError(f"unknown command {self.command!r}")
+        for key in ("input_path", "output_path"):
+            if not isinstance(getattr(self, key), (str, type(None))):
+                raise InputError(f"{key} must be a string")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise InputError("seed must be an integer")
         if not isinstance(self.grid, dict):
             raise InputError("grid must be a JSON object")
         if not isinstance(self.tolerances, dict):
@@ -412,6 +403,8 @@ _RUNNERS = {
     "transplant": _run_transplant,
 }
 
+COMMANDS = tuple(_RUNNERS)
+
 
 def run(cfg: JobConfig) -> int:
     return _RUNNERS[cfg.command](cfg)
@@ -438,10 +431,7 @@ def _build_config(args) -> JobConfig:
         job["tolerances"] = json.loads(args.tol)
     if "command" not in job:
         raise InputError("no command given (positional argument or job file)")
-    allowed = {
-        "command", "input_path", "output_path", "grid", "tolerances", "seed"
-    }
-    unknown = set(job) - allowed
+    unknown = set(job) - {f.name for f in fields(JobConfig)}
     if unknown:
         raise InputError(f"unknown job field(s): {sorted(unknown)}")
     return JobConfig(**job)

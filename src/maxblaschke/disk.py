@@ -90,7 +90,11 @@ class DiskAutomorphism:
         object.__setattr__(self, "center", c)
 
     def __call__(self, z):
-        return automorphism_apply(self, z)
+        """T(z) at a scalar or an array of points."""
+        z = np.asarray(z, dtype=complex)
+        c = self.center
+        out = self.rotation * (c - z) / (1.0 - np.conj(c) * z)
+        return complex(out) if out.ndim == 0 else out
 
     def derivative(self, z):
         """T'(z) = rotation * (|c|^2 - 1) / (1 - conj(c) z)^2."""
@@ -116,14 +120,6 @@ class DiskAutomorphism:
         base = (center - probe) / (1.0 - np.conj(center) * probe)
         rotation = self(other(probe)) / base
         return DiskAutomorphism(rotation=rotation, center=center)
-
-
-def automorphism_apply(T: DiskAutomorphism, z):
-    """Evaluate a disk automorphism at ``z`` (scalar or array)."""
-    z = np.asarray(z, dtype=complex)
-    c = T.center
-    out = T.rotation * (c - z) / (1.0 - np.conj(c) * z)
-    return complex(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .blaschke import CriticalSet, FiniteBlaschke, critical_points, derivative, evaluate
+from .blaschke import CriticalSet, FiniteBlaschke, _scan, critical_points
 from .errors import InputError, NumericalError
 
 #: Accept a curvature node when the Richardson estimate is below this many
@@ -145,37 +145,30 @@ def hyperbolic_field(grid: PolarGrid) -> DensityField:
     return DensityField(grid, 1.0 / (1.0 - r2))
 
 
-def constant_field(grid: PolarGrid, value: float) -> DensityField:
-    if value <= 0:
-        raise InputError("constant density must be positive")
-    return DensityField(grid, np.full((grid.n_r, grid.n_theta), float(value)))
+def _pullback(f: FiniteBlaschke, z, c: float = 1.0):
+    """Damped pullback density c |f'| / (1 - c^2 |f|^2) at ``z``, from one
+    forward scan of ``f``; ``c = 1`` is the plain hyperbolic pullback."""
+    w, dw = _scan(f, z)
+    return c * np.abs(dw) / (1.0 - c * c * np.abs(w) ** 2)
 
 
-def scale_field(field: DensityField, factor: float) -> DensityField:
-    """Pointwise positive rescaling; zeros are unchanged."""
-    if factor <= 0:
-        raise InputError("scale factor must be positive")
-    return DensityField(field.grid, factor * field.values, field.zero_set)
+def _pullback_field(f: FiniteBlaschke, grid: PolarGrid, c: float = 1.0):
+    """``_pullback`` on the grid nodes, annotated with the critical set of
+    ``f`` restricted to the grid disk |z| <= r_max (where it vanishes)."""
+    inside = tuple(
+        (p, m) for p, m in critical_points(f).entries if abs(p) <= grid.r_max
+    )
+    return DensityField(grid, _pullback(f, grid.nodes, c), CriticalSet(inside))
 
 
 def pullback_density(f: FiniteBlaschke, grid: PolarGrid) -> DensityField:
     """Density |f'| / (1 - |f|^2): the hyperbolic density pulled back by f.
 
-    The zero annotation is the critical set of ``f`` restricted to the grid
-    disk |z| <= r_max.
+    Values come from one forward scan carrying (f, f') over the zeros of
+    ``f``.  The zero annotation is the critical set of ``f`` restricted to
+    the grid disk |z| <= r_max.
     """
-    w = evaluate(f, grid.nodes)
-    dw = derivative(f, grid.nodes)
-    values = np.abs(dw) / (1.0 - np.abs(w) ** 2)
-    if f.degree >= 2:
-        crit = critical_points(f)
-        inside = tuple(
-            (p, m) for p, m in crit.entries if abs(p) <= grid.r_max
-        )
-        zero_set = CriticalSet(inside)
-    else:
-        zero_set = CriticalSet()
-    return DensityField(grid, values, zero_set)
+    return _pullback_field(f, grid)
 
 
 def _polar_laplacian(f: np.ndarray, radii: np.ndarray, n_theta: int, k: int):
@@ -298,40 +291,21 @@ def union_metric(
     """
     if not 0.0 < c < 1.0:
         raise InputError("damping constant must lie in (0, 1)")
-    lam_parts = []
-    zero_sets = []
-    for f in (F, G):
-        w = evaluate(f, grid.nodes)
-        dw = derivative(f, grid.nodes)
-        lam_parts.append(c * np.abs(dw) / (1.0 - c * c * np.abs(w) ** 2))
-        if f.degree >= 2:
-            zero_sets.append(
-                CriticalSet(
-                    tuple(
-                        (p, m)
-                        for p, m in critical_points(f).entries
-                        if abs(p) <= grid.r_max
-                    )
-                )
-            )
-        else:
-            zero_sets.append(CriticalSet())
-    lam_a, lam_b = lam_parts
-    with np.errstate(divide="ignore"):
-        kappa = -4.0 * (lam_a**-2.0 + lam_b**-2.0)
+    product, kappa = product_density(
+        _pullback_field(F, grid, c), _pullback_field(G, grid, c)
+    )
     finite = np.isfinite(kappa)
     if not np.any(finite):
         raise NumericalError("product density vanishes on the whole grid")
     alpha = -float(np.max(kappa[finite]))
     if alpha <= 0.0:
         raise NumericalError("curvature bound alpha came out nonpositive")
-    mu = 0.5 * math.sqrt(alpha) * lam_a * lam_b
     # rescaling divides curvature by alpha/4, so the bound -4 must hold
     rescaled = kappa[finite] * 4.0 / alpha
     if np.max(rescaled) > -4.0 + 1e-9:
         raise NumericalError("rescaled curvature exceeds -4")
-    field = DensityField(grid, mu, zero_sets[0].union(zero_sets[1]))
-    return field, alpha
+    mu = 0.5 * math.sqrt(alpha) * product.values
+    return DensityField(grid, mu, product.zero_set), alpha
 
 
 def _enforce_curvature(field: DensityField, band: float, two_sided: bool):

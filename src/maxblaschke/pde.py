@@ -31,8 +31,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .blaschke import CriticalSet, FiniteBlaschke, critical_points, derivative, evaluate
+from .blaschke import CriticalSet, FiniteBlaschke, critical_points
 from .errors import InputError, NumericalError
+from .metrics import _pullback
 
 #: Scaled-residual convergence/report threshold (see PdeSolution.residual_norm).
 RESIDUAL_TOL = 1e-10
@@ -347,9 +348,7 @@ def oracle_validate(B: FiniteBlaschke, radius: float, n: int = 257) -> float:
         raise InputError("critical point on or outside the sub-disk")
 
     def trace(xi):
-        w = evaluate(B, xi)
-        dw = derivative(B, xi)
-        return np.abs(dw) / (1.0 - np.abs(w) ** 2)
+        return _pullback(B, xi)
 
     problem = divisor_reduced_problem(C, radius, trace, n)
     sol = solve_dirichlet(problem)

@@ -30,14 +30,13 @@ import numpy as np
 from .blaschke import (
     CriticalSet,
     FiniteBlaschke,
-    compose,
     critical_numerator_coeffs,
     critical_points,
     derivative,
     derivative_at_origin_order,
     evaluate,
 )
-from .disk import DiskAutomorphism, RiemannMapSpec, riemann_map_apply, \
+from .disk import RiemannMapSpec, riemann_map_apply, \
     riemann_map_derivative, riemann_map_invert
 from .errors import InputError, NumericalError
 from .roots import polynomial_roots
@@ -322,31 +321,6 @@ def solve_maximal(
         roundtrip_error=roundtrip,
         functional_value=functional,
         homotopy_trace=trace,
-    )
-
-
-def _automorphism_as_blaschke(T: DiskAutomorphism) -> FiniteBlaschke:
-    # eta (c - z)/(1 - conj(c) z) = (-eta) (z - c)/(1 - conj(c) z)
-    return FiniteBlaschke(zeros=(T.center,), eta=-T.rotation)
-
-
-def solve_maximal_normalized(
-    C: CriticalSet, T: DiskAutomorphism, cfg: HomotopyConfig | None = None
-) -> SolveReport:
-    """Solve for ``C`` and replace the extremal normalization by ``T o B``.
-
-    The returned report carries the postcomposed product (same critical set)
-    while the diagnostics, including the functional value, refer to the
-    underlying normalized solve.
-    """
-    base = solve_maximal(C, cfg)
-    composite = compose(_automorphism_as_blaschke(T), base.solution)
-    return SolveReport(
-        solution=composite,
-        residual_norm=base.residual_norm,
-        roundtrip_error=base.roundtrip_error,
-        functional_value=base.functional_value,
-        homotopy_trace=list(base.homotopy_trace),
     )
 
 

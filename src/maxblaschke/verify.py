@@ -19,9 +19,9 @@ import numpy as np
 from .blaschke import (
     CriticalSet,
     FiniteBlaschke,
+    _scan,
     compose,
     critical_points,
-    derivative,
     derivative_at_origin_order,
     evaluate,
 )
@@ -29,6 +29,7 @@ from .disk import DiskAutomorphism
 from .errors import InputError, NumericalError
 from .metrics import (
     PolarGrid,
+    _pullback,
     discrete_curvature,
     dominance_check,
     pullback_density,
@@ -315,9 +316,7 @@ def boundary_quotient(B: FiniteBlaschke, probe: BoundaryProbe) -> dict:
     is logged but is not a claim worth asserting.
     """
     zs = np.array([r * probe.direction for r in probe.radii])
-    w = evaluate(B, zs)
-    dw = derivative(B, zs)
-    q = (1.0 - np.abs(zs) ** 2) * np.abs(dw) / (1.0 - np.abs(w) ** 2)
+    q = (1.0 - np.abs(zs) ** 2) * _pullback(B, zs)
     one_minus_r = 1.0 - np.asarray(probe.radii)
     K = float(np.max(np.abs(q - 1.0) / one_minus_r))
     return {
@@ -343,8 +342,7 @@ def phi_boundary_bound(B: FiniteBlaschke, samples: int = 4096) -> dict:
     if not any(a == 0 for a in B.zeros):
         raise InputError("phi bound needs a product vanishing at the origin")
     zeta = np.exp(2j * np.pi * np.arange(samples) / samples)
-    w = evaluate(B, zeta)
-    dw = derivative(B, zeta)
+    w, dw = _scan(B, zeta)
     if np.min(np.abs(dw)) < 1e-8:
         raise NumericalError("derivative nearly vanishes on the circle")
     phi = w / (zeta * dw)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +15,8 @@ from maxblaschke.blaschke import (
     critical_points,
     derivative,
     derivative_at_origin_order,
+    POLE_TOL,
     evaluate,
-    reflect_check,
 )
 from maxblaschke.disk import pseudo_hyperbolic_distance
 from maxblaschke.errors import InputError, NumericalError
@@ -152,10 +153,85 @@ def test_derivative_matches_difference_quotient(zeros):
     assert derivative(B, z) == pytest.approx(fd, abs=5e-8)
 
 
+def _mp_value_and_slope(B, z):
+    """B(z) and B'(z) to 50 digits, rounded to complex.
+
+    B' is the product rule summed with prefix and suffix products of the
+    factors, so it is exact at the zeros of B as well.
+    """
+    with mpmath.workdps(50):
+        zm = mpmath.mpc(z)
+        f, df = [], []
+        for a in B.zeros:
+            am = mpmath.mpc(a)
+            den = 1 - mpmath.conj(am) * zm
+            f.append((zm - am) / den)
+            df.append((1 - abs(am) ** 2) / den**2)
+        prefix = [mpmath.mpc(1)]
+        for v in f:
+            prefix.append(prefix[-1] * v)
+        suffix = [mpmath.mpc(1)]
+        for v in reversed(f):
+            suffix.append(suffix[-1] * v)
+        suffix.reverse()
+        eta = mpmath.mpc(B.eta)
+        slope = mpmath.fsum(
+            df[k] * prefix[k] * suffix[k + 1] for k in range(len(f))
+        )
+        return complex(eta * prefix[-1]), complex(eta * slope)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_evaluate_and_derivative_match_mpmath(d):
+    """About 200 points per product: its own zeros (B' finite and nonzero
+    there), 32 points on |z| = 1, points inside the disk, and one point by
+    each reflected pole 1/conj(a) with |1 - conj(a) z| = 1e-2.  Rounding of
+    1 - conj(a) z is amplified by 1/|1 - conj(a) z| in any double-precision
+    evaluation, so closer points measure the input's conditioning, not the
+    scan."""
+    rng = np.random.default_rng(1000 + d)
+    zeros = 0.95 * np.sqrt(rng.random(d)) * np.exp(2j * np.pi * rng.random(d))
+    B = FiniteBlaschke(tuple(zeros), eta=np.exp(2j * np.pi * rng.random()))
+    a = np.array(B.zeros)
+    near_pole = (1.0 + 1e-2 * np.exp(2j * np.pi * rng.random(d))) / np.conj(a)
+    assert np.all(np.abs(1.0 - np.conj(a) * near_pole) > 1e3 * POLE_TOL)
+    z = np.concatenate([
+        a,
+        np.exp(2j * np.pi * (np.arange(32) + rng.random()) / 32),
+        0.99 * np.sqrt(rng.random(160)) * np.exp(2j * np.pi * rng.random(160)),
+        near_pole,
+    ])
+    ref = np.array([_mp_value_and_slope(B, x) for x in z])
+    assert np.all(np.abs(ref[:d, 1]) > 0.0)
+    for got, want in ((evaluate(B, z), ref[:, 0]),
+                      (derivative(B, z), ref[:, 1])):
+        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert err <= 1e-13, err
+
+
 def test_evaluate_rejects_reflected_pole():
     B = FiniteBlaschke(zeros=(0.5 + 0j,), eta=1.0)
     with pytest.raises(NumericalError):
         evaluate(B, 2.0 + 0j)  # 1/conj(0.5)
+
+
+def reflect_check(B, z):
+    """Evaluate ``B`` at ``z`` and verify ``B(z) = 1 / conj(B(1/conj(z)))``.
+
+    Works at any point where neither side hits a pole; deviation beyond
+    1e-10 (relative to the value size) raises.
+    """
+    z = complex(z)
+    if z == 0:
+        raise InputError("reflection check needs z != 0")
+    lhs = evaluate(B, z)
+    inner = evaluate(B, 1.0 / np.conj(z))
+    if abs(inner) < POLE_TOL:
+        raise NumericalError("reflected point lands on a zero")
+    rhs = 1.0 / np.conj(inner)
+    if abs(lhs - rhs) > 1e-10 * max(1.0, abs(lhs), abs(rhs)):
+        raise NumericalError("reflection identity violated")
+    return lhs
 
 
 def test_reflection_identity_holds():

@@ -155,6 +155,24 @@ def test_job_file_unknown_field_is_exit_2(tmp_path, capsys):
     assert "unknown job field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"seed": "x"}, {"seed": True}, {"seed": 7.5}, {"input_path": 0},
+     {"output_path": ["out.json"]}],
+    ids=["seed-string", "seed-bool", "seed-float", "input-path-int",
+         "output-path-list"],
+)
+def test_job_file_bad_field_type_is_exit_2(tmp_path, capsys, fields):
+    inp = _write(tmp_path, "c.json", {"points": [], "competitors": 4})
+    job = _write(
+        tmp_path,
+        "job.json",
+        {"command": "verify-extremal", "input_path": inp, **fields},
+    )
+    assert main(["--config", job]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_metric_csv_shape(tmp_path):
     inp = _write(tmp_path, "c.json", _crit([(0.5 + 0j, 1)]))
     out = tmp_path / "field.csv"
@@ -341,3 +359,32 @@ assert pde.oracle_validate is maxblaschke.oracle_validate
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+#: The package's public names; a change to the surface changes this list.
+PUBLIC_NAMES = [
+    "BoundaryProbe", "CompetitorSpec", "CriticalSet", "CurvatureField",
+    "DensityField", "DiskAutomorphism", "FiniteBlaschke", "HomotopyConfig",
+    "InputError", "NumericalError", "PdeProblem", "PdeSolution", "PolarGrid",
+    "RiemannMapSpec", "SolveReport", "TransplantResult", "TruncationResult",
+    "ahlfors_check", "boundary_probes", "boundary_quotient", "compose",
+    "constant_curvature_problem", "critical_numerator_coeffs",
+    "critical_points", "default_competitor_specs", "derivative",
+    "derivative_at_origin_order", "discrete_curvature",
+    "divisor_reduced_problem", "dominance_check", "evaluate",
+    "extremality_suite", "fit_automorphism", "hyperbolic_density",
+    "hyperbolic_field", "left_factor_check", "oracle_validate",
+    "phi_boundary_bound", "product_density", "pseudo_hyperbolic_distance",
+    "pullback_density", "refinement_contraction", "semigroup_check",
+    "solve_dirichlet", "solve_maximal", "transplant", "truncation_sequence",
+    "union_metric", "union_suite",
+]
+
+
+def test_public_surface_is_frozen_and_resolves():
+    assert sorted(maxblaschke.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        value = getattr(maxblaschke, name)
+        assert getattr(value, "__name__", name) == name
+    with pytest.raises(AttributeError):
+        getattr(maxblaschke, "solve_maximal_normalized")

@@ -9,19 +9,27 @@ from maxblaschke.metrics import (
     _max_filter3,
     PolarGrid,
     ahlfors_check,
-    constant_field,
     discrete_curvature,
     dominance_check,
     hyperbolic_field,
     product_density,
     pullback_density,
     refinement_contraction,
-    scale_field,
     union_metric,
 )
 from maxblaschke.solver import solve_maximal
 
 GRID = PolarGrid(n_r=48, n_theta=160, r_max=0.9)
+
+
+def constant_field(grid, value):
+    """The constant density ``value`` on the grid."""
+    return DensityField(grid, np.full((grid.n_r, grid.n_theta), float(value)))
+
+
+def scale_field(field, factor):
+    """Pointwise positive rescaling; zeros are unchanged."""
+    return DensityField(field.grid, factor * field.values, field.zero_set)
 
 
 def test_grid_layout():

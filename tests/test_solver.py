@@ -11,13 +11,12 @@ from maxblaschke.blaschke import (
     critical_points,
     evaluate,
 )
-from maxblaschke.disk import DiskAutomorphism, RiemannMapSpec
+from maxblaschke.disk import RiemannMapSpec
 from maxblaschke.errors import InputError, NumericalError
 from maxblaschke.solver import (
     HomotopyConfig,
     _assemble,
     solve_maximal,
-    solve_maximal_normalized,
     transplant,
     truncation_sequence,
 )
@@ -180,30 +179,6 @@ def test_assembly_matches_expanded_numerator(n_origin, free, targets):
         dy = (rows(free + 1j * e) - rows(free - 1j * e)) / (2 * h)
         assert np.allclose(A[:, l], (dx - 1j * dy) / 2, rtol=0, atol=1e-8)
         assert np.allclose(Bm[:, l], (dx + 1j * dy) / 2, rtol=0, atol=1e-8)
-
-
-# ----------------------------------------------------------------------
-# normalized variants
-
-def test_normalized_negation_flips_values():
-    C = CriticalSet.from_points([0.5])
-    T = DiskAutomorphism(rotation=1.0, center=0j)  # T(z) = -z
-    rep = solve_maximal_normalized(C, T)
-    base = solve_maximal(C).solution
-    z = np.array([0.2, -0.3j, 0.4 + 0.1j])
-    assert evaluate(rep.solution, z) == pytest.approx(
-        -evaluate(base, z), abs=1e-12)
-    assert critical_points(rep.solution).match(C) <= 1e-8
-
-
-def test_normalized_center_moves_value_to_zero():
-    C = CriticalSet.from_points([0.5])
-    base = solve_maximal(C).solution
-    w = 0.3 + 0.1j
-    T = DiskAutomorphism(rotation=-1.0, center=complex(evaluate(base, w)))
-    rep = solve_maximal_normalized(C, T)
-    assert evaluate(rep.solution, w) == pytest.approx(0.0, abs=1e-12)
-    assert critical_points(rep.solution).match(C) <= 1e-8
 
 
 # ----------------------------------------------------------------------
