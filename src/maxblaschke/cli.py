@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .blaschke import CriticalSet, FiniteBlaschke, compose, critical_points
+from .blaschke import CriticalSet, FiniteBlaschke, critical_points
 from .disk import RiemannMapSpec
 from .errors import InputError, NumericalError
 from .metrics import PolarGrid, discrete_curvature, pullback_density
@@ -42,6 +42,8 @@ EXIT_PASS = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_ERROR = 2
 EXIT_BAD_JSON = 3
+
+_TOLERANCES = ("newton_tol", "roundtrip_tol")
 
 
 @dataclass
@@ -77,16 +79,15 @@ class JobConfig:
         if self.grid.get("r_max", 0.0) >= 1.0 or self.grid.get("r", 0.0) >= 1.0:
             raise InputError("grid radius must be < 1")
         for key in self.tolerances:
-            if key not in ("newton_tol", "roundtrip_tol"):
+            if key not in _TOLERANCES:
                 raise InputError(f"unknown tolerance {key!r}")
-
-
-def _homotopy(cfg: JobConfig) -> HomotopyConfig:
-    try:
-        tols = {k: float(v) for k, v in cfg.tolerances.items()}
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"tolerances must be numbers: {exc}") from exc
-    return HomotopyConfig(**tols)
+        try:  # the tolerances the job runs with, echoed in its report
+            self.tolerances = {
+                k: float(self.tolerances.get(k, getattr(HomotopyConfig, k)))
+                for k in _TOLERANCES
+            }
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"tolerances must be numbers: {exc}") from exc
 
 
 def _polar_grid(cfg: JobConfig) -> PolarGrid:
@@ -98,18 +99,6 @@ def _polar_grid(cfg: JobConfig) -> PolarGrid:
     )
 
 
-def _load(cfg: JobConfig):
-    if cfg.input_path is None:
-        raise InputError(f"command {cfg.command!r} requires --input")
-    try:
-        data = read_json(cfg.input_path)
-    except OSError as exc:
-        raise InputError(f"cannot read input: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InputError("input must hold a JSON object")
-    return data
-
-
 def _scalar(data: dict, key: str, default, kind):
     """``kind(data[key])``, or ``kind(default)`` when the key is absent."""
     try:
@@ -118,24 +107,28 @@ def _scalar(data: dict, key: str, default, kind):
         raise InputError(f"input field {key!r}: {exc}") from exc
 
 
-def _emit(report: dict, cfg: JobConfig) -> None:
-    if cfg.output_path:
-        write_json(report, cfg.output_path)
-    else:
-        sys.stdout.write(dumps(report))
+def _points(data: dict, command: str) -> list:
+    """The complex numbers of the input's ``points`` list."""
+    try:
+        return [complex(e["re"], e["im"]) for e in data["points"]]
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"{command} input needs a 'points' list") from exc
 
 
-def _tol_echo(hc: HomotopyConfig) -> dict:
-    return {"newton_tol": hc.newton_tol, "roundtrip_tol": hc.roundtrip_tol}
+def _solved(data: dict, cfg: JobConfig):
+    """The input's critical set and its maximal solve."""
+    C = CriticalSet.from_dict(data)
+    return C, solve_maximal(C, HomotopyConfig(**cfg.tolerances))
 
 
-def _run_solve(cfg: JobConfig) -> int:
-    C = CriticalSet.from_dict(_load(cfg))
-    hc = _homotopy(cfg)
-    rep = solve_maximal(C, hc)
-    report = {
-        "command": "solve",
-        "tolerances": _tol_echo(hc),
+# Report builders: ``builder(data, cfg)`` returns the report body, or for
+# _CSV_COMMANDS the node values and the sidecar body.
+
+
+def _solve(data: dict, cfg: JobConfig) -> dict:
+    C, rep = _solved(data, cfg)
+    return {
+        "tolerances": cfg.tolerances,
         "critical_set": C.to_dict(),
         "product": rep.solution.to_dict(),
         "degree": rep.solution.degree,
@@ -143,135 +136,89 @@ def _run_solve(cfg: JobConfig) -> int:
         "residual_norm": rep.residual_norm,
         "roundtrip_error": rep.roundtrip_error,
     }
-    _emit(report, cfg)
-    return EXIT_PASS
 
 
-def _run_critpoints(cfg: JobConfig) -> int:
-    B = FiniteBlaschke.from_dict(_load(cfg))
-    crit = critical_points(B)
-    report = {
-        "command": "critpoints",
-        "degree": B.degree,
-        "points": crit.to_dict()["points"],
+def _critpoints(data: dict, cfg: JobConfig) -> dict:
+    B = FiniteBlaschke.from_dict(data)
+    points = critical_points(B).to_dict()["points"]
+    return {"degree": B.degree, "points": points}
+
+
+def _metric(data: dict, cfg: JobConfig):
+    _, rep = _solved(data, cfg)
+    lam = pullback_density(rep.solution, _polar_grid(cfg))
+    return lam.values, {
+        "tolerances": cfg.tolerances,
+        "functional": rep.functional_value,
+        "zero_set": lam.zero_set.to_dict(),
     }
-    _emit(report, cfg)
-    return EXIT_PASS
 
 
-def _run_metric(cfg: JobConfig) -> int:
-    if cfg.output_path is None:
-        raise InputError("command 'metric' requires --output for the CSV")
-    C = CriticalSet.from_dict(_load(cfg))
-    hc = _homotopy(cfg)
-    rep = solve_maximal(C, hc)
+def _curvature(data: dict, cfg: JobConfig):
+    _, rep = _solved(data, cfg)
     grid = _polar_grid(cfg)
-    lam = pullback_density(rep.solution, grid)
-    field_to_csv(
-        grid,
-        lam.values,
-        cfg.output_path,
-        sidecar={
-            "command": "metric",
-            "tolerances": _tol_echo(hc),
-            "functional": rep.functional_value,
-            "zero_set": lam.zero_set.to_dict(),
-        },
-    )
-    return EXIT_PASS
-
-
-def _run_curvature(cfg: JobConfig) -> int:
-    if cfg.output_path is None:
-        raise InputError("command 'curvature' requires --output for the CSV")
-    C = CriticalSet.from_dict(_load(cfg))
-    hc = _homotopy(cfg)
-    rep = solve_maximal(C, hc)
-    grid = _polar_grid(cfg)
-    lam = pullback_density(rep.solution, grid)
-    curv = discrete_curvature(lam)
+    curv = discrete_curvature(pullback_density(rep.solution, grid))
     band = 10.0 * grid.h**2
     deviation = curv.max_deviation(-4.0)
-    field_to_csv(
-        grid,
-        curv.values,
-        cfg.output_path,
-        sidecar={
-            "command": "curvature",
-            "tolerances": _tol_echo(hc),
-            "band": band,
-            "max_deviation": deviation,
-            "defined_fraction": float(np.mean(curv.defined)),
-            "pass": bool(deviation <= band),
-        },
-    )
-    return EXIT_PASS if deviation <= band else EXIT_VERIFY_FAIL
+    # uncertified stencil values are rounding noise beside critical points
+    return np.where(curv.defined, curv.values, np.nan), {
+        "tolerances": cfg.tolerances,
+        "band": band,
+        "max_deviation": deviation,
+        "defined_fraction": float(np.mean(curv.defined)),
+        "pass": bool(deviation <= band),
+    }
 
 
-def _run_pde_oracle(cfg: JobConfig) -> int:
+def _pde_oracle(data: dict, cfg: JobConfig) -> dict:
     # imported here: no other command needs the PDE layer's scipy.sparse
     from .pde import oracle_validate
 
-    B = FiniteBlaschke.from_dict(_load(cfg))
+    B = FiniteBlaschke.from_dict(data)
     n = int(cfg.grid.get("n", 257))
     r = float(cfg.grid.get("r", 0.75))
     deviation = oracle_validate(B, r, n)
     h = 2.0 * r / (n - 1)
     budget = 5.0 * h * h
-    report = {
-        "command": "pde-oracle",
+    return {
         "grid": {"n": n, "r": r},
         "deviation": deviation,
         "budget": budget,
         "pass": bool(deviation <= budget),
     }
-    _emit(report, cfg)
-    return EXIT_PASS if report["pass"] else EXIT_VERIFY_FAIL
 
 
-def _run_verify_extremal(cfg: JobConfig) -> int:
-    data = _load(cfg)
-    C = CriticalSet.from_dict(data)
+def _verify_extremal(data: dict, cfg: JobConfig) -> dict:
     count = _scalar(data, "competitors", 1000, int)
-    hc = _homotopy(cfg)
-    rep = solve_maximal(C, hc)
+    C, rep = _solved(data, cfg)
     rng = np.random.default_rng(cfg.seed)
     specs = default_competitor_specs(C, count, rng)
-    suite = extremality_suite(C, rep.solution, specs, hc)
-    report = {
-        "command": "verify-extremal",
+    hc = HomotopyConfig(**cfg.tolerances)
+    return {
         "seed": cfg.seed,
-        "tolerances": _tol_echo(hc),
+        "tolerances": cfg.tolerances,
         "margin_tolerance": 1e-9,
-        **suite,
+        **extremality_suite(C, rep.solution, specs, hc),
     }
-    _emit(report, cfg)
-    return EXIT_PASS if suite["pass"] else EXIT_VERIFY_FAIL
 
 
-def _run_verify_boundary(cfg: JobConfig) -> int:
-    C = CriticalSet.from_dict(_load(cfg))
-    hc = _homotopy(cfg)
-    rep = solve_maximal(C, hc)
+def _verify_boundary(data: dict, cfg: JobConfig) -> dict:
+    C, rep = _solved(data, cfg)
     quotients = [
         boundary_quotient(rep.solution, p) for p in boundary_probes(C)
     ]
     phi = phi_boundary_bound(rep.solution)
     ok = phi["pass"] and all(q["deviation"] <= 1e-3 for q in quotients)
-    report = {
-        "command": "verify-boundary",
-        "tolerances": _tol_echo(hc),
+    return {
+        "tolerances": cfg.tolerances,
         "deviation_tolerance": 1e-3,
         "quotients": quotients,
         "phi": phi,
         "pass": bool(ok),
     }
-    _emit(report, cfg)
-    return EXIT_PASS if ok else EXIT_VERIFY_FAIL
 
 
-def _run_compose(cfg: JobConfig) -> int:
-    data = _load(cfg)
+def _compose(data: dict, cfg: JobConfig) -> dict:
     try:
         outer = FiniteBlaschke.from_dict(data["outer"])
         inner = FiniteBlaschke.from_dict(data["inner"])
@@ -279,24 +226,19 @@ def _run_compose(cfg: JobConfig) -> int:
         raise InputError(
             "compose input needs 'outer' and 'inner' products"
         ) from exc
-    hc = _homotopy(cfg)
+    hc = HomotopyConfig(**cfg.tolerances)
     semi = semigroup_check(inner, outer, hc)
     left = left_factor_check(outer, inner, hc)
-    ok = semi["pass"] and left["pass"]
-    report = {
-        "command": "compose",
-        "tolerances": _tol_echo(hc),
+    return {
+        "tolerances": cfg.tolerances,
         "match_tolerance": 1e-8,
         "semigroup": semi,
         "left_factor": left,
-        "pass": bool(ok),
+        "pass": bool(semi["pass"] and left["pass"]),
     }
-    _emit(report, cfg)
-    return EXIT_PASS if ok else EXIT_VERIFY_FAIL
 
 
-def _run_union(cfg: JobConfig) -> int:
-    data = _load(cfg)
+def _union(data: dict, cfg: JobConfig) -> dict:
     try:
         C1 = CriticalSet.from_dict(data["first"])
         C2 = CriticalSet.from_dict(data["second"])
@@ -305,26 +247,18 @@ def _run_union(cfg: JobConfig) -> int:
             "union input needs 'first' and 'second' critical sets"
         ) from exc
     c = _scalar(data, "scale", 0.5, float)
-    hc = _homotopy(cfg)
-    suite = union_suite(C1, C2, c, _polar_grid(cfg), hc)
-    report = {
-        "command": "union",
-        "tolerances": _tol_echo(hc),
+    hc = HomotopyConfig(**cfg.tolerances)
+    return {
+        "tolerances": cfg.tolerances,
         "scale": c,
-        **suite,
+        **union_suite(C1, C2, c, _polar_grid(cfg), hc),
     }
-    _emit(report, cfg)
-    return EXIT_PASS if suite["pass"] else EXIT_VERIFY_FAIL
 
 
-def _run_converge(cfg: JobConfig) -> int:
-    data = _load(cfg)
-    try:
-        points = [complex(e["re"], e["im"]) for e in data["points"]]
-    except (KeyError, TypeError) as exc:
-        raise InputError("converge input needs a 'points' list") from exc
+def _converge(data: dict, cfg: JobConfig) -> dict:
+    points = _points(data, "converge")
     n_max = _scalar(data, "n_max", len(points), int)
-    hc = _homotopy(cfg)
+    hc = HomotopyConfig(**cfg.tolerances)
     result = truncation_sequence(points, n_max, hc)
     fn = result.functionals
     sups = result.sup_differences
@@ -332,18 +266,14 @@ def _run_converge(cfg: JobConfig) -> int:
         fn[i + 1] <= fn[i] + 1e-12 for i in range(len(fn) - 1)
     )
     tail = all(sups[i + 1] <= sups[i] for i in range(3, len(sups) - 1))
-    ok = non_increasing and tail
-    report = {
-        "command": "converge",
-        "tolerances": _tol_echo(hc),
+    return {
+        "tolerances": cfg.tolerances,
         "functionals": fn,
         "sup_differences": sups,
         "non_increasing": bool(non_increasing),
         "tail_monotone": bool(tail),
-        "pass": bool(ok),
+        "pass": bool(non_increasing and tail),
     }
-    _emit(report, cfg)
-    return EXIT_PASS if ok else EXIT_VERIFY_FAIL
 
 
 def _map_spec(data) -> RiemannMapSpec:
@@ -364,18 +294,12 @@ def _map_spec(data) -> RiemannMapSpec:
         raise InputError(f"malformed {kind} map: {exc}") from exc
 
 
-def _run_transplant(cfg: JobConfig) -> int:
-    data = _load(cfg)
+def _transplant(data: dict, cfg: JobConfig) -> dict:
     spec = _map_spec(data.get("map", {"kind": "identity"}))
-    try:
-        points = [complex(e["re"], e["im"]) for e in data["points"]]
-    except (KeyError, TypeError) as exc:
-        raise InputError("transplant input needs a 'points' list") from exc
-    hc = _homotopy(cfg)
-    result = transplant(points, spec, hc)
-    report = {
-        "command": "transplant",
-        "tolerances": _tol_echo(hc),
+    points = _points(data, "transplant")
+    result = transplant(points, spec, HomotopyConfig(**cfg.tolerances))
+    return {
+        "tolerances": cfg.tolerances,
         "disk_critical_set": result.disk_critical_set.to_dict(),
         "product": result.report.solution.to_dict(),
         "functional": result.report.functional_value,
@@ -385,29 +309,52 @@ def _run_transplant(cfg: JobConfig) -> int:
             for p, m in result.domain_critical_points()
         ],
     }
-    _emit(report, cfg)
-    return EXIT_PASS
 
 
-_RUNNERS = {
-    "solve": _run_solve,
-    "critpoints": _run_critpoints,
-    "metric": _run_metric,
-    "curvature": _run_curvature,
-    "pde-oracle": _run_pde_oracle,
-    "verify-extremal": _run_verify_extremal,
-    "verify-boundary": _run_verify_boundary,
-    "compose": _run_compose,
-    "union": _run_union,
-    "converge": _run_converge,
-    "transplant": _run_transplant,
+_BUILDERS = {
+    "solve": _solve,
+    "critpoints": _critpoints,
+    "metric": _metric,
+    "curvature": _curvature,
+    "pde-oracle": _pde_oracle,
+    "verify-extremal": _verify_extremal,
+    "verify-boundary": _verify_boundary,
+    "compose": _compose,
+    "union": _union,
+    "converge": _converge,
+    "transplant": _transplant,
 }
 
-COMMANDS = tuple(_RUNNERS)
+COMMANDS = tuple(_BUILDERS)
+_CSV_COMMANDS = ("metric", "curvature")
 
 
 def run(cfg: JobConfig) -> int:
-    return _RUNNERS[cfg.command](cfg)
+    """Load the input, build the command's report, write it, and return
+    the exit code its "pass" flag calls for."""
+    csv = cfg.command in _CSV_COMMANDS
+    if csv and cfg.output_path is None:
+        raise InputError(
+            f"command {cfg.command!r} requires --output for the CSV"
+        )
+    if cfg.input_path is None:
+        raise InputError(f"command {cfg.command!r} requires --input")
+    try:
+        data = read_json(cfg.input_path)
+    except OSError as exc:
+        raise InputError(f"cannot read input: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError("input must hold a JSON object")
+    built = _BUILDERS[cfg.command](data, cfg)
+    values, body = built if csv else (None, built)
+    report = {"command": cfg.command, **body}
+    if csv:
+        field_to_csv(_polar_grid(cfg), values, cfg.output_path, sidecar=report)
+    elif cfg.output_path:
+        write_json(report, cfg.output_path)
+    else:
+        sys.stdout.write(dumps(report))
+    return EXIT_PASS if report.get("pass", True) else EXIT_VERIFY_FAIL
 
 
 def _build_config(args) -> JobConfig:
@@ -417,18 +364,12 @@ def _build_config(args) -> JobConfig:
         if not isinstance(loaded, dict):
             raise InputError("job file must hold a JSON object")
         job.update(loaded)
-    if args.command:
-        job["command"] = args.command
-    if args.input:
-        job["input_path"] = args.input
-    if args.output:
-        job["output_path"] = args.output
-    if args.seed is not None:
-        job["seed"] = args.seed
-    if args.grid:
-        job["grid"] = json.loads(args.grid)
-    if args.tol:
-        job["tolerances"] = json.loads(args.tol)
+    for flag, key in (("command", "command"), ("input", "input_path"),
+                      ("output", "output_path"), ("seed", "seed"),
+                      ("grid", "grid"), ("tol", "tolerances")):
+        value = getattr(args, flag)
+        if value is not None and value != "":
+            job[key] = json.loads(value) if flag in ("grid", "tol") else value
     if "command" not in job:
         raise InputError("no command given (positional argument or job file)")
     unknown = set(job) - {f.name for f in fields(JobConfig)}

@@ -94,7 +94,11 @@ def _max_filter3(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class DensityField:
     """Nonnegative density values on a grid, with an annotation of where the
-    density is allowed to vanish (a critical set with multiplicities)."""
+    density is allowed to vanish (a critical set with multiplicities).
+
+    ``_clear`` marks the nodes farther than two spacings from every annotated
+    zero.
+    """
 
     grid: PolarGrid
     values: np.ndarray
@@ -113,6 +117,7 @@ class DensityField:
                 "annotated zeros"
             )
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_clear", clear)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,7 +232,7 @@ def discrete_curvature(
     scale = np.where(np.isfinite(a1), scale, 1.0)
     defined = est <= theta * h * h * scale
     defined &= np.isfinite(a1)
-    defined &= _clear_of_zeros(grid.nodes[2 : n_r - 2, :], field.zero_set, h)
+    defined &= field._clear[2 : n_r - 2, :]
     values = np.full((n_r, n_t), np.nan)
     dmask = np.zeros((n_r, n_t), dtype=bool)
     emb = np.full((n_r, n_t), np.inf)
@@ -371,6 +376,5 @@ def dominance_check(
     h = lam_star.grid.h
     band = 10.0 * h * h if curvature_band is None else curvature_band
     _enforce_curvature(lam_star, band, two_sided=True)
-    mask = lam_max.values > 0.0
-    mask &= _clear_of_zeros(lam_max.grid.nodes, lam_max.zero_set, h)
+    mask = (lam_max.values > 0.0) & lam_max._clear
     return float(np.max(lam_star.values[mask] / lam_max.values[mask]))

@@ -136,6 +136,13 @@ def cluster_roots(roots, coeffs, merge_tol=MERGE_TOL, noise_rel=None):
     if roots.size == 0:
         return []
     rel = max(2.0 * _EPS, noise_rel or 0.0)
+
+    def multiple_root(members):
+        # one k-fold root: the centroid polished on p^(k-1)
+        k = len(members)
+        dk1 = _derivative_coeffs(coeffs, k - 1)
+        return complex(_newton_polish(dk1, complex(members.mean()), iters=3)), k
+
     out = []
     for group in _union_find_clusters(list(roots), max(PRECLUSTER_TOL, merge_tol)):
         members = roots[group]
@@ -149,10 +156,7 @@ def cluster_roots(roots, coeffs, merge_tol=MERGE_TOL, noise_rel=None):
             merge_tol, NOISE_RADIUS_FACTOR * _noise_radius(coeffs, centroid, k, rel)
         )
         if radius <= limit:
-            # consistent with a single k-fold root; polish on p^(k-1)
-            dk1 = _derivative_coeffs(coeffs, k - 1)
-            centroid = complex(_newton_polish(dk1, centroid, iters=3))
-            out.append((centroid, k))
+            out.append(multiple_root(members))
         else:
             # genuinely separate roots that happened to fall in one coarse
             # cluster: fall back to the plain merge tolerance
@@ -161,8 +165,5 @@ def cluster_roots(roots, coeffs, merge_tol=MERGE_TOL, noise_rel=None):
                 if len(sub) == 1:
                     out.append((complex(subm[0]), 1))
                 else:
-                    ctr = complex(subm.mean())
-                    dk1 = _derivative_coeffs(coeffs, len(sub) - 1)
-                    ctr = complex(_newton_polish(dk1, ctr, iters=3))
-                    out.append((ctr, len(sub)))
+                    out.append(multiple_root(subm))
     return out

@@ -8,6 +8,7 @@ and otherwise the ``[project.scripts]`` entry point declared in
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import maxblaschke
-from maxblaschke.cli import main
+from maxblaschke.cli import COMMANDS, main
 from maxblaschke.serialize import read_json
 
 
@@ -36,6 +37,7 @@ def _crit(entries):
 
 B05 = {"eta": {"re": -1.0, "im": 0.0}, "zeros": [{"re": 0.0, "im": 0.0}, {"re": 0.8, "im": 0.0}]}
 Z2 = {"eta": {"re": 1.0, "im": 0.0}, "zeros": [{"re": 0.0, "im": 0.0}, {"re": 0.0, "im": 0.0}]}
+MONOMIAL = {"eta": {"re": 1.0, "im": 0.0}, "zeros": [{"re": 0.0, "im": 0.0}]}
 
 
 def test_solve_one_point_closed_form(tmp_path):
@@ -92,6 +94,9 @@ def test_unknown_command_rejected_by_parser(tmp_path):
         ("solve", {"points": []}, ["--grid", '{"n_r": "x"}']),
         ("solve", {"points": []}, ["--grid", '{"n_r": Infinity}']),
         ("solve", {"points": []}, ["--tol", '{"newton_tol": "abc"}']),
+        ("critpoints", B05, ["--tol", '{"newton_tol": "abc"}']),
+        ("pde-oracle", MONOMIAL,
+         ["--grid", '{"n": 65, "r": 0.5}', "--tol", '{"newton_tol": "abc"}']),
         ("transplant", {"map": {"kind": "scaled_disk"}, "points": []}, []),
         ("transplant", {"map": {"kind": "moebius"}, "points": []}, []),
         ("transplant",
@@ -105,6 +110,7 @@ def test_unknown_command_rejected_by_parser(tmp_path):
          []),
     ],
     ids=["grid-list", "grid-string", "grid-inf", "tol-string",
+         "critpoints-tol-string", "pde-oracle-tol-string",
          "scaled-no-radius", "moebius-no-coeffs", "scaled-negative",
          "unknown-map", "transplant-list", "competitors-string",
          "n-max-string", "scale-string"],
@@ -195,8 +201,24 @@ def test_metric_requires_output(tmp_path, capsys):
     assert "requires --output" in capsys.readouterr().err
 
 
+def test_curvature_csv_leaves_uncertified_nodes_empty(tmp_path):
+    inp = _write(tmp_path, "c.json", _crit([(0.5 + 0j, 1)]))
+    out = tmp_path / "curv.csv"
+    code = main([
+        "curvature", "--input", inp, "--output", str(out),
+        "--grid", '{"n_r": 16, "n_theta": 32, "r_max": 0.9}',
+    ])
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    meta = read_json(str(out) + ".json")
+    assert len(rows) == meta["rows"] == 16 * 32
+    values = [float(v) for _, _, v in rows if v]
+    assert len(values) / len(rows) == meta["defined_fraction"]
+    assert max(abs(v + 4.0) for v in values) <= meta["band"]
+
+
 def test_pde_oracle_monomial(tmp_path, capsys):
-    inp = _write(tmp_path, "b.json", {"eta": {"re": 1.0, "im": 0.0}, "zeros": [{"re": 0.0, "im": 0.0}]})
+    inp = _write(tmp_path, "b.json", MONOMIAL)
     assert main(["pde-oracle", "--input", inp, "--grid", '{"n": 65, "r": 0.5}']) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["pass"] is True
@@ -286,6 +308,70 @@ def test_transplant_scaled_disk(tmp_path, capsys):
     # the transported disk point is the preimage 0.2 / 0.5
     (dpt,) = rep["disk_critical_set"]["points"]
     assert complex(dpt["re"], dpt["im"]) == pytest.approx(0.4 + 0j, abs=1e-10)
+
+
+#: Each command's report (or CSV sidecar) keys in order, on the inputs of
+#: the tests above: the key order is the byte layout of the report.
+REPORT_LAYOUTS = [
+    ("solve", _crit([(0.5 + 0j, 1)]), [],
+     ["command", "tolerances", "critical_set", "product", "degree",
+      "functional", "residual_norm", "roundtrip_error"]),
+    ("critpoints", B05, [], ["command", "degree", "points"]),
+    ("metric", _crit([(0.5 + 0j, 1)]),
+     ["--grid", '{"n_r": 16, "n_theta": 32, "r_max": 0.9}'],
+     ["grid", "rows", "command", "tolerances", "functional", "zero_set"]),
+    ("curvature", _crit([(0.5 + 0j, 1)]),
+     ["--grid", '{"n_r": 16, "n_theta": 32, "r_max": 0.9}'],
+     ["grid", "rows", "command", "tolerances", "band", "max_deviation",
+      "defined_fraction", "pass"]),
+    ("pde-oracle", MONOMIAL, ["--grid", '{"n": 65, "r": 0.5}'],
+     ["command", "grid", "deviation", "budget", "pass"]),
+    ("verify-extremal", {**_crit([(0.5 + 0j, 1)]), "competitors": 16},
+     ["--seed", "7"],
+     ["command", "seed", "tolerances", "margin_tolerance", "suite", "inputs",
+      "margin", "samples", "skipped", "pass"]),
+    ("verify-boundary", _crit([(0.5 + 0j, 1)]), [],
+     ["command", "tolerances", "deviation_tolerance", "quotients", "phi",
+      "pass"]),
+    ("compose", {"outer": Z2, "inner": B05}, [],
+     ["command", "tolerances", "match_tolerance", "semigroup", "left_factor",
+      "pass"]),
+    ("union",
+     {"first": _crit([(0.3 + 0j, 1)]), "second": _crit([(-0.2 + 0.1j, 1)]),
+      "scale": 0.5},
+     ["--grid", '{"n_r": 32, "n_theta": 128, "r_max": 0.9}'],
+     ["command", "tolerances", "scale", "suite", "alpha", "zero_set_error",
+      "max_curvature", "direct_functional", "pass"]),
+    ("converge",
+     {"points": [{"re": 0.3, "im": 0.0}, {"re": 0.2, "im": 0.1},
+                 {"re": -0.25, "im": 0.0}]}, [],
+     ["command", "tolerances", "functionals", "sup_differences",
+      "non_increasing", "tail_monotone", "pass"]),
+    ("transplant",
+     {"map": {"kind": "scaled_disk", "radius": 0.5},
+      "points": [{"re": 0.2, "im": 0.0}]}, [],
+     ["command", "tolerances", "disk_critical_set", "product", "functional",
+      "derivative_at_zero", "domain_critical_points"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, data, flags, keys", REPORT_LAYOUTS,
+    ids=[case[0] for case in REPORT_LAYOUTS],
+)
+def test_report_layout_is_frozen(tmp_path, command, data, flags, keys):
+    inp = _write(tmp_path, "in.json", data)
+    csv = command in ("metric", "curvature")
+    out = tmp_path / ("out.csv" if csv else "out.json")
+    assert main([command, "--input", inp, "--output", str(out)] + flags) == 0
+    rep = read_json(str(out) + ".json" if csv else out)
+    assert list(rep) == keys
+
+
+def test_readme_lists_every_command():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = readme.split("Commands:", 1)[1].split("\n\n", 1)[0]
+    assert tuple(re.findall(r"`([^`]+)`", listed)) == COMMANDS
 
 
 def _console_script_command():
