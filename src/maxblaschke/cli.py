@@ -44,6 +44,14 @@ EXIT_ERROR = 2
 EXIT_BAD_JSON = 3
 
 _TOLERANCES = ("newton_tol", "roundtrip_tol")
+_GRID_DEFAULTS = {
+    "n_r": 128, "n_theta": 512, "r_max": 0.95,  # polar grid
+    "n": 257, "r": 0.75,  # PDE oracle
+}
+#: Largest grid, in nodes, a job may ask for: n_r * n_theta for the polar
+#: grid, n * n for the PDE oracle.  8 default polar grids, or a PDE grid up
+#: to n = 724 (n = 513 peaks at about 340 MB).
+_MAX_GRID_NODES = 1 << 19
 
 
 @dataclass
@@ -70,7 +78,7 @@ class JobConfig:
         if not isinstance(self.tolerances, dict):
             raise InputError("tolerances must be a JSON object")
         for key, value in self.grid.items():
-            if key not in ("n_r", "n_theta", "r_max", "n", "r"):
+            if key not in _GRID_DEFAULTS:
                 raise InputError(f"unknown grid parameter {key!r}")
             if not (isinstance(value, (int, float)) and 0 < value < math.inf):
                 raise InputError(
@@ -78,6 +86,13 @@ class JobConfig:
                 )
         if self.grid.get("r_max", 0.0) >= 1.0 or self.grid.get("r", 0.0) >= 1.0:
             raise InputError("grid radius must be < 1")
+        g = _grid(self)
+        for nodes in (int(g["n_r"]) * int(g["n_theta"]), int(g["n"]) ** 2):
+            if nodes > _MAX_GRID_NODES:
+                raise InputError(
+                    f"grid of {nodes} nodes exceeds the limit of "
+                    f"{_MAX_GRID_NODES}"
+                )
         for key in self.tolerances:
             if key not in _TOLERANCES:
                 raise InputError(f"unknown tolerance {key!r}")
@@ -90,12 +105,15 @@ class JobConfig:
             raise InputError(f"tolerances must be numbers: {exc}") from exc
 
 
+def _grid(cfg: JobConfig) -> dict:
+    """The job's grid parameters, defaults filled in."""
+    return {**_GRID_DEFAULTS, **cfg.grid}
+
+
 def _polar_grid(cfg: JobConfig) -> PolarGrid:
-    g = cfg.grid
+    g = _grid(cfg)
     return PolarGrid(
-        n_r=int(g.get("n_r", 128)),
-        n_theta=int(g.get("n_theta", 512)),
-        r_max=float(g.get("r_max", 0.95)),
+        n_r=int(g["n_r"]), n_theta=int(g["n_theta"]), r_max=float(g["r_max"])
     )
 
 
@@ -175,8 +193,8 @@ def _pde_oracle(data: dict, cfg: JobConfig) -> dict:
     from .pde import oracle_validate
 
     B = FiniteBlaschke.from_dict(data)
-    n = int(cfg.grid.get("n", 257))
-    r = float(cfg.grid.get("r", 0.75))
+    g = _grid(cfg)
+    n, r = int(g["n"]), float(g["r"])
     deviation = oracle_validate(B, r, n)
     h = 2.0 * r / (n - 1)
     budget = 5.0 * h * h

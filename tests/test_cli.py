@@ -17,7 +17,8 @@ from pathlib import Path
 import pytest
 
 import maxblaschke
-from maxblaschke.cli import COMMANDS, main
+from maxblaschke.cli import COMMANDS, JobConfig, main
+from maxblaschke.errors import InputError
 from maxblaschke.serialize import read_json
 
 
@@ -119,6 +120,25 @@ def test_bad_parameters_are_exit_2(tmp_path, capsys, command, data, flags):
     inp = _write(tmp_path, "in.json", data)
     assert main([command, "--input", inp] + flags) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command, grid", [
+    ("pde-oracle", {"n": 5000000}),
+    ("metric", {"n_r": 100000, "n_theta": 100000}),
+    ("curvature", {"n_theta": 1e9}),
+    ("union", {"n_r": 2048, "n_theta": 512}),
+])
+def test_oversized_grid_rejected_before_allocation(command, grid):
+    """The node limit is checked when the job is configured, before any
+    input is read or array allocated."""
+    with pytest.raises(InputError, match="exceeds the limit"):
+        JobConfig(command=command, grid=grid)
+
+
+def test_oversized_pde_grid_is_exit_2(tmp_path, capsys):
+    inp = _write(tmp_path, "mono.json", MONOMIAL)
+    assert main(["pde-oracle", "--input", inp, "--grid", '{"n": 5000000}']) == 2
+    assert "exceeds the limit" in capsys.readouterr().err
 
 
 def test_critpoints_report_recovers_input(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,10 @@ from maxblaschke.errors import InputError, NumericalError
 from maxblaschke.metrics import PolarGrid
 from maxblaschke.solver import solve_maximal
 from maxblaschke.verify import (
+    CAUCHY_NODES,
+    CONSTRAINT_TOL,
+    DEFLATION,
+    SUP_SAMPLES,
     BoundaryProbe,
     CompetitorSpec,
     boundary_probes,
@@ -25,7 +31,11 @@ from maxblaschke.verify import (
     phi_boundary_bound,
     semigroup_check,
     union_suite,
+    _antiderivative_coeffs,
+    _CompetitorEngine,
 )
+
+from conftest import CORPUS_SEED
 
 C_ONE = CriticalSet.from_points([0.5])
 C_TWO = CriticalSet.from_points([0.5, -0.5])
@@ -212,3 +222,187 @@ def test_union_suite_multiset():
     out = union_suite(C_ONE, C_ONE, 0.5, grid)
     assert out["pass"]
     assert out["zero_set_error"] <= 1e-8
+
+
+# ----------------------------------------------------------------------
+# batched competitor scoring against the per-spec reference
+
+class _PerSpecReference:
+    """The per-spec scorer the batched engine replaced, kept as its oracle:
+    every competitor is evaluated on every node, one spec at a time."""
+
+    solve = staticmethod(solve_maximal)
+
+    def __init__(self, C, B):
+        self.C = C
+        self.order = C.origin_multiplicity
+        self.target = derivative_at_origin_order(B, self.order)
+        k = np.arange(CAUCHY_NODES)
+        self.qnodes = 0.5 * np.exp(2j * np.pi * k / CAUCHY_NODES)
+        self.qweights = self.qnodes ** -(self.order + 1) / CAUCHY_NODES
+        self.bnodes = np.exp(2j * np.pi * np.arange(SUP_SAMPLES) / SUP_SAMPLES)
+        self.B_q = evaluate(B, self.qnodes)
+        self.B_b = evaluate(B, self.bnodes)
+        self.ring = 0.05 * np.exp(2j * np.pi * np.arange(64) / 64)
+        self.crit_rings = {}
+        for p, m in C.entries:
+            nodes = p + self.ring
+            self.crit_rings[p] = (m, nodes, evaluate(B, nodes))
+
+    def functional(self, f_on_qnodes):
+        coeff = np.sum(f_on_qnodes * self.qweights)
+        return float(np.real(coeff)) * math.factorial(self.order + 1)
+
+    def violation(self, f_on_rings):
+        worst = 0.0
+        for p, (m, _, _) in self.crit_rings.items():
+            fv = f_on_rings[p]
+            for i in range(1, m + 1):
+                d = (math.factorial(i) * np.sum(fv * (self.ring / 0.05) ** -i)
+                     / (64 * 0.05**i))
+                worst = max(worst, abs(d))
+        return worst
+
+    def score(self, spec):
+        if spec.kind == "postcompose-automorphism":
+            T = spec.automorphism
+            sup = float(np.max(np.abs(T(self.B_b))))
+            scale = (1.0 - DEFLATION) / max(1.0, sup)
+            fq = T(self.B_q) * scale
+            rings = {p: T(bv) * scale
+                     for p, (_, _, bv) in self.crit_rings.items()}
+        elif spec.kind == "scalar-multiple":
+            sup = float(abs(spec.scalar) * np.max(np.abs(self.B_b)))
+            scale = spec.scalar * (1.0 - DEFLATION) / max(1.0, sup)
+            fq = self.B_q * scale
+            rings = {p: bv * scale
+                     for p, (_, _, bv) in self.crit_rings.items()}
+        elif spec.kind == "larger-critical-set":
+            extra = CriticalSet(tuple((z, 1) for z in spec.extra_points))
+            big = self.solve(self.C.union(extra)).solution
+            sup = float(np.max(np.abs(evaluate(big, self.bnodes))))
+            scale = (1.0 - DEFLATION) / max(1.0, sup)
+            fq = evaluate(big, self.qnodes) * scale
+            rings = {p: evaluate(big, nodes) * scale
+                     for p, (_, nodes, _) in self.crit_rings.items()}
+        else:
+            coeffs = _antiderivative_coeffs(spec.poly_coeffs, self.C)
+            sup = float(np.max(np.abs(np.polyval(coeffs, self.bnodes))))
+            scale = (1.0 - DEFLATION) / sup
+            fq = np.polyval(coeffs, self.qnodes) * scale
+            rings = {p: np.polyval(coeffs, nodes) * scale
+                     for p, (_, nodes, _) in self.crit_rings.items()}
+        return self.target - self.functional(fq), self.violation(rings)
+
+
+@pytest.fixture
+def shared_resolves(monkeypatch):
+    """The engine and the reference re-solve the same enlarged sets; solve
+    each once (solve_maximal is deterministic) to keep the tests fast."""
+    import maxblaschke.verify as verify
+
+    cache = {}
+
+    def solve(C, cfg=None):
+        if C.entries not in cache:
+            cache[C.entries] = solve_maximal(C, cfg)
+        return cache[C.entries]
+
+    monkeypatch.setattr(verify, "solve_maximal", solve)
+    monkeypatch.setattr(_PerSpecReference, "solve", staticmethod(solve))
+
+
+def _assert_matches_reference(C, B, specs):
+    """Per-spec margins within 1e-12 and the suite's counts unchanged."""
+    ref = _PerSpecReference(C, B)
+    expect = np.array([ref.score(s) for s in specs]).reshape(-1, 2)
+    margins, violations = _CompetitorEngine(C, B).scores(specs)
+    assert np.max(np.abs(margins - expect[:, 0]), initial=0.0) <= 1e-12
+    ref_skip = expect[:, 1] > CONSTRAINT_TOL
+    assert np.array_equal(violations > CONSTRAINT_TOL, ref_skip)
+    out = extremality_suite(C, B, specs)
+    assert out["samples"] == int(np.sum(~ref_skip))
+    assert out["skipped"] == int(np.sum(ref_skip))
+    kept = expect[~ref_skip, 0]
+    assert out["margin"] == pytest.approx(
+        kept.min() if kept.size else np.inf, abs=1e-12)
+    return out
+
+
+def test_batched_scores_match_reference_on_corpus(
+        corpus, corpus_solves, shared_resolves):
+    """Every corpus set of mass <= 3 with its criterion-03 batch (the batches
+    are drawn from one stream in corpus order, as in the acceptance test)."""
+    rng = np.random.default_rng(CORPUS_SEED + 3)
+    checked = 0
+    for C, (rep, _) in zip(corpus, corpus_solves):
+        specs = default_competitor_specs(C, 1000, rng)
+        if C.total <= 3:
+            out = _assert_matches_reference(C, rep.solution, specs)
+            assert out["skipped"] == 0
+            checked += 1
+    assert checked >= 10
+
+
+def test_batched_scores_match_reference_on_mismatched_pair(
+        b_one, shared_resolves):
+    """B is maximal for a simple point at 0.5 but scored against the double
+    point there: B'(0.5) = 0 and B''(0.5) != 0, so competitors built from B
+    violate the second-order constraint and are skipped, while the
+    antiderivatives (built from the double point) are scored."""
+    C = CriticalSet(((0.5 + 0j, 2),))
+    specs = default_competitor_specs(C, 200, np.random.default_rng(5), larger=1)
+    out = _assert_matches_reference(C, b_one, specs)
+    assert 0 < out["skipped"] < 200
+    # and against an unrelated set, where the first derivative fails too
+    other = CriticalSet.from_points([-0.3 + 0.2j, 0.1j])
+    specs = default_competitor_specs(other, 100, np.random.default_rng(6), larger=0)
+    out = _assert_matches_reference(other, b_one, specs)
+    assert out["skipped"] > 0
+
+
+def test_batched_scores_match_reference_on_single_kinds(b_two):
+    rng = np.random.default_rng(8)
+    mixed = default_competitor_specs(C_TWO, 400, rng, larger=0)
+    for kind in ("postcompose-automorphism", "scalar-multiple",
+                 "antiderivative-family"):
+        batch = [s for s in mixed if s.kind == kind]
+        _assert_matches_reference(C_TWO, b_two, batch)
+        _assert_matches_reference(C_TWO, b_two, batch[:3])
+    # mixed polynomial lengths, from a constant up to degree 6
+    anti = [CompetitorSpec("antiderivative-family",
+                           poly_coeffs=tuple(rng.normal(size=n) + 1j))
+            for n in (1, 7, 2, 5, 3)]
+    _assert_matches_reference(C_TWO, b_two, anti)
+    # centered at 0, where the automorphism series has a single term
+    rotations = [CompetitorSpec("postcompose-automorphism",
+                                automorphism=DiskAutomorphism(rotation=eta))
+                 for eta in (1.0, -1.0, 1j, np.exp(0.3j))]
+    _assert_matches_reference(C_TWO, b_two, rotations)
+    empty = extremality_suite(C_TWO, b_two, [])
+    assert (empty["samples"], empty["skipped"], empty["pass"]) == (0, 0, False)
+    assert empty["margin"] == np.inf
+
+
+def test_batched_scores_on_empty_set_and_origin_point():
+    """No constraint rings at all, and a double origin point (order 2)."""
+    rng = np.random.default_rng(9)
+    for C in (CriticalSet(), CriticalSet(((0j, 2), (0.4 + 0.1j, 1)))):
+        B = solve_maximal(C).solution
+        specs = default_competitor_specs(C, 300, rng, larger=0)
+        _assert_matches_reference(C, B, specs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"kind": "scalar-multiple", "scalar": complex("nan")},
+    {"kind": "scalar-multiple", "scalar": complex("inf")},
+    {"kind": "antiderivative-family", "poly_coeffs": ()},
+    {"kind": "antiderivative-family", "poly_coeffs": (1.0, complex("nan"))},
+    {"kind": "larger-critical-set", "extra_points": (0.2, complex("inf"))},
+    {"kind": "postcompose-automorphism",
+     "automorphism": DiskAutomorphism(center=complex("nan"))},
+], ids=["scalar-nan", "scalar-inf", "poly-empty", "poly-nan", "extra-inf",
+        "center-nan"])
+def test_competitor_spec_rejects_non_finite_and_empty(kwargs):
+    with pytest.raises(InputError):
+        CompetitorSpec(**kwargs)
