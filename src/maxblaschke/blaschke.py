@@ -112,13 +112,13 @@ class CriticalSet:
         object.__setattr__(self, "entries", ordered)
 
     @classmethod
-    def from_points(cls, points, merge_tol=MERGE_TOL):
+    def from_points(cls, points):
         """Build from a plain list of points, merging near-duplicates."""
         entries = []
         for p in points:
             p = _as_complex(p)
             for i, (q, m) in enumerate(entries):
-                if abs(p - q) <= merge_tol:
+                if abs(p - q) <= MERGE_TOL:
                     entries[i] = (q, m + 1)
                     break
             else:
@@ -148,24 +148,24 @@ class CriticalSet:
     def nonzero_entries(self):
         return tuple((p, m) for p, m in self.entries if p != 0)
 
-    def union(self, other: "CriticalSet", merge_tol=MERGE_TOL) -> "CriticalSet":
+    def union(self, other: "CriticalSet") -> "CriticalSet":
         """Multiset union: multiplicities add, near-duplicate points merge."""
         entries = [list(e) for e in self.entries]
         for p, m in other.entries:
             for e in entries:
-                if abs(p - e[0]) <= merge_tol:
+                if abs(p - e[0]) <= MERGE_TOL:
                     e[1] += m
                     break
             else:
                 entries.append([p, m])
         return CriticalSet(tuple((p, m) for p, m in entries))
 
-    def contains(self, other: "CriticalSet", merge_tol=MERGE_TOL) -> bool:
+    def contains(self, other: "CriticalSet") -> bool:
         """True if every point of ``other`` appears here with at least its
-        multiplicity (points matched within ``merge_tol``)."""
+        multiplicity (points matched within ``MERGE_TOL``)."""
         for p, m in other.entries:
             if not any(
-                abs(p - q) <= merge_tol and mq >= m for q, mq in self.entries
+                abs(p - q) <= MERGE_TOL and mq >= m for q, mq in self.entries
             ):
                 return False
         return True
@@ -358,16 +358,14 @@ def critical_numerator_coeffs(zeros):
     return total
 
 
-def critical_points(
-    B: FiniteBlaschke, merge_tol=MERGE_TOL, noise_rel=1e-12
-) -> CriticalSet:
+def critical_points(B: FiniteBlaschke) -> CriticalSet:
     """Critical set of ``B`` inside the unit disk, with multiplicities.
 
     The ``2d - 2`` roots of the critical numerator polynomial split into
     ``d - 1`` inside the disk and their reflections outside; roots too close
     to the circle make that split ill-defined and raise.
 
-    ``noise_rel`` is the assumed relative accuracy of the product's zeros;
+    The product's zeros are taken to be accurate to a relative 1e-12;
     repeated critical points are resolved only up to the root splitting that
     such an uncertainty induces (about its square root, for double points),
     so nearby-but-distinct critical points closer than that are reported as
@@ -379,7 +377,7 @@ def critical_points(
     q = critical_numerator_coeffs(B.zeros)
     roots = polynomial_roots(q)
     circle_gap = np.abs(np.abs(roots) - 1.0)
-    if np.any(circle_gap < 10 * merge_tol):
+    if np.any(circle_gap < 10 * MERGE_TOL):
         raise NumericalError(
             "critical point too close to the unit circle to classify"
         )
@@ -388,7 +386,7 @@ def critical_points(
         raise NumericalError(
             f"expected {d - 1} interior critical points, found {len(inside)}"
         )
-    clusters = cluster_roots(inside, q, merge_tol=merge_tol, noise_rel=noise_rel)
+    clusters = cluster_roots(inside, q)
     return CriticalSet(tuple(clusters))
 
 

@@ -19,7 +19,12 @@ import numpy as np
 from .blaschke import CriticalSet, FiniteBlaschke, critical_points
 from .disk import RiemannMapSpec
 from .errors import InputError, NumericalError
-from .metrics import PolarGrid, discrete_curvature, pullback_density
+from .metrics import (
+    PolarGrid,
+    _curvature_band,
+    discrete_curvature,
+    pullback_density,
+)
 from .serialize import dumps, field_to_csv, read_json, write_json
 from .solver import (
     HomotopyConfig,
@@ -43,7 +48,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_ERROR = 2
 EXIT_BAD_JSON = 3
 
-_TOLERANCES = ("newton_tol", "roundtrip_tol")
+_TOLERANCES = tuple(f.name for f in fields(HomotopyConfig))
 _GRID_DEFAULTS = {
     "n_r": 128, "n_theta": 512, "r_max": 0.95,  # polar grid
     "n": 257, "r": 0.75,  # PDE oracle
@@ -176,7 +181,7 @@ def _curvature(data: dict, cfg: JobConfig):
     _, rep = _solved(data, cfg)
     grid = _polar_grid(cfg)
     curv = discrete_curvature(pullback_density(rep.solution, grid))
-    band = 10.0 * grid.h**2
+    band = _curvature_band(grid.h)
     deviation = curv.max_deviation(-4.0)
     # uncertified stencil values are rounding noise beside critical points
     return np.where(curv.defined, curv.values, np.nan), {

@@ -9,9 +9,12 @@ written ``T(z) = eta * (c - z) / (1 - conj(c) z)`` with ``|eta| = 1`` and
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import InputError
 
 #: Points this close to the unit circle are rejected by interior preconditions.
 BOUNDARY_TOL = 1e-12
@@ -80,13 +83,14 @@ class DiskAutomorphism:
     center: complex = 0j
 
     def __post_init__(self):
-        r = complex(self.rotation)
+        r, c = complex(self.rotation), complex(self.center)
+        if not (cmath.isfinite(r) and cmath.isfinite(c)):
+            raise InputError("automorphism parameters must be finite")
         if abs(r) < BOUNDARY_TOL:
-            raise ValueError("rotation factor must be nonzero")
-        object.__setattr__(self, "rotation", r / abs(r))
-        c = complex(self.center)
+            raise InputError("rotation factor must be nonzero")
         if abs(c) >= 1.0 - BOUNDARY_TOL:
-            raise ValueError("automorphism center must lie inside the disk")
+            raise InputError("automorphism center must lie inside the disk")
+        object.__setattr__(self, "rotation", r / abs(r))
         object.__setattr__(self, "center", c)
 
     def __call__(self, z):

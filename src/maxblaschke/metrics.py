@@ -198,20 +198,18 @@ def _polar_laplacian(f: np.ndarray, radii: np.ndarray, n_theta: int, k: int):
     return f_rr + f_r / rc + f_tt / rc**2
 
 
-def discrete_curvature(
-    field: DensityField, theta: float = CERTIFY_THETA
-) -> CurvatureField:
+def discrete_curvature(field: DensityField) -> CurvatureField:
     """Certified stencil curvature -(lap log lambda)/lambda^2.
 
     The Laplacian at single and double stencil spacing gives the second-order
     value and, by Richardson comparison, an error estimate |k2 - k1|/3.  The
     estimate is widened by a one-node maximum filter (sign changes of the
     leading error term can make a lone node's estimate deceptively small) and
-    nodes pass certification when it stays below ``theta * h**2`` times a
-    curvature-magnitude scale (discretization error grows with |curvature|;
-    the scale is clamped so the divergence near density zeros can never
-    certify itself).  Nodes within two spacings of an annotated zero are
-    never defined.
+    nodes pass certification when it stays below ``CERTIFY_THETA * h**2``
+    times a curvature-magnitude scale (discretization error grows with
+    |curvature|; the scale is clamped so the divergence near density zeros
+    can never certify itself).  Nodes within two spacings of an annotated
+    zero are never defined.
     """
     grid = field.grid
     n_r, n_t = grid.n_r, grid.n_theta
@@ -230,7 +228,7 @@ def discrete_curvature(
     with np.errstate(invalid="ignore"):
         scale = np.clip(np.abs(a1) / 4.0, 1.0, 16.0)
     scale = np.where(np.isfinite(a1), scale, 1.0)
-    defined = est <= theta * h * h * scale
+    defined = est <= CERTIFY_THETA * h * h * scale
     defined &= np.isfinite(a1)
     defined &= field._clear[2 : n_r - 2, :]
     values = np.full((n_r, n_t), np.nan)
@@ -313,9 +311,17 @@ def union_metric(
     return DensityField(grid, mu, product.zero_set), alpha
 
 
-def _enforce_curvature(field: DensityField, band: float, two_sided: bool):
-    """Check the certified stencil curvature against -4; vacuous when no
-    node is certified (the precondition only speaks of defined nodes)."""
+def _curvature_band(h: float) -> float:
+    """Allowed deviation of certified stencil curvature from -4 on a grid
+    of mesh parameter ``h``."""
+    return 10.0 * h**2
+
+
+def _enforce_curvature(field: DensityField, two_sided: bool):
+    """Check the certified stencil curvature against -4 within the band;
+    vacuous when no node is certified (the precondition only speaks of
+    defined nodes)."""
+    band = _curvature_band(field.grid.h)
     curv = discrete_curvature(field)
     if not np.any(curv.defined):
         return
@@ -335,31 +341,25 @@ def _enforce_curvature(field: DensityField, band: float, two_sided: bool):
             )
 
 
-def ahlfors_check(field: DensityField, curvature_band: float | None = None):
+def ahlfors_check(field: DensityField):
     """Largest ratio of ``field`` to the hyperbolic density over the grid.
 
-    The input must carry stencil curvature at most -4 (within the band,
-    default 10 h^2) at its defined nodes; any such density stays below the
+    The input must carry stencil curvature at most -4 (within the band
+    10 h^2) at its defined nodes; any such density stays below the
     hyperbolic one, so the returned ratio should not exceed 1.
     """
-    h = field.grid.h
-    band = 10.0 * h * h if curvature_band is None else curvature_band
-    _enforce_curvature(field, band, two_sided=False)
+    _enforce_curvature(field, two_sided=False)
     ratio = field.values * (1.0 - np.abs(field.grid.nodes) ** 2)
     return float(np.max(ratio))
 
 
-def dominance_check(
-    lam_star: DensityField,
-    lam_max: DensityField,
-    curvature_band: float | None = None,
-):
+def dominance_check(lam_star: DensityField, lam_max: DensityField):
     """Largest nodewise ratio lam_star / lam_max, skipping 0/0 nodes.
 
     ``lam_star`` must vanish everywhere ``lam_max`` does (annotation
     containment), and must be a constant-curvature -4 density within the
-    band — a scaled copy of one is not and is rejected, since scaling by c
-    moves the curvature to -4/c^2.
+    band 10 h^2 — a scaled copy of one is not and is rejected, since
+    scaling by c moves the curvature to -4/c^2.
 
     Nodes within two spacings of the reference's zeros are excluded along
     with exact zeros: the ratio there is a 0/0 limit, and evaluating it on
@@ -373,8 +373,6 @@ def dominance_check(
             "zero annotation of the dominated density does not contain "
             "the maximal density's zeros"
         )
-    h = lam_star.grid.h
-    band = 10.0 * h * h if curvature_band is None else curvature_band
-    _enforce_curvature(lam_star, band, two_sided=True)
+    _enforce_curvature(lam_star, two_sided=True)
     mask = (lam_max.values > 0.0) & lam_max._clear
     return float(np.max(lam_star.values[mask] / lam_max.values[mask]))

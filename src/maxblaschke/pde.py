@@ -325,8 +325,6 @@ def divisor_reduced_problem(
     the reduced problem has a classical solution even though log(lambda)
     itself diverges at the divisor.
     """
-    if any(abs(p) >= radius for p, _ in C.entries):
-        raise InputError("divisor point on or outside the sub-disk boundary")
     smag = divisor_poly(C)
 
     def reduced_boundary(xi):

@@ -26,6 +26,10 @@ PRECLUSTER_TOL = 1e-4
 NOISE_RADIUS_FACTOR = 10.0
 
 _EPS = np.finfo(float).eps
+#: Assumed relative accuracy of the coefficients: a k-fold root splits under
+#: it into a cluster of radius ~ _NOISE_REL**(1/k).  Critical numerators come
+#: from solved zeros, so this is the solver's level, not the rounding level.
+_NOISE_REL = 1e-12
 
 
 def _newton_polish(coeffs, z, iters=2):
@@ -63,11 +67,11 @@ def polynomial_roots(coeffs):
     return roots
 
 
-def _noise_scale(coeffs, z, rel):
+def _noise_scale(coeffs, z):
     # absolute uncertainty of evaluating the polynomial at z when its
-    # coefficients carry a relative error of ``rel``
+    # coefficients carry a relative error of _NOISE_REL
     powers = np.abs(z) ** np.arange(len(coeffs) - 1, -1, -1)
-    return rel * float(np.sum(np.abs(coeffs) * powers))
+    return _NOISE_REL * float(np.sum(np.abs(coeffs) * powers))
 
 
 def _union_find_clusters(points, tol):
@@ -99,17 +103,19 @@ def _derivative_coeffs(coeffs, order):
     return c
 
 
-def _noise_radius(coeffs, z, k, rel):
+def _noise_radius(coeffs, z, k):
     """Expected cluster radius of a k-fold root under coefficient noise."""
     dk = _derivative_coeffs(coeffs, k)
     lead = abs(np.polyval(dk, z)) / math.factorial(k)
     if lead == 0:
         return math.inf
-    return (_noise_scale(coeffs, z, rel) / lead) ** (1.0 / k)
+    return (_noise_scale(coeffs, z) / lead) ** (1.0 / k)
 
 
-def cluster_roots(roots, coeffs, merge_tol=MERGE_TOL, noise_rel=None):
+def cluster_roots(roots, coeffs):
     """Group ``roots`` of ``coeffs`` into (representative, multiplicity) pairs.
+
+    Roots within ``MERGE_TOL`` are always merged.
 
     Parameters
     ----------
@@ -118,15 +124,6 @@ def cluster_roots(roots, coeffs, merge_tol=MERGE_TOL, noise_rel=None):
     coeffs : array
         The polynomial the roots belong to, used for the multiplicity
         consistency test and centroid polishing.
-    merge_tol : float
-        Roots within this distance are always merged.
-    noise_rel : float, optional
-        Assumed relative uncertainty of the coefficients.  A k-fold root of
-        the ideal polynomial splits under a coefficient perturbation of
-        relative size eps into a cluster of radius ~ eps**(1/k), far wider
-        than machine rounding alone suggests; callers whose coefficients come
-        from an iterative solve should pass its convergence tolerance here.
-        Defaults to the rounding level.
 
     Returns
     -------
@@ -135,7 +132,6 @@ def cluster_roots(roots, coeffs, merge_tol=MERGE_TOL, noise_rel=None):
     roots = np.asarray(roots, dtype=complex)
     if roots.size == 0:
         return []
-    rel = max(2.0 * _EPS, noise_rel or 0.0)
 
     def multiple_root(members):
         # one k-fold root: the centroid polished on p^(k-1)
@@ -144,7 +140,7 @@ def cluster_roots(roots, coeffs, merge_tol=MERGE_TOL, noise_rel=None):
         return complex(_newton_polish(dk1, complex(members.mean()), iters=3)), k
 
     out = []
-    for group in _union_find_clusters(list(roots), max(PRECLUSTER_TOL, merge_tol)):
+    for group in _union_find_clusters(list(roots), PRECLUSTER_TOL):
         members = roots[group]
         k = len(members)
         if k == 1:
@@ -153,14 +149,14 @@ def cluster_roots(roots, coeffs, merge_tol=MERGE_TOL, noise_rel=None):
         centroid = complex(members.mean())
         radius = float(np.max(np.abs(members - centroid)))
         limit = max(
-            merge_tol, NOISE_RADIUS_FACTOR * _noise_radius(coeffs, centroid, k, rel)
+            MERGE_TOL, NOISE_RADIUS_FACTOR * _noise_radius(coeffs, centroid, k)
         )
         if radius <= limit:
             out.append(multiple_root(members))
         else:
             # genuinely separate roots that happened to fall in one coarse
             # cluster: fall back to the plain merge tolerance
-            for sub in _union_find_clusters(list(members), merge_tol):
+            for sub in _union_find_clusters(list(members), MERGE_TOL):
                 subm = members[sub]
                 if len(sub) == 1:
                     out.append((complex(subm[0]), 1))

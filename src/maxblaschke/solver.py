@@ -10,7 +10,7 @@ say the critical numerator polynomial ``Q`` vanishes at each prescribed
 nonzero point to its multiplicity.  The solver follows the path ``C(t) = t C``
 from the collapsed state ``B_0 = z^(m+1)`` at ``t = 0``, correcting with a
 damped Newton iteration at each step, and halves the step on failure until
-it falls below ``2**-step_halving_limit / steps``, where it raises.  ``Q``
+it falls below ``2**-_STEP_HALVING_LIMIT / _STEPS``, where it raises.  ``Q``
 and its derivatives with respect to ``b_k`` and ``conj(b_k)`` are short
 Taylor jets at the targets, all targets at once, built in factored form by
 one forward and one backward scan over the zeros; the Newton line search
@@ -22,7 +22,6 @@ set last so that ``B^(N+1)(0) > 0``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,14 +41,19 @@ from .errors import InputError, NumericalError
 from .roots import polynomial_roots
 
 
+#: Path steps on [0, 1] when no step has to be halved.
+_STEPS = 32
+#: Newton iterations allowed per path step.
+_MAX_NEWTON_ITERS = 50
+#: Halvings of the path step allowed before the solve raises.
+_STEP_HALVING_LIMIT = 8
+
+
 @dataclass(frozen=True)
 class HomotopyConfig:
-    """Knobs for the path-following solve."""
+    """Tolerances of the path-following solve."""
 
-    steps: int = 32
     newton_tol: float = 1e-12
-    max_newton_iters: int = 50
-    step_halving_limit: int = 8
     roundtrip_tol: float = 1e-8
 
 
@@ -164,7 +168,7 @@ def _newton(free, n_origin, targets, cfg, scale):
     """
     n = len(free)
     R = _assemble(free, n_origin, targets, jacobian=False)
-    for it in range(1, cfg.max_newton_iters + 1):
+    for it in range(1, _MAX_NEWTON_ITERS + 1):
         res = float(np.max(np.abs(R))) / scale
         if res <= cfg.newton_tol:
             return free, it, res
@@ -193,7 +197,7 @@ def _newton(free, n_origin, targets, cfg, scale):
             raise NumericalError("Newton step rejected (no admissible damping)")
     res = float(np.max(np.abs(R))) / scale
     if res <= cfg.newton_tol:
-        return free, cfg.max_newton_iters, res
+        return free, _MAX_NEWTON_ITERS, res
     raise NumericalError("Newton did not converge")
 
 
@@ -237,7 +241,7 @@ def solve_maximal(
     ------
     NumericalError
         On homotopy breakdown (no predictor's Newton correction is accepted
-        before the path step falls below ``2**-step_halving_limit / steps``)
+        before the path step falls below ``2**-_STEP_HALVING_LIMIT / _STEPS``)
         or a failed critical-set round trip.
     """
     cfg = cfg or HomotopyConfig()
@@ -255,7 +259,7 @@ def solve_maximal(
         free_prev = None
         t = 0.0
         t_prev = 0.0
-        dt = 1.0 / cfg.steps
+        dt = 1.0 / _STEPS
         while t < 1.0:
             t_next = min(1.0, t + dt)
             targets = [(t_next * c, k) for c, k in entries]
@@ -290,7 +294,7 @@ def solve_maximal(
                 break
             if accepted is None:
                 dt *= 0.5
-                if dt * cfg.steps < 2.0 ** -cfg.step_halving_limit:
+                if dt * _STEPS < 2.0 ** -_STEP_HALVING_LIMIT:
                     raise NumericalError(
                         f"homotopy breakdown near t = {t_next:.6f}"
                     )
@@ -298,7 +302,7 @@ def solve_maximal(
             nxt, iters, res = accepted
             free_prev, t_prev = free, t
             free, t = nxt, t_next
-            dt = min(2 * dt, 1.0 / cfg.steps)
+            dt = min(2 * dt, 1.0 / _STEPS)
             trace.append((t, res, iters))
 
     g0 = complex(np.prod(-free)) if len(free) else 1.0 + 0j
@@ -342,7 +346,7 @@ class TruncationResult:
 
 
 def truncation_sequence(
-    points, n_max: int, cfg: HomotopyConfig | None = None, samples: int = 1024
+    points, n_max: int, cfg: HomotopyConfig | None = None
 ) -> TruncationResult:
     """Solve for each prefix of ``points`` up to length ``n_max``.
 
@@ -361,7 +365,7 @@ def truncation_sequence(
             raise NumericalError(
                 "functional increased along a nested prefix"
             )
-    ring = 0.5 * np.exp(2j * np.pi * np.arange(samples) / samples)
+    ring = 0.5 * np.exp(2j * np.pi * np.arange(1024) / 1024)
     sups = []
     for a, b in zip(reports, reports[1:]):
         sups.append(

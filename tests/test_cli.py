@@ -12,14 +12,16 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import maxblaschke
-from maxblaschke.cli import COMMANDS, JobConfig, main
+from maxblaschke.cli import _TOLERANCES, COMMANDS, JobConfig, main
 from maxblaschke.errors import InputError
 from maxblaschke.serialize import read_json
+from maxblaschke.solver import HomotopyConfig
 
 
 def _write(tmp_path, name, obj):
@@ -485,6 +487,11 @@ PUBLIC_NAMES = [
     "solve_dirichlet", "solve_maximal", "transplant", "truncation_sequence",
     "union_metric", "union_suite",
 ]
+
+
+def test_tolerance_keys_are_the_config_fields():
+    names = tuple(f.name for f in fields(HomotopyConfig))
+    assert names == _TOLERANCES == ("newton_tol", "roundtrip_tol")
 
 
 def test_public_surface_is_frozen_and_resolves():

@@ -11,6 +11,9 @@ from maxblaschke.disk import (
     riemann_map_derivative,
     riemann_map_invert,
 )
+from maxblaschke.errors import InputError
+
+
 def disk_points(max_radius=0.95):
     return st.complex_numbers(max_magnitude=max_radius, allow_nan=False,
                               allow_infinity=False)
@@ -47,6 +50,16 @@ def test_automorphism_normalizes_rotation():
 def test_automorphism_rejects_outside_center():
     with pytest.raises(ValueError):
         DiskAutomorphism(rotation=1.0, center=1.0 + 0j)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"center": complex("nan")},
+    {"rotation": complex("nan")},
+    {"rotation": complex("inf")},
+], ids=["center-nan", "rotation-nan", "rotation-inf"])
+def test_automorphism_rejects_non_finite(kwargs):
+    with pytest.raises(InputError):
+        DiskAutomorphism(**kwargs)
 
 
 @given(disk_points(0.85), disk_points(0.9))

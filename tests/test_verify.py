@@ -400,9 +400,13 @@ def test_batched_scores_on_empty_set_and_origin_point():
     {"kind": "antiderivative-family", "poly_coeffs": (1.0, complex("nan"))},
     {"kind": "larger-critical-set", "extra_points": (0.2, complex("inf"))},
     {"kind": "postcompose-automorphism",
-     "automorphism": DiskAutomorphism(center=complex("nan"))},
+     "automorphism": lambda: DiskAutomorphism(center=complex("nan"))},
 ], ids=["scalar-nan", "scalar-inf", "poly-empty", "poly-nan", "extra-inf",
         "center-nan"])
 def test_competitor_spec_rejects_non_finite_and_empty(kwargs):
     with pytest.raises(InputError):
-        CompetitorSpec(**kwargs)
+        # callables are built inside the block: DiskAutomorphism itself
+        # rejects a NaN center
+        CompetitorSpec(
+            **{k: v() if callable(v) else v for k, v in kwargs.items()}
+        )
