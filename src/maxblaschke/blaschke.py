@@ -30,6 +30,7 @@ are positive integers.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -97,33 +98,32 @@ class CriticalSet:
     entries: tuple = ()
 
     def __post_init__(self):
-        merged = {}
+        # greedy merge: each point joins the first kept point within
+        # MERGE_TOL, which stays the representative
+        merged = []
         for point, mult in self.entries:
             point = _as_complex(point)
             mult = int(mult)
             if mult < 1:
                 raise InputError("critical point multiplicity must be >= 1")
-            if abs(point) >= 1.0 - BOUNDARY_TOL:
+            if not (cmath.isfinite(point)
+                    and abs(point) < 1.0 - BOUNDARY_TOL):
                 raise InputError("critical points must lie inside the unit disk")
-            merged[point] = merged.get(point, 0) + mult
-        ordered = tuple(
-            sorted(merged.items(), key=lambda e: (abs(e[0]), np.angle(e[0])))
-        )
+            for entry in merged:
+                if abs(point - entry[0]) <= MERGE_TOL:
+                    entry[1] += mult
+                    break
+            else:
+                merged.append([point, mult])
+        ordered = tuple(sorted(
+            map(tuple, merged), key=lambda e: (abs(e[0]), np.angle(e[0]))
+        ))
         object.__setattr__(self, "entries", ordered)
 
     @classmethod
     def from_points(cls, points):
         """Build from a plain list of points, merging near-duplicates."""
-        entries = []
-        for p in points:
-            p = _as_complex(p)
-            for i, (q, m) in enumerate(entries):
-                if abs(p - q) <= MERGE_TOL:
-                    entries[i] = (q, m + 1)
-                    break
-            else:
-                entries.append((p, 1))
-        return cls(tuple(entries))
+        return cls(tuple((p, 1) for p in points))
 
     @property
     def total(self) -> int:
@@ -150,15 +150,7 @@ class CriticalSet:
 
     def union(self, other: "CriticalSet") -> "CriticalSet":
         """Multiset union: multiplicities add, near-duplicate points merge."""
-        entries = [list(e) for e in self.entries]
-        for p, m in other.entries:
-            for e in entries:
-                if abs(p - e[0]) <= MERGE_TOL:
-                    e[1] += m
-                    break
-            else:
-                entries.append([p, m])
-        return CriticalSet(tuple((p, m) for p, m in entries))
+        return CriticalSet(self.entries + other.entries)
 
     def contains(self, other: "CriticalSet") -> bool:
         """True if every point of ``other`` appears here with at least its
@@ -227,11 +219,12 @@ class FiniteBlaschke:
 
     def __post_init__(self):
         e = _as_complex(self.eta)
-        if abs(e) == 0:
-            raise InputError("unimodular factor must be nonzero")
+        if not cmath.isfinite(e) or abs(e) == 0:
+            raise InputError("unimodular factor must be finite and nonzero")
         object.__setattr__(self, "eta", e / abs(e))
         zs = tuple(_as_complex(a) for a in self.zeros)
-        if any(abs(a) >= 1.0 - BOUNDARY_TOL for a in zs):
+        if not all(cmath.isfinite(a) and abs(a) < 1.0 - BOUNDARY_TOL
+                   for a in zs):
             raise InputError("zeros must lie strictly inside the unit disk")
         object.__setattr__(
             self, "zeros", tuple(sorted(zs, key=lambda a: (a.real, a.imag)))
@@ -335,27 +328,20 @@ def critical_numerator_coeffs(zeros):
     """Coefficients (descending) of the numerator polynomial of ``B'``.
 
     Depends only on the zero multiset; the unimodular factor scales ``B'``
-    without moving its roots.
+    without moving its roots.  One forward scan over the zeros carries
+    ``(prod P_j, sum_k w_k prod_{j != k} P_j)`` with ``P_j(z) = (z - a_j)
+    (1 - conj(a_j) z)`` and ``w_j = 1 - |a_j|^2``, the recurrence that
+    ``solver._assemble`` runs on Taylor jets; the sum is kept padded to the
+    length of the product, so its two leading entries stay zero.
     """
-    a = np.array(tuple(zeros), dtype=complex)
-    d = len(a)
-    quads = [
-        np.array([-np.conj(ak), 1.0 + abs(ak) ** 2, -ak], dtype=complex)
-        for ak in a
-    ]
-    prefix = [np.array([1.0 + 0j])]
-    for q in quads:
-        prefix.append(np.convolve(prefix[-1], q))
-    suffix = [np.array([1.0 + 0j])]
-    for q in reversed(quads):
-        suffix.append(np.convolve(suffix[-1], q))
-    suffix.reverse()
-    total = np.zeros(max(2 * d - 1, 1), dtype=complex)
-    for k in range(d):
-        w = 1.0 - abs(a[k]) ** 2
-        term = w * np.convolve(prefix[k], suffix[k + 1])
-        total[-len(term):] += term
-    return total
+    p = np.ones(1, dtype=complex)
+    s = np.zeros(1, dtype=complex)
+    for a in zeros:
+        P = np.array([-np.conj(a), 1.0 + abs(a) ** 2, -a], dtype=complex)
+        s = np.convolve(s, P)
+        s[2:] += (1.0 - abs(a) ** 2) * p
+        p = np.convolve(p, P)
+    return s[2:] if len(s) > 1 else s
 
 
 def critical_points(B: FiniteBlaschke) -> CriticalSet:

@@ -10,6 +10,7 @@ written ``T(z) = eta * (c - z) / (1 - conj(c) z)`` with ``|eta| = 1`` and
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,8 +141,17 @@ class RiemannMapSpec:
         ``psi(z) = a z / (c z + d)`` with explicit coefficients; the domain is
         the preimage of the unit disk.
 
-    Every kind satisfies ``psi(0) = 0`` and ``psi'(0) > 0``; the Moebius
-    coefficients are validated against that normalization on construction.
+    Every kind is stored as the Moebius coefficients ``coeffs = (a, c, d)``
+    of ``psi(z) = a z / (c z + d)``, and every map satisfies ``psi(0) = 0``
+    and ``psi'(0) = a / d > 0``, validated on construction.
+
+    Examples
+    --------
+    >>> psi = RiemannMapSpec(kind="scaled_disk", radius=2.0)
+    >>> psi.coeffs
+    ((1+0j), 0j, (2+0j))
+    >>> psi(1.0), psi.derivative(1.0), psi.invert(0.5)
+    ((0.5+0j), (0.5+0j), (1+0j))
     """
 
     kind: str = "identity"
@@ -149,66 +159,49 @@ class RiemannMapSpec:
     coeffs: tuple = field(default=(1.0 + 0j, 0j, 1.0 + 0j))
 
     def __post_init__(self):
-        if self.kind not in ("identity", "scaled_disk", "moebius"):
-            raise ValueError(f"unknown map kind {self.kind!r}")
-        if self.kind == "scaled_disk" and not self.radius > 0:
-            raise ValueError("scaled_disk requires a positive radius")
-        if self.kind == "moebius":
-            a, c, d = (complex(x) for x in self.coeffs)
-            if abs(d) < BOUNDARY_TOL or abs(a) < BOUNDARY_TOL:
-                raise ValueError("degenerate moebius coefficients")
-            d0 = a / d
-            if abs(d0.imag) > BOUNDARY_TOL or d0.real <= 0:
-                raise ValueError(
-                    "moebius map must have real positive derivative at 0"
-                )
-            object.__setattr__(self, "coeffs", (a, c, d))
-
-    def derivative_at_zero(self) -> float:
         if self.kind == "identity":
-            return 1.0
-        if self.kind == "scaled_disk":
-            return 1.0 / self.radius
-        a, _, d = self.coeffs
-        return (a / d).real
+            coeffs = (1.0, 0.0, 1.0)
+        elif self.kind == "scaled_disk":
+            if not 0 < self.radius < math.inf:
+                raise InputError("scaled_disk requires a positive radius")
+            coeffs = (1.0, 0.0, self.radius)
+        elif self.kind == "moebius":
+            coeffs = self.coeffs
+        else:
+            raise InputError(f"unknown map kind {self.kind!r}")
+        a, c, d = (complex(x) for x in coeffs)
+        if not all(map(cmath.isfinite, (a, c, d))):
+            raise InputError("map coefficients must be finite")
+        if abs(d) < BOUNDARY_TOL or abs(a) < BOUNDARY_TOL:
+            raise InputError("degenerate moebius coefficients")
+        d0 = a / d
+        if abs(d0.imag) > BOUNDARY_TOL or d0.real <= 0:
+            raise InputError(
+                "moebius map must have real positive derivative at 0"
+            )
+        object.__setattr__(self, "coeffs", (a, c, d))
 
+    def __call__(self, z):
+        """psi(z) at a scalar or an array; rejects points outside the
+        domain."""
+        a, c, d = self.coeffs
+        z = np.asarray(z, dtype=complex)
+        with np.errstate(divide="ignore", invalid="ignore"):  # at the pole
+            out = a * z / (c * z + d)
+        if not np.all(np.abs(out) < 1.0 - BOUNDARY_TOL):
+            raise InputError("point lies outside the map's domain")
+        return complex(out) if out.ndim == 0 else out
 
-def riemann_map_apply(spec: RiemannMapSpec, z):
-    """Apply the domain-to-disk map; rejects points outside the domain."""
-    z = np.asarray(z, dtype=complex)
-    if spec.kind == "identity":
-        out = z.astype(complex)
-    elif spec.kind == "scaled_disk":
-        out = z / spec.radius
-    else:
-        a, c, d = spec.coeffs
-        out = a * z / (c * z + d)
-    if np.any(np.abs(out) >= 1.0 - BOUNDARY_TOL):
-        raise ValueError("point lies outside the map's domain")
-    return complex(out) if out.ndim == 0 else out
+    def derivative(self, z):
+        """psi'(z) = (a/d) / (1 + (c/d) z)^2."""
+        a, c, d = self.coeffs
+        z = np.asarray(z, dtype=complex)
+        out = (a / d) / (1.0 + (c / d) * z) ** 2
+        return complex(out) if out.ndim == 0 else out
 
-
-def riemann_map_derivative(spec: RiemannMapSpec, z):
-    """Derivative of the domain-to-disk map at ``z``."""
-    z = np.asarray(z, dtype=complex)
-    if spec.kind == "identity":
-        out = np.ones_like(z)
-    elif spec.kind == "scaled_disk":
-        out = np.full_like(z, 1.0 / spec.radius)
-    else:
-        a, c, d = spec.coeffs
-        out = a * d / (c * z + d) ** 2
-    return complex(out) if out.ndim == 0 else out
-
-
-def riemann_map_invert(spec: RiemannMapSpec, w):
-    """Map a point of the unit disk back into the model domain."""
-    w = np.asarray(w, dtype=complex)
-    if spec.kind == "identity":
-        out = w.astype(complex)
-    elif spec.kind == "scaled_disk":
-        out = w * spec.radius
-    else:
-        a, c, d = spec.coeffs
+    def invert(self, w):
+        """The point of the domain that psi sends to ``w``."""
+        a, c, d = self.coeffs
+        w = np.asarray(w, dtype=complex)
         out = w * d / (a - w * c)
-    return complex(out) if out.ndim == 0 else out
+        return complex(out) if out.ndim == 0 else out

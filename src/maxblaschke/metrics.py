@@ -127,15 +127,12 @@ class CurvatureField:
     ``values`` hold the 5-point stencil curvature where it was computable
     (NaN elsewhere: the two innermost and three outermost rings, and nodes
     whose stencil touches a vanishing density).  ``defined`` further
-    restricts to nodes whose Richardson estimate passed certification;
-    ``estimate`` records the estimate itself.
+    restricts to nodes whose Richardson estimate passed certification.
     """
 
     grid: PolarGrid
     values: np.ndarray
     defined: np.ndarray
-    estimate: np.ndarray
-    h: float
 
     def max_deviation(self, kappa: float) -> float:
         """Largest |values - kappa| over the defined nodes."""
@@ -233,11 +230,9 @@ def discrete_curvature(field: DensityField) -> CurvatureField:
     defined &= field._clear[2 : n_r - 2, :]
     values = np.full((n_r, n_t), np.nan)
     dmask = np.zeros((n_r, n_t), dtype=bool)
-    emb = np.full((n_r, n_t), np.inf)
     values[2 : n_r - 2, :] = a1
     dmask[2 : n_r - 2, :] = defined
-    emb[2 : n_r - 2, :] = est
-    return CurvatureField(grid, values, dmask, emb, h)
+    return CurvatureField(grid, values, dmask)
 
 
 def refinement_contraction(

@@ -121,10 +121,6 @@ class PdeSolution:
     factorizations: int
     krylov_iters: int
 
-    def density(self) -> np.ndarray:
-        """e^u on interior nodes, NaN outside."""
-        return np.exp(self.u)
-
 
 def _grid_nodes(n, radius):
     xs = np.linspace(-radius, radius, n)

@@ -67,6 +67,19 @@ def polynomial_roots(coeffs):
     return roots
 
 
+def antiderivative(poly, points):
+    """Descending coefficients of  integral_0^z p(t) prod_j (t - c_j) dt.
+
+    ``poly`` holds the descending coefficients of ``p`` and ``points`` the
+    roots ``c_j``, repeated by multiplicity; the factors are multiplied in
+    the given order.
+    """
+    core = np.asarray(poly, dtype=complex)
+    for c in points:
+        core = np.convolve(core, np.array([1.0, -c]))
+    return np.polyint(core)
+
+
 def _noise_scale(coeffs, z):
     # absolute uncertainty of evaluating the polynomial at z when its
     # coefficients carry a relative error of _NOISE_REL
@@ -96,16 +109,9 @@ def _union_find_clusters(points, tol):
     return list(groups.values())
 
 
-def _derivative_coeffs(coeffs, order):
-    c = np.asarray(coeffs, dtype=complex)
-    for _ in range(order):
-        c = np.polyder(c)
-    return c
-
-
 def _noise_radius(coeffs, z, k):
     """Expected cluster radius of a k-fold root under coefficient noise."""
-    dk = _derivative_coeffs(coeffs, k)
+    dk = np.polyder(coeffs, k)
     lead = abs(np.polyval(dk, z)) / math.factorial(k)
     if lead == 0:
         return math.inf
@@ -136,7 +142,7 @@ def cluster_roots(roots, coeffs):
     def multiple_root(members):
         # one k-fold root: the centroid polished on p^(k-1)
         k = len(members)
-        dk1 = _derivative_coeffs(coeffs, k - 1)
+        dk1 = np.polyder(coeffs, k - 1)
         return complex(_newton_polish(dk1, complex(members.mean()), iters=3)), k
 
     out = []

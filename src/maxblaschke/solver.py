@@ -35,10 +35,9 @@ from .blaschke import (
     derivative_at_origin_order,
     evaluate,
 )
-from .disk import RiemannMapSpec, riemann_map_apply, \
-    riemann_map_derivative, riemann_map_invert
+from .disk import RiemannMapSpec
 from .errors import InputError, NumericalError
-from .roots import polynomial_roots
+from .roots import antiderivative, polynomial_roots
 
 
 #: Path steps on [0, 1] when no step has to be halved.
@@ -208,17 +207,12 @@ def _collapsed_predictor(order, targets, total):
     ``p'(z) = (m+1) z^order prod (z - c_i)^{k_i}`` and ``p(0) = 0``; the
     nonzero roots of ``p`` start the first Newton correction (the labeled
     Jacobian is singular at the exactly collapsed state, so the solver never
-    starts there).
+    starts there).  The root of ``p`` at 0, of order ``order + 1``, is exact
+    and comes last.
     """
-    dp_core = np.array([float(total + 1)], dtype=complex)
-    for c, k in targets:
-        for _ in range(k):
-            dp_core = np.convolve(dp_core, np.array([1.0, -c]))
-    # integrating z^order * dp_core and stripping z^(order+1) divides each
-    # descending coefficient by its resulting power
-    deg_core = len(dp_core) - 1
-    divisors = np.arange(deg_core + order + 1, order, -1)
-    return polynomial_roots(dp_core / divisors)
+    points = [c for c, k in targets for _ in range(k)]
+    p = antiderivative([total + 1.0] + [0.0] * order, points)
+    return polynomial_roots(p)[: -(order + 1)]
 
 
 def solve_maximal(
@@ -273,12 +267,10 @@ def solve_maximal(
                     slope = (free - free_prev) / (t - t_prev)
                     candidates.append(free + slope * (t_next - t))
                 candidates.append(free)
-                if t_next <= 0.25:
-                    candidates.append(
-                        _collapsed_predictor(n_origin - 1, targets, m)
-                    )
-            else:
-                candidates.append(_collapsed_predictor(n_origin - 1, targets, m))
+            if free is None or t_next <= 0.25:
+                candidates.append(
+                    _collapsed_predictor(n_origin - 1, targets, m)
+                )
             accepted = None
             for predictor in candidates:
                 predictor = np.asarray(predictor, dtype=complex)
@@ -387,28 +379,23 @@ class TransplantResult:
     disk_critical_set: CriticalSet
 
     def __call__(self, z):
-        return evaluate(self.report.solution, riemann_map_apply(self.map_spec, z))
+        return evaluate(self.report.solution, self.map_spec(z))
 
     def derivative(self, z):
-        inner = riemann_map_apply(self.map_spec, z)
-        return derivative(self.report.solution, inner) * riemann_map_derivative(
-            self.map_spec, z
-        )
+        inner = derivative(self.report.solution, self.map_spec(z))
+        return inner * self.map_spec.derivative(z)
 
     def domain_critical_points(self):
         """Critical points of the composite, expressed in the domain."""
         recovered = critical_points(self.report.solution)
-        return [
-            (riemann_map_invert(self.map_spec, p), m)
-            for p, m in recovered.entries
-        ]
+        return [(self.map_spec.invert(p), m) for p, m in recovered.entries]
 
 
 def transplant(
     domain_points, spec: RiemannMapSpec, cfg: HomotopyConfig | None = None
 ) -> TransplantResult:
     """Solve the extremal problem for critical points in a mapped domain."""
-    images = [riemann_map_apply(spec, p) for p in domain_points]
+    images = [spec(p) for p in domain_points]
     disk_set = CriticalSet.from_points(images)
     report = solve_maximal(disk_set, cfg)
     return TransplantResult(

@@ -37,6 +37,7 @@ from .metrics import (
     pullback_density,
     union_metric,
 )
+from .roots import antiderivative
 from .solver import HomotopyConfig, solve_maximal
 
 #: Number of quadrature nodes on |z| = 1/2 for derivatives at the origin.
@@ -182,17 +183,6 @@ def default_competitor_specs(
     return specs
 
 
-def _antiderivative_coeffs(poly, C: CriticalSet) -> np.ndarray:
-    """Descending coefficients of  integral_0^z p(t) prod (t-z_j)^{m_j} dt."""
-    core = np.asarray(poly, dtype=complex)
-    for p, m in C.entries:
-        for _ in range(m):
-            core = np.convolve(core, np.array([1.0, -p]))
-    deg = len(core) - 1
-    divisors = np.arange(deg + 1, 0, -1)
-    return np.concatenate([core / divisors, [0.0]])
-
-
 #: Largest array over quadrature or sample nodes, in elements, that batched
 #: scoring builds: a quarter of one default PolarGrid field, so the few
 #: such arrays alive at once stay below the grid work beside them (peak
@@ -288,9 +278,8 @@ class _CompetitorEngine:
         P = np.zeros((len(specs), width), dtype=complex)
         for row, sp in zip(P, specs):
             row[width - len(sp.poly_coeffs) :] = sp.poly_coeffs
-        basis = np.array(
-            [_antiderivative_coeffs(e, self.C) for e in np.eye(width)]
-        )
+        points = self.C.points()
+        basis = np.array([antiderivative(e, points) for e in np.eye(width)])
         # np.polyval(columns, x): every basis row at the points x, by Horner
         columns = basis.T[:, :, None]
         coeff = sum(

@@ -20,7 +20,7 @@ from maxblaschke.blaschke import (
 )
 from maxblaschke.disk import pseudo_hyperbolic_distance
 from maxblaschke.errors import InputError, NumericalError
-from maxblaschke.roots import polynomial_roots
+from maxblaschke.roots import antiderivative, polynomial_roots
 
 
 def zeros_strategy(max_len=4, max_radius=0.8):
@@ -45,6 +45,12 @@ def test_critical_set_merges_and_orders():
     assert C.entries == ((0j, 2), (0.5 + 0j, 2))
     assert C.total == 4
     assert C.origin_multiplicity == 2
+
+
+def test_critical_set_construction_merges_like_from_points():
+    C = CriticalSet(((0.5, 1), (0.5 + 1e-10, 1)))
+    assert C == CriticalSet.from_points([0.5, 0.5 + 1e-10])
+    assert C.entries == ((0.5 + 0j, 2),)
 
 
 def test_critical_set_input_validation():
@@ -262,6 +268,50 @@ def test_critical_numerator_degree_and_reflection_symmetry():
     reflected = 1.0 / np.conj(roots)
     for r in roots:
         assert np.min(np.abs(reflected - r)) < 1e-8
+
+
+def _mp_critical_numerator(zeros):
+    """Coefficients of sum_k w_k prod_{j != k} P_j to 50 digits, each
+    leave-one-out product expanded on its own."""
+    with mpmath.workdps(50):
+        a = [mpmath.mpc(x) for x in zeros]
+        quads = [[-mpmath.conj(x), 1 + abs(x) ** 2, -x] for x in a]
+        total = [mpmath.mpc(0)] * (2 * len(a) - 1)
+        for k in range(len(a)):
+            term = [1 - abs(a[k]) ** 2]
+            for q in quads[:k] + quads[k + 1:]:
+                prod = [mpmath.mpc(0)] * (len(term) + 2)
+                for i, x in enumerate(term):
+                    for j, y in enumerate(q):
+                        prod[i + j] += x * y
+                term = prod
+            total = [x + y for x, y in zip(total, term)]
+        return np.array([complex(x) for x in total])
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_critical_numerator_matches_mpmath(d):
+    """Random zeros with the first d // 3 at the origin and the last one
+    repeated."""
+    rng = np.random.default_rng(2000 + d)
+    zeros = 0.95 * np.sqrt(rng.random(d)) * np.exp(2j * np.pi * rng.random(d))
+    zeros[: d // 3] = 0.0
+    if d > 1:
+        zeros[-1] = zeros[-2]
+    want = _mp_critical_numerator(zeros)
+    err = np.max(np.abs(critical_numerator_coeffs(zeros) - want))
+    assert err <= 1e-13 * np.max(np.abs(want)), err
+
+
+def test_antiderivative_has_the_prescribed_derivative():
+    poly = [1.5 - 0.5j, 0.2, -1j]
+    points = [0.3 + 0.1j, 0.3 + 0.1j, -0.5, 0j]
+    F = antiderivative(poly, points)
+    assert np.polyval(F, 0.0) == 0.0
+    z = np.array([0.4 - 0.2j, -0.7j, 0.9, 0.3 + 0.1j])
+    want = np.polyval(poly, z) * np.prod(z[:, None] - points, axis=1)
+    got = np.polyval(np.polyder(F), z)
+    assert got == pytest.approx(want, abs=1e-14)
 
 
 @pytest.mark.parametrize("a", [0.2, 0.5, 0.8])

@@ -40,6 +40,7 @@ def _crit(entries):
 
 B05 = {"eta": {"re": -1.0, "im": 0.0}, "zeros": [{"re": 0.0, "im": 0.0}, {"re": 0.8, "im": 0.0}]}
 Z2 = {"eta": {"re": 1.0, "im": 0.0}, "zeros": [{"re": 0.0, "im": 0.0}, {"re": 0.0, "im": 0.0}]}
+NAN, INF = float("nan"), float("inf")
 MONOMIAL = {"eta": {"re": 1.0, "im": 0.0}, "zeros": [{"re": 0.0, "im": 0.0}]}
 
 
@@ -111,12 +112,32 @@ def test_unknown_command_rejected_by_parser(tmp_path):
         ("union",
          {"first": {"points": []}, "second": {"points": []}, "scale": "x"},
          []),
+        ("solve", _crit([(complex("nan"), 1)]), []),
+        ("critpoints", {**B05, "zeros": [{"re": NAN, "im": 0.0}]}, []),
+        ("critpoints", {**B05, "eta": {"re": INF, "im": 0.0}}, []),
+        ("transplant",
+         {"map": {"kind": "moebius",
+                  "coeffs": [{"re": NAN, "im": 0.0}, {"re": 0.0, "im": 0.0},
+                             {"re": 1.0, "im": 0.0}]},
+          "points": []}, []),
+        ("transplant",
+         {"map": {"kind": "scaled_disk", "radius": INF}, "points": []}, []),
+        ("transplant",
+         {"map": {"kind": "scaled_disk", "radius": 2.0},
+          "points": [{"re": 2.5, "im": 0.0}]}, []),
+        ("transplant",
+         {"map": {"kind": "moebius",
+                  "coeffs": [{"re": 1.0, "im": 0.0}, {"re": 1.0, "im": 0.0},
+                             {"re": 1.0, "im": 0.0}]},
+          "points": [{"re": -1.0, "im": 0.0}]}, []),
     ],
     ids=["grid-list", "grid-string", "grid-inf", "tol-string",
          "critpoints-tol-string", "pde-oracle-tol-string",
          "scaled-no-radius", "moebius-no-coeffs", "scaled-negative",
          "unknown-map", "transplant-list", "competitors-string",
-         "n-max-string", "scale-string"],
+         "n-max-string", "scale-string", "point-nan", "zero-nan",
+         "eta-inf", "moebius-nan", "radius-inf", "outside-domain",
+         "moebius-pole"],
 )
 def test_bad_parameters_are_exit_2(tmp_path, capsys, command, data, flags):
     inp = _write(tmp_path, "in.json", data)

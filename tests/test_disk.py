@@ -7,9 +7,6 @@ from maxblaschke.disk import (
     RiemannMapSpec,
     hyperbolic_density,
     pseudo_hyperbolic_distance,
-    riemann_map_apply,
-    riemann_map_derivative,
-    riemann_map_invert,
 )
 from maxblaschke.errors import InputError
 
@@ -93,16 +90,28 @@ def test_automorphism_derivative_matches_difference_quotient():
 ])
 def test_riemann_map_round_trip(spec):
     w = np.array([0.0, 0.3 + 0.2j, -0.7j])
-    z = riemann_map_invert(spec, w)
-    assert riemann_map_apply(spec, z) == pytest.approx(w, abs=1e-13)
+    z = spec.invert(w)
+    assert spec(z) == pytest.approx(w, abs=1e-13)
 
 
 def test_riemann_map_derivative_scaled_disk():
     spec = RiemannMapSpec(kind="scaled_disk", radius=2.0)
-    assert riemann_map_derivative(spec, 0.3) == pytest.approx(0.5, abs=1e-15)
+    assert spec.derivative(0.3) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_riemann_map_rejects_outside_domain():
     spec = RiemannMapSpec(kind="scaled_disk", radius=2.0)
     with pytest.raises(ValueError):
-        riemann_map_apply(spec, 2.5)
+        spec(2.5)
+
+
+@pytest.mark.parametrize("spec", [
+    RiemannMapSpec(kind="identity"),
+    RiemannMapSpec(kind="scaled_disk", radius=0.7),
+    RiemannMapSpec(kind="moebius", coeffs=(2.0 + 1j, 0.3 - 0.4j, 2.5 + 1.25j)),
+], ids=["identity", "scaled_disk", "moebius"])
+def test_riemann_map_derivative_matches_difference_quotient(spec):
+    z, h = np.array([0.0, 0.2 + 0.1j, -0.3j]), 1e-6
+    fd = (spec(z + h) - spec(z - h)) / (2 * h)
+    assert spec.derivative(z) == pytest.approx(fd, abs=1e-9)
+

@@ -14,6 +14,7 @@ from maxblaschke.blaschke import (
 from maxblaschke.disk import DiskAutomorphism
 from maxblaschke.errors import InputError, NumericalError
 from maxblaschke.metrics import PolarGrid
+from maxblaschke.roots import antiderivative
 from maxblaschke.solver import solve_maximal
 from maxblaschke.verify import (
     CAUCHY_NODES,
@@ -31,7 +32,6 @@ from maxblaschke.verify import (
     phi_boundary_bound,
     semigroup_check,
     union_suite,
-    _antiderivative_coeffs,
     _CompetitorEngine,
 )
 
@@ -286,7 +286,7 @@ class _PerSpecReference:
             rings = {p: evaluate(big, nodes) * scale
                      for p, (_, nodes, _) in self.crit_rings.items()}
         else:
-            coeffs = _antiderivative_coeffs(spec.poly_coeffs, self.C)
+            coeffs = antiderivative(spec.poly_coeffs, self.C.points())
             sup = float(np.max(np.abs(np.polyval(coeffs, self.bnodes))))
             scale = (1.0 - DEFLATION) / sup
             fq = np.polyval(coeffs, self.qnodes) * scale
