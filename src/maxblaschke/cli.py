@@ -33,6 +33,7 @@ from .solver import (
     truncation_sequence,
 )
 from .verify import (
+    QUOTIENT_TOL,
     boundary_probes,
     boundary_quotient,
     default_competitor_specs,
@@ -78,6 +79,8 @@ class JobConfig:
                 raise InputError(f"{key} must be a string")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise InputError("seed must be an integer")
+        if self.seed < 0:
+            raise InputError("seed must be nonnegative")
         if not isinstance(self.grid, dict):
             raise InputError("grid must be a JSON object")
         if not isinstance(self.tolerances, dict):
@@ -231,10 +234,10 @@ def _verify_boundary(data: dict, cfg: JobConfig) -> dict:
         boundary_quotient(rep.solution, p) for p in boundary_probes(C)
     ]
     phi = phi_boundary_bound(rep.solution)
-    ok = phi["pass"] and all(q["deviation"] <= 1e-3 for q in quotients)
+    ok = phi["pass"] and all(q["pass"] for q in quotients)
     return {
         "tolerances": cfg.tolerances,
-        "deviation_tolerance": 1e-3,
+        "deviation_tolerance": QUOTIENT_TOL,
         "quotients": quotients,
         "phi": phi,
         "pass": bool(ok),

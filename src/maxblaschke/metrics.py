@@ -298,10 +298,6 @@ def union_metric(
     alpha = -float(np.max(kappa[finite]))
     if alpha <= 0.0:
         raise NumericalError("curvature bound alpha came out nonpositive")
-    # rescaling divides curvature by alpha/4, so the bound -4 must hold
-    rescaled = kappa[finite] * 4.0 / alpha
-    if np.max(rescaled) > -4.0 + 1e-9:
-        raise NumericalError("rescaled curvature exceeds -4")
     mu = 0.5 * math.sqrt(alpha) * product.values
     return DensityField(grid, mu, product.zero_set), alpha
 

@@ -13,8 +13,11 @@ same equation with curvature -4|S(z)|^2 and boundary data b/|S|, and is
 smooth across the zeros.  Recomposing |S| e^{u~} restores the density.
 
 Discretization: Cartesian grid masked to the disk, with cut-cell (unequal
-arm) 5-point stencils where an arm crosses the circle, so the boundary data
-enters exactly on the circle.  The nonlinear system is solved by damped
+arm) 5-point stencils where an arm crosses the circle (Shortley & Weller,
+J. Appl. Phys. 9, 1938), so the boundary data enters exactly on the circle.
+The stencil matrix depends only on the grid size and the radius; the
+boundary trace is read once per assembly, at every arm's crossing point, and
+enters only the right-hand side.  The nonlinear system is solved by damped
 Newton; for kappa <= 0 the Jacobian is an irreducibly diagonally dominant
 M-matrix, so the linear solves are well posed.  The Jacobian differs from
 step to step only in its diagonal, so it is factored once and later Newton
@@ -25,7 +28,7 @@ steps are taken by GMRES preconditioned with that LU (inexact Newton; Kelley,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,15 +68,14 @@ def divisor_poly(C: CriticalSet):
 class PdeProblem:
     """Dirichlet problem  Delta u = -kappa e^{2u},  u = log b  on |z| = radius.
 
-    ``curvature`` is either a constant (must be <= 0), a CriticalSet C
-    meaning kappa(z) = -4 |S_C(z)|^2, or an arbitrary callable (validated
-    nonpositive on the grid).  ``boundary`` maps complex boundary points to
-    the positive trace b.
+    ``curvature`` maps complex grid nodes to kappa (checked nonpositive and
+    finite on the grid by ``solve_dirichlet``); ``boundary`` maps complex
+    boundary points to the positive trace b.
     """
 
     n: int
     radius: float
-    curvature: Union[float, CriticalSet, Callable]
+    curvature: Callable
     boundary: Callable
 
     def __post_init__(self):
@@ -81,18 +83,11 @@ class PdeProblem:
             raise InputError("PDE grid needs at least 17 nodes per side")
         if not 0.0 < self.radius < 1.0:
             raise InputError("PDE sub-disk radius must lie in (0, 1)")
-        if isinstance(self.curvature, CriticalSet):
-            if any(abs(p) >= self.radius for p, _ in self.curvature.entries):
-                raise InputError(
-                    "divisor point on or outside the sub-disk boundary"
-                )
+        if not (callable(self.curvature) and callable(self.boundary)):
+            raise InputError("PDE curvature and boundary must be callables")
 
     def curvature_at(self, z):
-        if isinstance(self.curvature, CriticalSet):
-            return -4.0 * divisor_poly(self.curvature)(z) ** 2
-        if callable(self.curvature):
-            return np.asarray(self.curvature(z), dtype=float)
-        return np.full(np.shape(z), float(self.curvature))
+        return np.asarray(self.curvature(z), dtype=float)
 
     @property
     def spacing(self) -> float:
@@ -132,71 +127,52 @@ def _assemble(problem: PdeProblem):
     """Cut-cell 5-point Laplacian: matrix on interior nodes + boundary term.
 
     Returns (A, g, mask, nodes): Delta_h u = A u + g, with g holding the
-    boundary-data contributions from arms cut by the circle.
+    boundary-data contributions from arms cut by the circle.  Everything
+    before the one ``problem.boundary`` call depends only on (n, radius).
     """
     n, r, h = problem.n, problem.radius, problem.spacing
     nodes = _grid_nodes(n, r)
     mask = np.abs(nodes) < r
-    idx = -np.ones((n, n), dtype=int)
     N = int(mask.sum())
-    idx[mask] = np.arange(N)
     if N == 0:
         raise InputError("no interior nodes; grid too coarse for the radius")
-
-    rows, cols, vals = [], [], []
-    diag = np.zeros(N)
-    g = np.zeros(N)
+    # one ring of -1 around the grid: an off-grid neighbour is a cut arm
+    idx = -np.ones((n + 2, n + 2), dtype=int)
+    idx[1:-1, 1:-1][mask] = np.arange(N)
     ii, jj = np.nonzero(mask)
     pos = nodes[mask]
 
+    rows, cols, vals = [], [], []
+    diag = np.zeros(N)
+    cut_rows, cut_coefs, crossings = [], [], []
     for axis, (di, dj) in enumerate([(1, 0), (0, 1)]):
-        arm = np.empty((2, N))  # arm lengths toward -, + neighbours
-        nb = np.full((2, N), -1, dtype=int)
-        bval = np.zeros((2, N))
-        for side, sign in enumerate((-1, 1)):
-            ni, nj = ii + sign * di, jj + sign * dj
-            inside = (
-                (ni >= 0) & (ni < n) & (nj >= 0) & (nj < n)
+        arms, nbs = [], []  # toward the -, + neighbours
+        for sign in (-1, 1):
+            nb = idx[ii + 1 + sign * di, jj + 1 + sign * dj]
+            cut = nb < 0
+            p = pos[cut]
+            # walk from p toward the boundary along the axis; the other
+            # coordinate is frozen, so the crossing solves a quadratic
+            # with only the axis coordinate free
+            fixed, coord = (p.imag, p.real) if axis == 0 else (p.real, p.imag)
+            target = sign * np.sqrt(np.maximum(r * r - fixed * fixed, 0.0))
+            arm = np.full(N, h)
+            arm[cut] = np.clip((target - coord) * sign, 1e-12 * h, h)
+            crossings.append(
+                target + 1j * fixed if axis == 0 else fixed + 1j * target
             )
-            neighbour_ok = np.zeros(N, dtype=bool)
-            neighbour_ok[inside] = mask[ni[inside], nj[inside]]
-            arm[side] = h
-            nb[side][neighbour_ok] = idx[ni[neighbour_ok], nj[neighbour_ok]]
-            cut = ~neighbour_ok
-            if np.any(cut):
-                p = pos[cut]
-                # walk from p toward the boundary along the axis; the other
-                # coordinate is frozen, so the crossing solves a quadratic
-                # with only the axis coordinate free
-                if axis == 0:
-                    fixed = p.imag
-                    coord = p.real
-                else:
-                    fixed = p.real
-                    coord = p.imag
-                reach = np.sqrt(np.maximum(r * r - fixed * fixed, 0.0))
-                target = sign * reach
-                s = (target - coord) * sign  # distance to the circle
-                s = np.clip(s, 1e-12 * h, h)
-                arm[side][cut] = s
-                if axis == 0:
-                    xi = target + 1j * fixed
-                else:
-                    xi = fixed + 1j * target
-                b = np.asarray(problem.boundary(xi), dtype=float)
-                if np.any(b <= 0.0) or not np.all(np.isfinite(b)):
-                    raise InputError("boundary trace must be positive")
-                bval[side][cut] = np.log(b)
-        hl, hr = arm[0], arm[1]
-        cl = 2.0 / (hl * (hl + hr))
-        cr = 2.0 / (hr * (hl + hr))
+            arms.append(arm)
+            nbs.append(nb)
+        hl, hr = arms
         diag -= 2.0 / (hl * hr)
-        for side, c in ((0, cl), (1, cr)):
-            have = nb[side] >= 0
+        cl, cr = 2.0 / (hl * (hl + hr)), 2.0 / (hr * (hl + hr))
+        for nb, c in zip(nbs, (cl, cr)):
+            have = nb >= 0
             rows.append(np.nonzero(have)[0])
-            cols.append(nb[side][have])
+            cols.append(nb[have])
             vals.append(c[have])
-            g[~have] += c[~have] * bval[side][~have]
+            cut_rows.append(np.nonzero(~have)[0])
+            cut_coefs.append(c[~have])
 
     rows.append(np.arange(N))
     cols.append(np.arange(N))
@@ -204,6 +180,13 @@ def _assemble(problem: PdeProblem):
     A = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(N, N),
+    )
+    b = np.asarray(problem.boundary(np.concatenate(crossings)), dtype=float)
+    if np.any(b <= 0.0) or not np.all(np.isfinite(b)):
+        raise InputError("boundary trace must be positive")
+    g = np.zeros(N)
+    np.add.at(
+        g, np.concatenate(cut_rows), np.concatenate(cut_coefs) * np.log(b)
     )
     return A, g, mask, nodes
 
@@ -308,7 +291,9 @@ def constant_curvature_problem(
 ) -> PdeProblem:
     if kappa > 0:
         raise InputError("curvature must be nonpositive")
-    return PdeProblem(n, radius, float(kappa), boundary)
+    return PdeProblem(
+        n, radius, lambda z: np.full(np.shape(z), float(kappa)), boundary
+    )
 
 
 def divisor_reduced_problem(
@@ -321,12 +306,16 @@ def divisor_reduced_problem(
     the reduced problem has a classical solution even though log(lambda)
     itself diverges at the divisor.
     """
+    if any(abs(p) >= radius for p, _ in C.entries):
+        raise InputError("divisor point on or outside the sub-disk boundary")
     smag = divisor_poly(C)
 
     def reduced_boundary(xi):
         return np.asarray(boundary(xi), dtype=float) / smag(xi)
 
-    return PdeProblem(n, radius, C, reduced_boundary)
+    return PdeProblem(
+        n, radius, lambda z: -4.0 * smag(z) ** 2, reduced_boundary
+    )
 
 
 def oracle_validate(B: FiniteBlaschke, radius: float, n: int = 257) -> float:
@@ -337,9 +326,7 @@ def oracle_validate(B: FiniteBlaschke, radius: float, n: int = 257) -> float:
     largest relative interior deviation from the directly evaluated
     pullback.  Should be O(h^2).
     """
-    C = critical_points(B) if B.degree >= 2 else CriticalSet()
-    if any(abs(p) >= radius for p, _ in C.entries):
-        raise InputError("critical point on or outside the sub-disk")
+    C = critical_points(B)
 
     def trace(xi):
         return _pullback(B, xi)

@@ -263,7 +263,7 @@ def solve_maximal(
             # singular -- the collapsed-state asymptotic.
             candidates = []
             if free is not None:
-                if free_prev is not None and t > t_prev:
+                if free_prev is not None:
                     slope = (free - free_prev) / (t - t_prev)
                     candidates.append(free + slope * (t_next - t))
                 candidates.append(free)
@@ -273,7 +273,6 @@ def solve_maximal(
                 )
             accepted = None
             for predictor in candidates:
-                predictor = np.asarray(predictor, dtype=complex)
                 if np.any(np.abs(predictor) >= 1.0):
                     continue  # escaped the disk: useless starting point
                 scale = _q_coefficient_scale(
@@ -306,14 +305,14 @@ def solve_maximal(
     order = n_origin - 1
     functional = derivative_at_origin_order(solution, order)
     recovered = critical_points(solution)
-    roundtrip = recovered.match(C) if C.total else 0.0
+    roundtrip = recovered.match(C)
     if roundtrip > cfg.roundtrip_tol:
         raise NumericalError(
             f"critical-set round trip off by {roundtrip:.3e}"
         )
     return SolveReport(
         solution=solution,
-        residual_norm=trace[-1][1] if trace else 0.0,
+        residual_norm=trace[-1][1],
         roundtrip_error=roundtrip,
         functional_value=functional,
         homotopy_trace=trace,
@@ -347,6 +346,8 @@ def truncation_sequence(
     beyond rounding slack raises.
     """
     points = list(points)
+    if n_max < 0:
+        raise InputError("n_max must be nonnegative")
     if n_max > len(points):
         raise InputError("n_max exceeds the number of supplied points")
     reports = []

@@ -49,6 +49,9 @@ DEFLATION = 1e-6
 #: Constraint check: |f^(i)| at a prescribed critical point, i up to its
 #: multiplicity, must not exceed this.
 CONSTRAINT_TOL = 1e-10
+#: Boundary quotient check: |q - 1| at the outermost probe radius must not
+#: exceed this.
+QUOTIENT_TOL = 1e-3
 
 _KINDS = (
     "postcompose-automorphism",
@@ -395,6 +398,7 @@ def boundary_quotient(B: FiniteBlaschke, probe: BoundaryProbe) -> dict:
     q = (1.0 - np.abs(zs) ** 2) * _pullback(B, zs)
     one_minus_r = 1.0 - np.asarray(probe.radii)
     K = float(np.max(np.abs(q - 1.0) / one_minus_r))
+    deviation = float(abs(q[-1] - 1.0))
     return {
         "suite": "boundary-quotient",
         "direction": complex(probe.direction),
@@ -402,8 +406,8 @@ def boundary_quotient(B: FiniteBlaschke, probe: BoundaryProbe) -> dict:
         "quotients": [float(v) for v in q],
         "envelope_K": K,
         "monotone": bool(np.all(np.diff(q) >= -1e-12)),
-        "deviation": float(abs(q[-1] - 1.0)),
-        "pass": True,
+        "deviation": deviation,
+        "pass": bool(deviation <= QUOTIENT_TOL),
     }
 
 

@@ -20,7 +20,7 @@ from maxblaschke.blaschke import (
 )
 from maxblaschke.disk import pseudo_hyperbolic_distance
 from maxblaschke.errors import InputError, NumericalError
-from maxblaschke.roots import antiderivative, polynomial_roots
+from maxblaschke.roots import antiderivative, cluster_roots, polynomial_roots
 
 
 def zeros_strategy(max_len=4, max_radius=0.8):
@@ -324,6 +324,22 @@ def test_degree_two_critical_point_closed_form(a):
     assert p == pytest.approx(in_disk_critical_point(a), abs=1e-12)
 
 
+@pytest.mark.parametrize("points, multiplicities", [
+    ([0.3, 0.30003, 0.6], [1, 1, 1]),
+    ([0.3, 0.3, 0.6], [2, 1]),
+    ([0.3, 0.3, 0.3, 0.6], [3, 1]),
+])
+def test_cluster_roots_splits_only_separate_roots(points, multiplicities):
+    """Roots 3e-5 apart share a coarse cluster too wide for a double root,
+    so it splits into simple roots; an exact multiple root stays merged."""
+    coeffs = np.poly(points)
+    clusters = sorted(cluster_roots(polynomial_roots(coeffs), coeffs),
+                      key=lambda e: e[0].real)
+    assert [k for _, k in clusters] == multiplicities
+    expected = sorted(set(points))
+    assert max(abs(p - q) for (p, _), q in zip(clusters, expected)) <= 1e-10
+
+
 def test_monomial_critical_points_collapse():
     B = FiniteBlaschke(zeros=(0j, 0j, 0j), eta=1.0)
     assert critical_points(B).entries == ((0j, 2),)
@@ -345,6 +361,19 @@ def test_compose_degree_multiplies():
     z = np.array([0.3 - 0.2j, 0.1j, -0.55])
     assert evaluate(A, z) == pytest.approx(
         evaluate(B, evaluate(C, z)), abs=1e-12)
+
+
+def test_compose_with_constant_factor():
+    """A constant inner factor C gives the constant B(eta_C); a constant
+    outer factor B gives eta_B."""
+    B = FiniteBlaschke(zeros=(0.5 + 0j, -0.2j), eta=1j)
+    K = FiniteBlaschke(zeros=(), eta=np.exp(0.3j))
+    inner = compose(B, K)
+    assert inner.degree == 0
+    assert inner.eta == pytest.approx(evaluate(B, K.eta), abs=1e-15)
+    outer = compose(K, B)
+    assert outer.degree == 0
+    assert outer.eta == pytest.approx(K.eta, abs=1e-15)
 
 
 def test_compose_chain_rule_adds_critical_points():

@@ -109,6 +109,10 @@ def test_unknown_command_rejected_by_parser(tmp_path):
         ("transplant", [1], []),
         ("verify-extremal", {"points": [], "competitors": "x"}, []),
         ("converge", {"points": [], "n_max": "x"}, []),
+        ("converge", {"points": [], "n_max": -1}, []),
+        ("verify-extremal", {"points": []}, ["--seed", "-1"]),
+        ("solve", _crit([(0.3 + 0j, 1), (-0.2j, 1), (0.5 + 0j, 1)]),
+         ["--tol", '{"roundtrip_tol": 0}']),
         ("union",
          {"first": {"points": []}, "second": {"points": []}, "scale": "x"},
          []),
@@ -135,9 +139,10 @@ def test_unknown_command_rejected_by_parser(tmp_path):
          "critpoints-tol-string", "pde-oracle-tol-string",
          "scaled-no-radius", "moebius-no-coeffs", "scaled-negative",
          "unknown-map", "transplant-list", "competitors-string",
-         "n-max-string", "scale-string", "point-nan", "zero-nan",
-         "eta-inf", "moebius-nan", "radius-inf", "outside-domain",
-         "moebius-pole"],
+         "n-max-string", "n-max-negative", "seed-negative",
+         "roundtrip-tol-zero", "scale-string",
+         "point-nan", "zero-nan", "eta-inf", "moebius-nan", "radius-inf",
+         "outside-domain", "moebius-pole"],
 )
 def test_bad_parameters_are_exit_2(tmp_path, capsys, command, data, flags):
     inp = _write(tmp_path, "in.json", data)

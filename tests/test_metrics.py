@@ -127,6 +127,12 @@ def test_ahlfors_scaled_copy():
     assert ahlfors_check(lam) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_ahlfors_rejects_curvature_above_minus_four():
+    """Twice the hyperbolic density has curvature -1."""
+    with pytest.raises(InputError):
+        ahlfors_check(scale_field(hyperbolic_field(GRID), 2.0))
+
+
 def test_ahlfors_strict_for_nonempty_zero_set():
     rep = solve_maximal(CriticalSet.from_points([0.5]))
     ratio = ahlfors_check(pullback_density(rep.solution, GRID))

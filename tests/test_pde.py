@@ -122,6 +122,13 @@ def test_rejects_bad_grid_and_radius():
         PdeProblem(65, 1.5, -4.0, const_boundary(1.0))
 
 
+def test_rejects_non_callable_curvature_and_boundary():
+    with pytest.raises(InputError):
+        PdeProblem(65, 0.5, -4.0, const_boundary(1.0))
+    with pytest.raises(InputError):
+        PdeProblem(65, 0.5, lambda z: np.full(np.shape(z), -4.0), 1.0)
+
+
 def test_rejects_divisor_outside_subdisk():
     C = CriticalSet.from_points([0.9])
     with pytest.raises(InputError):
@@ -132,6 +139,68 @@ def test_rejects_nonpositive_boundary():
     prob = constant_curvature_problem(65, 0.5, -4.0, const_boundary(-1.0))
     with pytest.raises(InputError):
         solve_dirichlet(prob)
+
+
+def _loop_assembly(n, r, boundary):
+    """Reference cut-cell stencil: one plain loop over interior nodes and
+    the four arm directions, with the crossing point of each cut arm."""
+    h = 2.0 * r / (n - 1)
+    xs = np.linspace(-r, r, n)
+    index = {}
+    for i in range(n):
+        for j in range(n):
+            if abs(complex(xs[i], xs[j])) < r:
+                index[i, j] = len(index)
+    rows, cols, vals = [], [], []
+    g = np.zeros(len(index))
+    for (i, j), row in index.items():
+        diag = 0.0
+        for axis in (0, 1):
+            coord, fixed = (xs[i], xs[j]) if axis == 0 else (xs[j], xs[i])
+            arms, ends = [], []
+            for sign in (-1, 1):
+                nb = (i + sign, j) if axis == 0 else (i, j + sign)
+                if nb in index:
+                    arms.append(h)
+                    ends.append(index[nb])
+                    continue
+                target = sign * math.sqrt(max(r * r - fixed * fixed, 0.0))
+                arms.append(min(max((target - coord) * sign, 1e-12 * h), h))
+                ends.append(complex(target, fixed) if axis == 0
+                            else complex(fixed, target))
+            hl, hr = arms
+            diag -= 2.0 / (hl * hr)
+            for arm, end in zip(arms, ends):
+                c = 2.0 / (arm * (hl + hr))
+                if isinstance(end, complex):
+                    g[row] += c * math.log(boundary(end))
+                else:
+                    rows.append(row)
+                    cols.append(end)
+                    vals.append(c)
+        rows.append(row)
+        cols.append(row)
+        vals.append(diag)
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(len(index),) * 2)
+    return A, g
+
+
+@pytest.mark.parametrize("n, r", [(17, 0.5), (33, 0.63), (66, 0.7)])
+def test_assembly_matches_loop_reference(n, r):
+    calls = []
+
+    def boundary(xi):
+        calls.append(1)
+        return np.exp(np.real(xi))
+
+    A, g, mask, _ = pde._assemble(
+        constant_curvature_problem(n, r, -4.0, boundary)
+    )
+    assert len(calls) == 1
+    A_ref, g_ref = _loop_assembly(n, r, lambda xi: math.exp(xi.real))
+    assert A.shape == A_ref.shape == (int(mask.sum()),) * 2
+    assert abs(A - A_ref).max() <= 1e-14 * abs(A_ref).max()
+    assert np.max(np.abs(g - g_ref)) <= 1e-14 * np.max(np.abs(g_ref))
 
 
 def _two_point_problem():

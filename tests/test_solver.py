@@ -107,6 +107,12 @@ def test_tight_tolerance_is_honored():
     assert rep.residual_norm <= 1e-13
 
 
+def test_roundtrip_tolerance_is_enforced():
+    cfg = HomotopyConfig(roundtrip_tol=0.0)
+    with pytest.raises(NumericalError, match="round trip off by"):
+        solve_maximal(CriticalSet.from_points([0.3, -0.2j, 0.5]), cfg)
+
+
 def test_trace_reaches_t_one():
     rep = solve_maximal(CriticalSet.from_points([0.4 + 0.3j]))
     assert rep.homotopy_trace[-1][0] == 1.0
@@ -200,6 +206,8 @@ def test_truncation_repeated_point_merges():
 def test_truncation_rejects_long_prefix():
     with pytest.raises(InputError):
         truncation_sequence([0.5], 2)
+    with pytest.raises(InputError):
+        truncation_sequence([0.5], -1)
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ from maxblaschke.verify import (
     CAUCHY_NODES,
     CONSTRAINT_TOL,
     DEFLATION,
+    QUOTIENT_TOL,
     SUP_SAMPLES,
     BoundaryProbe,
     CompetitorSpec,
@@ -136,6 +137,16 @@ def test_quotient_closed_form_for_squaring():
         assert q == pytest.approx(2 * r / (1 + r * r), abs=1e-12)
     assert out["quotients"][0] == pytest.approx(0.9944751381215471, abs=1e-12)
     assert out["deviation"] <= 1e-3
+    assert out["pass"]
+
+
+def test_quotient_fails_beyond_tolerance():
+    """A zero 5e-4 inside the rim keeps q(0.999) 2e-3 away from 1."""
+    B = FiniteBlaschke(zeros=(0j, 0.9995 + 0j), eta=1.0)
+    out = boundary_quotient(B, BoundaryProbe(1.0 + 0j))
+    assert out["deviation"] == pytest.approx(2.0e-3, rel=1e-3)
+    assert out["deviation"] > QUOTIENT_TOL
+    assert not out["pass"]
 
 
 def test_probes_keep_clear_of_critical_points():
