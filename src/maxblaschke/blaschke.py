@@ -44,47 +44,6 @@ from .roots import MERGE_TOL, cluster_roots, polynomial_roots
 POLE_TOL = 1e-14
 
 
-def _as_complex(x):
-    return complex(x)
-
-
-def _min_cost_pairing(cost: np.ndarray):
-    """Row and column indices of a minimum-total-cost perfect pairing of a
-    square cost matrix.
-
-    Hungarian method with dual potentials ``u`` (rows) and ``v`` (columns),
-    as shortest augmenting paths (Crouse, IEEE Trans. Aerosp. Electron.
-    Syst. 52(4), 2016): each row is added by a Dijkstra search over the
-    reduced costs, vectorised over the columns.  Rows and columns count
-    from 1; column 0 is a virtual column where every search starts, and
-    ``row_of[j] == 0`` marks column ``j`` as unpaired.
-    """
-    n = cost.shape[0]
-    u, v = np.zeros(n + 1), np.zeros(n + 1)
-    row_of = np.zeros(n + 1, dtype=int)  # 1-based row paired with a column
-    prev = np.zeros(n + 1, dtype=int)  # predecessor column on the path
-    for i in range(1, n + 1):
-        row_of[0], j = i, 0
-        dist = np.full(n + 1, np.inf)
-        done = np.zeros(n + 1, dtype=bool)
-        while row_of[j]:
-            done[j] = True
-            r = row_of[j]
-            reduced = cost[r - 1] - u[r] - v[1:]
-            closer = ~done[1:] & (reduced < dist[1:])
-            dist[1:][closer] = reduced[closer]
-            prev[1:][closer] = j
-            j = int(np.argmin(np.where(done, np.inf, dist)))
-            delta = dist[j]
-            u[row_of[done]] += delta
-            v[done] -= delta
-            dist[~done] -= delta
-        while j:
-            row_of[j] = row_of[prev[j]]
-            j = prev[j]
-    return row_of[1:] - 1, np.arange(n)
-
-
 @dataclass(frozen=True)
 class CriticalSet:
     """Multiset of prescribed critical points inside the unit disk.
@@ -102,7 +61,7 @@ class CriticalSet:
         # MERGE_TOL, which stays the representative
         merged = []
         for point, mult in self.entries:
-            point = _as_complex(point)
+            point = complex(point)
             mult = int(mult)
             if mult < 1:
                 raise InputError("critical point multiplicity must be >= 1")
@@ -163,27 +122,41 @@ class CriticalSet:
         return True
 
     def match(self, other: "CriticalSet") -> float:
-        """Largest pseudo-hyperbolic mismatch under the best pairing.
+        """Largest pseudo-hyperbolic mismatch of a point-for-point pairing.
 
-        Entries pair only within equal multiplicity; a differing multiplicity
-        profile raises, since no pairing then reproduces the multiset.
+        Each entry pairs with its nearest entry of equal multiplicity in the
+        other set.  The pairing must be mutual: each point is also its
+        partner's nearest, so every term is at its minimum and the pairing
+        is the min-sum one.  Otherwise, or when the multiplicity profiles
+        differ, no pairing reproduces the multiset and ``NumericalError`` is
+        raised; either way the check is symmetric in the two sets.
+
+        >>> CriticalSet.from_points([0, 0.9]).match(
+        ...     CriticalSet.from_points([0.25, 0.9]))
+        0.25
+        >>> CriticalSet.from_points([0, 0.001]).match(
+        ...     CriticalSet.from_points([0, 0.5]))
+        Traceback (most recent call last):
+            ...
+        maxblaschke.errors.NumericalError: critical sets do not pair point for point
         """
-        by_mult_a, by_mult_b = {}, {}
-        for p, m in self.entries:
-            by_mult_a.setdefault(m, []).append(p)
-        for p, m in other.entries:
-            by_mult_b.setdefault(m, []).append(p)
-        if {m: len(v) for m, v in by_mult_a.items()} != {
-            m: len(v) for m, v in by_mult_b.items()
-        }:
+        profile = sorted(m for _, m in self.entries)
+        if profile != sorted(m for _, m in other.entries):
             raise NumericalError("multiplicity profiles do not match")
         worst = 0.0
-        for m, pa in by_mult_a.items():
-            pb = by_mult_b[m]
+        for m in set(profile):
+            pa = [p for p, k in self.entries if k == m]
+            pb = [p for p, k in other.entries if k == m]
             cost = np.array(
                 [[pseudo_hyperbolic_distance(x, y) for y in pb] for x in pa]
             )
-            worst = max(worst, float(cost[_min_cost_pairing(cost)].max()))
+            rows = np.arange(len(pa))
+            nearest = cost.argmin(axis=1)
+            if np.any(cost.argmin(axis=0)[nearest] != rows):
+                raise NumericalError(
+                    "critical sets do not pair point for point"
+                )
+            worst = max(worst, float(cost[rows, nearest].max()))
         return worst
 
     def to_dict(self):
@@ -218,11 +191,11 @@ class FiniteBlaschke:
     eta: complex = 1.0 + 0j
 
     def __post_init__(self):
-        e = _as_complex(self.eta)
+        e = complex(self.eta)
         if not cmath.isfinite(e) or abs(e) == 0:
             raise InputError("unimodular factor must be finite and nonzero")
         object.__setattr__(self, "eta", e / abs(e))
-        zs = tuple(_as_complex(a) for a in self.zeros)
+        zs = tuple(complex(a) for a in self.zeros)
         if not all(cmath.isfinite(a) and abs(a) < 1.0 - BOUNDARY_TOL
                    for a in zs):
             raise InputError("zeros must lie strictly inside the unit disk")

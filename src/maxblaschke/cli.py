@@ -33,6 +33,8 @@ from .solver import (
     truncation_sequence,
 )
 from .verify import (
+    MARGIN_TOL,
+    MATCH_TOL,
     QUOTIENT_TOL,
     boundary_probes,
     boundary_quotient,
@@ -58,6 +60,10 @@ _GRID_DEFAULTS = {
 #: grid, n * n for the PDE oracle.  8 default polar grids, or a PDE grid up
 #: to n = 724 (n = 513 peaks at about 340 MB).
 _MAX_GRID_NODES = 1 << 19
+#: Most competitors a verify-extremal input may ask for, checked before the
+#: solve: the specs are built one by one, and this many run in 4-7 s at a
+#: 77 MB peak RSS on a 2-core machine (the default 1000: 1.3 s, 40 MB).
+_MAX_COMPETITORS = 100_000
 
 
 @dataclass
@@ -129,7 +135,7 @@ def _scalar(data: dict, key: str, default, kind):
     """``kind(data[key])``, or ``kind(default)`` when the key is absent."""
     try:
         return kind(data.get(key, default))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"input field {key!r}: {exc}") from exc
 
 
@@ -216,6 +222,10 @@ def _pde_oracle(data: dict, cfg: JobConfig) -> dict:
 
 def _verify_extremal(data: dict, cfg: JobConfig) -> dict:
     count = _scalar(data, "competitors", 1000, int)
+    if count > _MAX_COMPETITORS:
+        raise InputError(
+            f"{count} competitors exceed the limit of {_MAX_COMPETITORS}"
+        )
     C, rep = _solved(data, cfg)
     rng = np.random.default_rng(cfg.seed)
     specs = default_competitor_specs(C, count, rng)
@@ -223,7 +233,7 @@ def _verify_extremal(data: dict, cfg: JobConfig) -> dict:
     return {
         "seed": cfg.seed,
         "tolerances": cfg.tolerances,
-        "margin_tolerance": 1e-9,
+        "margin_tolerance": MARGIN_TOL,
         **extremality_suite(C, rep.solution, specs, hc),
     }
 
@@ -257,7 +267,7 @@ def _compose(data: dict, cfg: JobConfig) -> dict:
     left = left_factor_check(outer, inner, hc)
     return {
         "tolerances": cfg.tolerances,
-        "match_tolerance": 1e-8,
+        "match_tolerance": MATCH_TOL,
         "semigroup": semi,
         "left_factor": left,
         "pass": bool(semi["pass"] and left["pass"]),

@@ -126,8 +126,9 @@ def _grid_nodes(n, radius):
 def _assemble(problem: PdeProblem):
     """Cut-cell 5-point Laplacian: matrix on interior nodes + boundary term.
 
-    Returns (A, g, mask, nodes): Delta_h u = A u + g, with g holding the
-    boundary-data contributions from arms cut by the circle.  Everything
+    Returns (A, g, mask, nodes, log_b_min): Delta_h u = A u + g, with g
+    holding the boundary-data contributions from arms cut by the circle, and
+    log_b_min the smallest log trace value the stencil reads.  Everything
     before the one ``problem.boundary`` call depends only on (n, radius).
     """
     n, r, h = problem.n, problem.radius, problem.spacing
@@ -184,18 +185,18 @@ def _assemble(problem: PdeProblem):
     b = np.asarray(problem.boundary(np.concatenate(crossings)), dtype=float)
     if np.any(b <= 0.0) or not np.all(np.isfinite(b)):
         raise InputError("boundary trace must be positive")
+    log_b = np.log(b)
     g = np.zeros(N)
-    np.add.at(
-        g, np.concatenate(cut_rows), np.concatenate(cut_coefs) * np.log(b)
-    )
-    return A, g, mask, nodes
+    np.add.at(g, np.concatenate(cut_rows), np.concatenate(cut_coefs) * log_b)
+    return A, g, mask, nodes, float(log_b.min())
 
 
 def solve_dirichlet(problem: PdeProblem) -> PdeSolution:
     """Damped Newton for the discretized problem.
 
-    Starts from the constant u = min log b (for kappa <= 0 this sits below
-    the solution, where Newton for this monotone problem is reliable).
+    Starts from the constant u = min log b over the trace values the stencil
+    reads (for kappa <= 0 this sits below the solution, where Newton for this
+    monotone problem is reliable).
 
     The first Jacobian is LU-factored (symmetric minimum-degree ordering, no
     pivoting: it is a diagonally dominant M-matrix) and gives the first step
@@ -212,24 +213,14 @@ def solve_dirichlet(problem: PdeProblem) -> PdeSolution:
         If the scaled residual has not reached RESIDUAL_TOL after
         MAX_NEWTON_ITERS damped iterations (final residual in the message).
     """
-    A, g, mask, nodes = _assemble(problem)
+    A, g, mask, nodes, log_b_min = _assemble(problem)
     kappa = problem.curvature_at(nodes[mask])
     if np.any(kappa > 0.0) or not np.all(np.isfinite(kappa)):
         raise InputError("curvature must be nonpositive and finite")
     h2 = problem.spacing ** 2 / 4.0
     As = A * h2
     gs = g * h2
-
-    # boundary values enter through g; recover the trace minimum for the
-    # initial guess from the assembled data (g sums positive-coefficient
-    # log-trace terms, so probe the trace directly instead)
-    theta = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
-    btrace = np.asarray(
-        problem.boundary(problem.radius * np.exp(1j * theta)), dtype=float
-    )
-    if np.any(btrace <= 0.0) or not np.all(np.isfinite(btrace)):
-        raise InputError("boundary trace must be positive")
-    u = np.full(A.shape[0], float(np.log(btrace.min())))
+    u = np.full(A.shape[0], log_b_min)
 
     def scaled_residual(uv):
         return As @ uv + gs + h2 * kappa * np.exp(2.0 * uv)

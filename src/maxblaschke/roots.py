@@ -3,11 +3,13 @@
 Roots come from the eigenvalues of the (balanced) companion matrix, each
 polished by two Newton iterations.  Repeated roots split under rounding into
 clusters whose radius is set by the noise level of polynomial evaluation, not
-by the merge tolerance, so clustering proceeds in two stages: a coarse
-union-find pass gathers candidate clusters, and each cluster is accepted as a
-multiple root only if its radius is consistent with the expected
-noise-splitting radius for that multiplicity.  Accepted clusters are
-represented by their centroid, polished on the appropriate derivative.
+by the merge tolerance.  So roots are grouped once, as the connected
+components of the coarse ``PRECLUSTER_TOL`` adjacency, and a group is taken
+as one multiple root only if its radius is consistent with the expected
+noise-splitting radius for that multiplicity; an accepted group is
+represented by its centroid, polished on the appropriate derivative.  The
+roots of a rejected group are returned as simple roots, and the one merge
+within ``MERGE_TOL`` is the one ``CriticalSet`` applies to every point set.
 """
 
 from __future__ import annotations
@@ -80,48 +82,26 @@ def antiderivative(poly, points):
     return np.polyint(core)
 
 
-def _noise_scale(coeffs, z):
-    # absolute uncertainty of evaluating the polynomial at z when its
-    # coefficients carry a relative error of _NOISE_REL
-    powers = np.abs(z) ** np.arange(len(coeffs) - 1, -1, -1)
-    return _NOISE_REL * float(np.sum(np.abs(coeffs) * powers))
-
-
-def _union_find_clusters(points, tol):
-    n = len(points)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(points[i] - points[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
 def _noise_radius(coeffs, z, k):
     """Expected cluster radius of a k-fold root under coefficient noise."""
     dk = np.polyder(coeffs, k)
     lead = abs(np.polyval(dk, z)) / math.factorial(k)
     if lead == 0:
         return math.inf
-    return (_noise_scale(coeffs, z) / lead) ** (1.0 / k)
+    # absolute uncertainty of evaluating the polynomial at z when its
+    # coefficients carry a relative error of _NOISE_REL
+    powers = np.abs(z) ** np.arange(len(coeffs) - 1, -1, -1)
+    noise = _NOISE_REL * float(np.sum(np.abs(coeffs) * powers))
+    return (noise / lead) ** (1.0 / k)
 
 
 def cluster_roots(roots, coeffs):
     """Group ``roots`` of ``coeffs`` into (representative, multiplicity) pairs.
 
-    Roots within ``MERGE_TOL`` are always merged.
+    Groups are the connected components of the roots within
+    ``PRECLUSTER_TOL`` of one another, each ordered by its smallest index
+    and listing its members in ascending order.  A group too wide for a
+    multiple root under coefficient noise comes back as simple roots.
 
     Parameters
     ----------
@@ -136,36 +116,24 @@ def cluster_roots(roots, coeffs):
     list of (complex, int)
     """
     roots = np.asarray(roots, dtype=complex)
-    if roots.size == 0:
-        return []
-
-    def multiple_root(members):
-        # one k-fold root: the centroid polished on p^(k-1)
-        k = len(members)
-        dk1 = np.polyder(coeffs, k - 1)
-        return complex(_newton_polish(dk1, complex(members.mean()), iters=3)), k
-
+    # transitive closure of the adjacency (Warshall)
+    linked = np.abs(roots[:, None] - roots[None, :]) <= PRECLUSTER_TOL
+    for j in range(roots.size):
+        linked |= np.outer(linked[:, j], linked[j])
     out = []
-    for group in _union_find_clusters(list(roots), PRECLUSTER_TOL):
-        members = roots[group]
+    for i in range(roots.size):
+        if linked[i, :i].any():
+            continue  # i is not its group's smallest index
+        members = roots[linked[i]]
         k = len(members)
-        if k == 1:
-            out.append((complex(members[0]), 1))
-            continue
         centroid = complex(members.mean())
         radius = float(np.max(np.abs(members - centroid)))
-        limit = max(
+        if k > 1 and radius <= max(
             MERGE_TOL, NOISE_RADIUS_FACTOR * _noise_radius(coeffs, centroid, k)
-        )
-        if radius <= limit:
-            out.append(multiple_root(members))
+        ):
+            # one k-fold root: the centroid polished on p^(k-1)
+            dk1 = np.polyder(coeffs, k - 1)
+            out.append((complex(_newton_polish(dk1, centroid, iters=3)), k))
         else:
-            # genuinely separate roots that happened to fall in one coarse
-            # cluster: fall back to the plain merge tolerance
-            for sub in _union_find_clusters(list(members), MERGE_TOL):
-                subm = members[sub]
-                if len(sub) == 1:
-                    out.append((complex(subm[0]), 1))
-                else:
-                    out.append(multiple_root(subm))
+            out.extend((complex(z), 1) for z in members)
     return out

@@ -52,6 +52,11 @@ CONSTRAINT_TOL = 1e-10
 #: Boundary quotient check: |q - 1| at the outermost probe radius must not
 #: exceed this.
 QUOTIENT_TOL = 1e-3
+#: Semigroup, left-factor and union checks: the re-solved product, or the
+#: union's zero set, must match within this (the solver round-trip level).
+MATCH_TOL = 1e-8
+#: Extremality check: no scored competitor may beat the reference by more.
+MARGIN_TOL = 1e-9
 
 _KINDS = (
     "postcompose-automorphism",
@@ -383,7 +388,7 @@ def extremality_suite(
         "margin": worst,
         "samples": int(kept.size),
         "skipped": len(specs) - int(kept.size),
-        "pass": bool(kept.size > 0 and worst >= -1e-9),
+        "pass": bool(kept.size > 0 and worst >= -MARGIN_TOL),
     }
 
 
@@ -516,7 +521,7 @@ def semigroup_check(
         "match_error": err,
         "dominance": [r1, r2],
         "pass": bool(
-            err <= 1e-8 and r1 <= 1.0 + 1e-6 and r2 <= 1.0 + 1e-6
+            err <= MATCH_TOL and r1 <= 1.0 + 1e-6 and r2 <= 1.0 + 1e-6
         ),
     }
 
@@ -534,7 +539,7 @@ def left_factor_check(
         "suite": "left-factor",
         "factor_degree": B.degree,
         "match_error": err,
-        "pass": bool(err <= 1e-8),
+        "pass": bool(err <= MATCH_TOL),
     }
 
 
@@ -573,6 +578,7 @@ def union_suite(
         "max_curvature": worst_curv,
         "direct_functional": direct.functional_value,
         "pass": bool(
-            zero_err <= 1e-8 and worst_curv <= -4.0 + _curvature_band(g.h)
+            zero_err <= MATCH_TOL
+            and worst_curv <= -4.0 + _curvature_band(g.h)
         ),
     }

@@ -8,7 +8,6 @@ from scipy.optimize import linear_sum_assignment
 
 from maxblaschke.blaschke import (
     CriticalSet,
-    _min_cost_pairing,
     FiniteBlaschke,
     compose,
     critical_numerator_coeffs,
@@ -78,15 +77,14 @@ def test_critical_set_match_is_pseudo_hyperbolic():
         A.match(CriticalSet(((0.5 + 0j, 2),)))  # profile mismatch
 
 
-def test_pairing_cost_equals_scipy_assignment():
-    rng = np.random.default_rng(11)
-    for n in range(1, 65):
-        cost = rng.random((n, n))
-        rows, cols = _min_cost_pairing(cost)
-        assert sorted(rows.tolist()) == list(range(n))
-        assert sorted(cols.tolist()) == list(range(n))
-        ref = cost[linear_sum_assignment(cost)].sum()
-        assert abs(cost[rows, cols].sum() - ref) <= 1e-12, n
+def test_match_raises_unless_nearest_points_are_mutual():
+    """0 and 0.001 share the nearest point 0, and 0.5 and 0.5001 share 0.5:
+    no point-for-point pairing, from either side."""
+    A = CriticalSet.from_points([0, 0.001, 0.5])
+    B = CriticalSet.from_points([0, 0.5, 0.5001])
+    for X, Y in ((A, B), (B, A)):
+        with pytest.raises(NumericalError, match="do not pair point for point"):
+            X.match(Y)
 
 
 def _scipy_match(A, B):
@@ -338,6 +336,18 @@ def test_cluster_roots_splits_only_separate_roots(points, multiplicities):
     assert [k for _, k in clusters] == multiplicities
     expected = sorted(set(points))
     assert max(abs(p - q) for (p, _), q in zip(clusters, expected)) <= 1e-10
+
+
+def test_cluster_roots_leaves_the_merge_to_critical_set():
+    """A group too wide for a triple root comes back as simple roots, even
+    the two of them within MERGE_TOL; CriticalSet merges those two."""
+    roots = np.array([0.01, 0.01 + 5e-9, 0.01006], dtype=complex)
+    coeffs = np.poly(np.append(roots, 0.6))
+    clusters = cluster_roots(roots, coeffs)
+    assert clusters == [(complex(z), 1) for z in roots]
+    assert CriticalSet(tuple(clusters)).entries == (
+        (0.01 + 0j, 2), (0.01006 + 0j, 1)
+    )
 
 
 def test_monomial_critical_points_collapse():

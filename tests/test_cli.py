@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import maxblaschke
+from maxblaschke import cli
 from maxblaschke.cli import _TOLERANCES, COMMANDS, JobConfig, main
 from maxblaschke.errors import InputError
 from maxblaschke.serialize import read_json
@@ -108,7 +109,9 @@ def test_unknown_command_rejected_by_parser(tmp_path):
         ("transplant", {"map": {"kind": "spiral"}, "points": []}, []),
         ("transplant", [1], []),
         ("verify-extremal", {"points": [], "competitors": "x"}, []),
+        ("verify-extremal", {"points": [], "competitors": INF}, []),
         ("converge", {"points": [], "n_max": "x"}, []),
+        ("converge", {"points": [], "n_max": INF}, []),
         ("converge", {"points": [], "n_max": -1}, []),
         ("verify-extremal", {"points": []}, ["--seed", "-1"]),
         ("solve", _crit([(0.3 + 0j, 1), (-0.2j, 1), (0.5 + 0j, 1)]),
@@ -139,7 +142,8 @@ def test_unknown_command_rejected_by_parser(tmp_path):
          "critpoints-tol-string", "pde-oracle-tol-string",
          "scaled-no-radius", "moebius-no-coeffs", "scaled-negative",
          "unknown-map", "transplant-list", "competitors-string",
-         "n-max-string", "n-max-negative", "seed-negative",
+         "competitors-inf", "n-max-string", "n-max-inf", "n-max-negative",
+         "seed-negative",
          "roundtrip-tol-zero", "scale-string",
          "point-nan", "zero-nan", "eta-inf", "moebius-nan", "radius-inf",
          "outside-domain", "moebius-pole"],
@@ -167,6 +171,20 @@ def test_oversized_pde_grid_is_exit_2(tmp_path, capsys):
     inp = _write(tmp_path, "mono.json", MONOMIAL)
     assert main(["pde-oracle", "--input", inp, "--grid", '{"n": 5000000}']) == 2
     assert "exceeds the limit" in capsys.readouterr().err
+
+
+def test_competitor_count_over_the_limit_is_exit_2(
+    tmp_path, capsys, monkeypatch
+):
+    """The count is checked before the solve and before any spec is built."""
+    def no_solve(data, cfg):
+        raise AssertionError("solved before the competitor count was checked")
+
+    monkeypatch.setattr(cli, "_solved", no_solve)
+    data = {**_crit([(0.5 + 0j, 1)]), "competitors": cli._MAX_COMPETITORS + 1}
+    inp = _write(tmp_path, "c.json", data)
+    assert main(["verify-extremal", "--input", inp]) == 2
+    assert "exceed the limit" in capsys.readouterr().err
 
 
 def test_critpoints_report_recovers_input(tmp_path):

@@ -52,6 +52,19 @@ def test_flat_case_is_exact():
     assert np.all(np.isnan(sol.u[~sol.mask]))
 
 
+def test_boundary_read_once_per_solve():
+    """The initial guess comes from the trace values the assembly reads."""
+    calls = []
+
+    def boundary(xi):
+        calls.append(1)
+        return np.exp(np.real(xi))
+
+    sol = solve_dirichlet(constant_curvature_problem(65, 0.6, -4.0, boundary))
+    assert len(calls) == 1
+    assert sol.residual_norm <= 1e-10
+
+
 def test_flat_case_harmonic_boundary():
     """u = Re z is linear, so even the cut-cell stencil reproduces it
     exactly; boundary data b = exp(Re xi)."""
@@ -193,7 +206,7 @@ def test_assembly_matches_loop_reference(n, r):
         calls.append(1)
         return np.exp(np.real(xi))
 
-    A, g, mask, _ = pde._assemble(
+    A, g, mask, _, _ = pde._assemble(
         constant_curvature_problem(n, r, -4.0, boundary)
     )
     assert len(calls) == 1
@@ -219,13 +232,11 @@ def _two_point_problem():
 def _direct_newton(problem):
     """Reference: the same damped Newton with every step solved by one
     sparse direct solve of the current Jacobian."""
-    A, g, mask, nodes = pde._assemble(problem)
+    A, g, mask, nodes, log_b_min = pde._assemble(problem)
     kappa = problem.curvature_at(nodes[mask])
     h2 = problem.spacing ** 2 / 4.0
     As, gs = A * h2, g * h2
-    theta = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
-    btrace = problem.boundary(problem.radius * np.exp(1j * theta))
-    u = np.full(A.shape[0], float(np.log(np.min(btrace))))
+    u = np.full(A.shape[0], log_b_min)
 
     def residual(v):
         return As @ v + gs + h2 * kappa * np.exp(2.0 * v)
