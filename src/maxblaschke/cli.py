@@ -101,7 +101,7 @@ class JobConfig:
         if self.grid.get("r_max", 0.0) >= 1.0 or self.grid.get("r", 0.0) >= 1.0:
             raise InputError("grid radius must be < 1")
         g = _grid(self)
-        for nodes in (int(g["n_r"]) * int(g["n_theta"]), int(g["n"]) ** 2):
+        for nodes in (g["n_r"] * g["n_theta"], g["n"] ** 2):
             if nodes > _MAX_GRID_NODES:
                 raise InputError(
                     f"grid of {nodes} nodes exceeds the limit of "
@@ -120,22 +120,35 @@ class JobConfig:
 
 
 def _grid(cfg: JobConfig) -> dict:
-    """The job's grid parameters, defaults filled in."""
-    return {**_GRID_DEFAULTS, **cfg.grid}
+    """The job's grid parameters, defaults filled in, node counts as ints."""
+    g = {**_GRID_DEFAULTS, **cfg.grid}
+    for key in ("n_r", "n_theta", "n"):
+        g[key] = _count(g[key], f"grid parameter {key}")
+    return g
 
 
 def _polar_grid(cfg: JobConfig) -> PolarGrid:
     g = _grid(cfg)
     return PolarGrid(
-        n_r=int(g["n_r"]), n_theta=int(g["n_theta"]), r_max=float(g["r_max"])
+        n_r=g["n_r"], n_theta=g["n_theta"], r_max=float(g["r_max"])
     )
 
 
-def _scalar(data: dict, key: str, default, kind):
-    """``kind(data[key])``, or ``kind(default)`` when the key is absent."""
+def _count(value, name: str) -> int:
+    """``value`` as an int: an integral number such as 257.0 passes; 16.7,
+    a string, a boolean or infinity is an InputError."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InputError(f"{name} must be an integer, got {value!r}")
+
+
+def _scalar(data: dict, key: str, default) -> float:
+    """``float(data[key])``, or ``float(default)`` when the key is absent."""
     try:
-        return kind(data.get(key, default))
-    except (TypeError, ValueError, OverflowError) as exc:
+        return float(data.get(key, default))
+    except (TypeError, ValueError) as exc:
         raise InputError(f"input field {key!r}: {exc}") from exc
 
 
@@ -208,7 +221,7 @@ def _pde_oracle(data: dict, cfg: JobConfig) -> dict:
 
     B = FiniteBlaschke.from_dict(data)
     g = _grid(cfg)
-    n, r = int(g["n"]), float(g["r"])
+    n, r = g["n"], float(g["r"])
     deviation = oracle_validate(B, r, n)
     h = 2.0 * r / (n - 1)
     budget = 5.0 * h * h
@@ -221,7 +234,9 @@ def _pde_oracle(data: dict, cfg: JobConfig) -> dict:
 
 
 def _verify_extremal(data: dict, cfg: JobConfig) -> dict:
-    count = _scalar(data, "competitors", 1000, int)
+    count = _count(
+        data.get("competitors", 1000), "input field 'competitors'"
+    )
     if count > _MAX_COMPETITORS:
         raise InputError(
             f"{count} competitors exceed the limit of {_MAX_COMPETITORS}"
@@ -282,7 +297,7 @@ def _union(data: dict, cfg: JobConfig) -> dict:
         raise InputError(
             "union input needs 'first' and 'second' critical sets"
         ) from exc
-    c = _scalar(data, "scale", 0.5, float)
+    c = _scalar(data, "scale", 0.5)
     hc = HomotopyConfig(**cfg.tolerances)
     return {
         "tolerances": cfg.tolerances,
@@ -293,7 +308,7 @@ def _union(data: dict, cfg: JobConfig) -> dict:
 
 def _converge(data: dict, cfg: JobConfig) -> dict:
     points = _points(data, "converge")
-    n_max = _scalar(data, "n_max", len(points), int)
+    n_max = _count(data.get("n_max", len(points)), "input field 'n_max'")
     hc = HomotopyConfig(**cfg.tolerances)
     result = truncation_sequence(points, n_max, hc)
     fn = result.functionals

@@ -15,18 +15,24 @@ smooth across the zeros.  Recomposing |S| e^{u~} restores the density.
 Discretization: Cartesian grid masked to the disk, with cut-cell (unequal
 arm) 5-point stencils where an arm crosses the circle (Shortley & Weller,
 J. Appl. Phys. 9, 1938), so the boundary data enters exactly on the circle.
-The stencil matrix depends only on the grid size and the radius; the
-boundary trace is read once per assembly, at every arm's crossing point, and
-enters only the right-hand side.  The nonlinear system is solved by damped
-Newton; for kappa <= 0 the Jacobian is an irreducibly diagonally dominant
-M-matrix, so the linear solves are well posed.  The Jacobian differs from
-step to step only in its diagonal, so it is factored once and later Newton
-steps are taken by GMRES preconditioned with that LU (inexact Newton; Kelley,
-*Solving Nonlinear Equations with Newton's Method*, SIAM 2003).
+The stencil matrix depends only on the grid size and the radius, so each
+such grid is built, and its Laplacian LU-factored, once (the two grids used
+last stay cached); the boundary trace is read once per assembly, at every
+arm's crossing point, and enters only the right-hand side.  The nonlinear
+system is solved by damped Newton; for kappa <= 0 the negated Jacobian is an
+irreducibly diagonally dominant M-matrix, so the linear solves are well
+posed.  The Jacobian is the grid's Laplacian plus an O(h^2) diagonal, so
+every Newton step is taken by GMRES preconditioned with the Laplacian's LU,
+the fixed fast-solver preconditioner of Concus & Golub (*Use of fast direct
+methods for the efficient numerical solution of nonseparable elliptic
+equations*, SIAM J. Numer. Anal. 10, 1973), in an inexact Newton iteration
+(Kelley, *Solving Nonlinear Equations with Newton's Method*, SIAM 2003).
+Only a GMRES failure factors a Jacobian, for that solve alone.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -96,10 +102,13 @@ class PdeProblem:
 
 @dataclass(frozen=True, eq=False)
 class PdeSolution:
-    """``u`` on the full grid (NaN outside the disk), with the interior mask.
+    """``u`` on the full grid (NaN outside the disk), with the interior mask
+    (the cached grid's, read-only).
 
-    ``factorizations`` counts sparse LU factorizations of the Newton
-    Jacobian and ``krylov_iters`` the preconditioned GMRES iterations.
+    ``factorizations`` counts the sparse LU factorizations this solve
+    performed: 1 when it built its grid and factored the Laplacian, 0 when
+    the grid was cached, plus one per Jacobian factored after a GMRES
+    failure.  ``krylov_iters`` counts the preconditioned GMRES iterations.
 
     ``residual_norm`` is the max-norm of the residual of the h^2/4-scaled
     system (row sums of the scaled Laplacian are O(1), so the norm is
@@ -117,22 +126,48 @@ class PdeSolution:
     krylov_iters: int
 
 
-def _grid_nodes(n, radius):
-    xs = np.linspace(-radius, radius, n)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    return X + 1j * Y
+@dataclass(frozen=True, eq=False)
+class _Grid:
+    """The (n, radius)-only part of the discretization, arrays read-only.
 
-
-def _assemble(problem: PdeProblem):
-    """Cut-cell 5-point Laplacian: matrix on interior nodes + boundary term.
-
-    Returns (A, g, mask, nodes, log_b_min): Delta_h u = A u + g, with g
-    holding the boundary-data contributions from arms cut by the circle, and
-    log_b_min the smallest log trace value the stencil reads.  Everything
-    before the one ``problem.boundary`` call depends only on (n, radius).
+    ``nodes``/``mask``: the complex grid and its interior; ``A``: the cut-cell
+    Laplacian on the interior nodes; ``cut_rows``, ``cut_coefs`` and
+    ``crossings``: each cut arm's row, stencil coefficient and crossing point
+    on the circle; ``As`` = A h^2/4, the scaled Laplacian, and ``lu`` its
+    sparse LU as a LinearOperator, the Newton preconditioner.
     """
-    n, r, h = problem.n, problem.radius, problem.spacing
-    nodes = _grid_nodes(n, r)
+
+    nodes: np.ndarray
+    mask: np.ndarray
+    A: sp.csr_matrix
+    cut_rows: np.ndarray
+    cut_coefs: np.ndarray
+    crossings: np.ndarray
+    As: sp.csr_matrix
+    lu: spla.LinearOperator
+
+
+def _factor(M) -> spla.LinearOperator:
+    """Sparse LU of M as a LinearOperator applying M^{-1}: symmetric
+    minimum-degree ordering and no pivoting, since -M is a diagonally
+    dominant M-matrix."""
+    lu = spla.splu(
+        M.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    )
+    # an explicit dtype spares LinearOperator a probing solve
+    return spla.LinearOperator(M.shape, lu.solve, dtype=float)
+
+
+@functools.lru_cache(maxsize=2)
+def _grid(n: int, radius: float) -> _Grid:
+    """The cut-cell grid of (n, radius) with its scaled Laplacian factored,
+    built on first use.  Two grids stay cached, so a caller alternating two
+    sizes factors each once."""
+    r, h = radius, 2.0 * radius / (n - 1)
+    xs = np.linspace(-r, r, n)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    nodes = X + 1j * Y
     mask = np.abs(nodes) < r
     N = int(mask.sum())
     if N == 0:
@@ -182,13 +217,34 @@ def _assemble(problem: PdeProblem):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(N, N),
     )
-    b = np.asarray(problem.boundary(np.concatenate(crossings)), dtype=float)
+    As = A * (h ** 2 / 4.0)
+    lu = _factor(As)
+    cut_rows, cut_coefs, crossings = (
+        np.concatenate(a) for a in (cut_rows, cut_coefs, crossings)
+    )
+    for arr in (nodes, mask, cut_rows, cut_coefs, crossings, A.data,
+                A.indices, A.indptr, As.data, As.indices, As.indptr):
+        arr.flags.writeable = False
+    return _Grid(nodes, mask, A, cut_rows, cut_coefs, crossings, As, lu)
+
+
+def _assemble(problem: PdeProblem):
+    """Cut-cell 5-point Laplacian: matrix on interior nodes + boundary term.
+
+    Returns (A, g, mask, nodes, log_b_min): Delta_h u = A u + g, with g
+    holding the boundary-data contributions from arms cut by the circle, and
+    log_b_min the smallest log trace value the stencil reads.  A, mask and
+    nodes are the cached grid's; only the one ``problem.boundary`` call and
+    g are per problem.
+    """
+    grid = _grid(problem.n, problem.radius)
+    b = np.asarray(problem.boundary(grid.crossings), dtype=float)
     if np.any(b <= 0.0) or not np.all(np.isfinite(b)):
         raise InputError("boundary trace must be positive")
     log_b = np.log(b)
-    g = np.zeros(N)
-    np.add.at(g, np.concatenate(cut_rows), np.concatenate(cut_coefs) * log_b)
-    return A, g, mask, nodes, float(log_b.min())
+    g = np.zeros(grid.A.shape[0])
+    np.add.at(g, grid.cut_rows, grid.cut_coefs * log_b)
+    return grid.A, g, grid.mask, grid.nodes, float(log_b.min())
 
 
 def solve_dirichlet(problem: PdeProblem) -> PdeSolution:
@@ -198,14 +254,15 @@ def solve_dirichlet(problem: PdeProblem) -> PdeSolution:
     reads (for kappa <= 0 this sits below the solution, where Newton for this
     monotone problem is reliable).
 
-    The first Jacobian is LU-factored (symmetric minimum-degree ordering, no
-    pivoting: it is a diagonally dominant M-matrix) and gives the first step
-    directly.  Later Jacobians differ from it only in the O(h^2) diagonal
-    term, so their steps are solved by GMRES preconditioned with that LU to a
-    relative residual of 1e-8.  Should GMRES not reach it, the current
-    Jacobian is factored, solved directly and kept as the new preconditioner,
-    so the worst case is one factorization per iteration.  Convergence is
-    always decided on the exact nonlinear residual.
+    The Jacobian is As + diag(2 h^2/4 kappa e^{2u}), the grid's scaled
+    Laplacian plus an O(h^2) diagonal, so every Newton step, the first
+    included, is solved by GMRES preconditioned with the LU of As, which the
+    grid factors once for all solves on it (Concus & Golub, SIAM J. Numer.
+    Anal. 10, 1973), to a relative residual of 1e-8.  Should GMRES not reach
+    it, the current Jacobian is factored, solved directly and kept as this
+    solve's preconditioner (never cached), so the worst case is one
+    factorization per iteration.  Convergence is always decided on the exact
+    nonlinear residual.
 
     Raises
     ------
@@ -213,22 +270,25 @@ def solve_dirichlet(problem: PdeProblem) -> PdeSolution:
         If the scaled residual has not reached RESIDUAL_TOL after
         MAX_NEWTON_ITERS damped iterations (final residual in the message).
     """
-    A, g, mask, nodes, log_b_min = _assemble(problem)
+    misses = _grid.cache_info().misses
+    _, g, mask, nodes, log_b_min = _assemble(problem)
+    grid = _grid(problem.n, problem.radius)
+    factorizations = _grid.cache_info().misses - misses
     kappa = problem.curvature_at(nodes[mask])
     if np.any(kappa > 0.0) or not np.all(np.isfinite(kappa)):
         raise InputError("curvature must be nonpositive and finite")
     h2 = problem.spacing ** 2 / 4.0
-    As = A * h2
+    As = grid.As
     gs = g * h2
-    u = np.full(A.shape[0], log_b_min)
+    u = np.full(As.shape[0], log_b_min)
 
     def scaled_residual(uv):
         return As @ uv + gs + h2 * kappa * np.exp(2.0 * uv)
 
     res = scaled_residual(u)
     rnorm = float(np.max(np.abs(res)))
-    iters = factorizations = krylov_iters = 0
-    precond = None
+    iters = krylov_iters = 0
+    precond = grid.lu
 
     def count_krylov(_):
         nonlocal krylov_iters
@@ -236,23 +296,14 @@ def solve_dirichlet(problem: PdeProblem) -> PdeSolution:
 
     while rnorm > RESIDUAL_TOL and iters < MAX_NEWTON_ITERS:
         J = As + sp.diags(2.0 * h2 * kappa * np.exp(2.0 * u))
-        step = None
-        if precond is not None:
-            step, info = spla.gmres(
-                J, -res, rtol=_KRYLOV_RTOL, atol=0.0, restart=20, maxiter=3,
-                M=precond, callback=count_krylov, callback_type="pr_norm",
-            )
-            if info != 0:
-                step = None
-        if step is None:
-            lu = spla.splu(
-                J.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                options=dict(SymmetricMode=True),
-            )
-            # an explicit dtype spares LinearOperator a probing solve
-            precond = spla.LinearOperator(J.shape, lu.solve, dtype=float)
+        step, info = spla.gmres(
+            J, -res, rtol=_KRYLOV_RTOL, atol=0.0, restart=20, maxiter=3,
+            M=precond, callback=count_krylov, callback_type="pr_norm",
+        )
+        if info != 0:
+            precond = _factor(J)
             factorizations += 1
-            step = lu.solve(-res)
+            step = precond.matvec(-res)
         for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
             trial = u + alpha * step
             tres = scaled_residual(trial)
@@ -324,7 +375,7 @@ def oracle_validate(B: FiniteBlaschke, radius: float, n: int = 257) -> float:
 
     problem = divisor_reduced_problem(C, radius, trace, n)
     sol = solve_dirichlet(problem)
-    nodes = _grid_nodes(n, radius)[sol.mask]
+    nodes = _grid(n, radius).nodes[sol.mask]
     lam_pde = divisor_poly(C)(nodes) * np.exp(sol.u[sol.mask])
     lam_ref = trace(nodes)
     keep = lam_ref > 0.0

@@ -113,6 +113,11 @@ def test_unknown_command_rejected_by_parser(tmp_path):
         ("converge", {"points": [], "n_max": "x"}, []),
         ("converge", {"points": [], "n_max": INF}, []),
         ("converge", {"points": [], "n_max": -1}, []),
+        ("verify-extremal", {"points": [], "competitors": 16.7}, []),
+        ("converge",
+         {**_crit([(0.3 + 0j, 1), (-0.2j, 1), (0.5 + 0j, 1)]), "n_max": 2.9},
+         []),
+        ("pde-oracle", MONOMIAL, ["--grid", '{"n": 65.9, "r": 0.5}']),
         ("verify-extremal", {"points": []}, ["--seed", "-1"]),
         ("solve", _crit([(0.3 + 0j, 1), (-0.2j, 1), (0.5 + 0j, 1)]),
          ["--tol", '{"roundtrip_tol": 0}']),
@@ -143,6 +148,7 @@ def test_unknown_command_rejected_by_parser(tmp_path):
          "scaled-no-radius", "moebius-no-coeffs", "scaled-negative",
          "unknown-map", "transplant-list", "competitors-string",
          "competitors-inf", "n-max-string", "n-max-inf", "n-max-negative",
+         "competitors-fraction", "n-max-fraction", "grid-n-fraction",
          "seed-negative",
          "roundtrip-tol-zero", "scale-string",
          "point-nan", "zero-nan", "eta-inf", "moebius-nan", "radius-inf",

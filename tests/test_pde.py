@@ -216,7 +216,7 @@ def test_assembly_matches_loop_reference(n, r):
     assert np.max(np.abs(g - g_ref)) <= 1e-14 * np.max(np.abs(g_ref))
 
 
-def _two_point_problem():
+def _two_point_problem(radius=0.75):
     """Divisor-reduced problem for a degree-3 product with two simple
     critical points inside the sub-disk, from its pullback trace."""
     B = FiniteBlaschke(zeros=(0j, 0.5 + 0j, 0.4j), eta=1.0)
@@ -226,7 +226,7 @@ def _two_point_problem():
 
     C = critical_points(B)
     assert len(C.entries) == 2
-    return divisor_reduced_problem(C, 0.75, trace, 129)
+    return divisor_reduced_problem(C, radius, trace, 129)
 
 
 def _direct_newton(problem):
@@ -276,7 +276,10 @@ def test_preconditioned_newton_matches_direct_newton(two_point_reference):
     assert sol.residual_norm <= 1e-10
 
 
-def test_jacobian_factored_once(monkeypatch):
+def test_laplacian_factored_once_per_grid(monkeypatch):
+    """The grid's Laplacian is factored on its first solve only; a solve on
+    another radius is another grid."""
+    pde._grid.cache_clear()
     factored = []
     splu = pde.spla.splu
 
@@ -285,14 +288,20 @@ def test_jacobian_factored_once(monkeypatch):
         return splu(*args, **kwargs)
 
     monkeypatch.setattr(pde.spla, "splu", counted_splu)
-    sol = solve_dirichlet(_two_point_problem())
+    first = solve_dirichlet(_two_point_problem())
+    second = solve_dirichlet(_two_point_problem())
     assert len(factored) == 1
-    assert sol.factorizations == 1
-    assert sol.newton_iters >= 2 and sol.krylov_iters > 0
+    assert (first.factorizations, second.factorizations) == (1, 0)
+    assert second.newton_iters >= 2 and second.krylov_iters > 0
+    assert np.array_equal(first.u, second.u, equal_nan=True)
+    other = solve_dirichlet(_two_point_problem(radius=0.7))
+    assert len(factored) == 2
+    assert other.factorizations == 1
 
 
 def test_refactors_when_krylov_fails(monkeypatch, two_point_reference):
     u_ref, iters_ref = two_point_reference
+    clean = solve_dirichlet(_two_point_problem())
 
     def failing_gmres(A, b, **kwargs):
         return np.zeros_like(b), 1
@@ -303,3 +312,22 @@ def test_refactors_when_krylov_fails(monkeypatch, two_point_reference):
     assert sol.newton_iters == iters_ref
     assert sol.factorizations == sol.newton_iters
     assert np.nanmax(np.abs(sol.u - u_ref)) <= 1e-12
+
+    # the Jacobian LUs of the fallback stay with that solve: the next one
+    # is preconditioned by the grid's Laplacian again
+    monkeypatch.undo()
+    after = solve_dirichlet(_two_point_problem())
+    assert after.factorizations == 0
+    assert after.newton_iters == iters_ref
+    assert np.nanmax(np.abs(after.u - u_ref)) <= 1e-12
+    assert after.krylov_iters == clean.krylov_iters
+
+
+def test_solution_mask_is_read_only():
+    """The mask is the cached grid's; writing into it raises instead of
+    changing the next solve on the grid."""
+    prob = constant_curvature_problem(65, 0.6, -4.0, const_boundary(2.0))
+    sol = solve_dirichlet(prob)
+    with pytest.raises(ValueError):
+        sol.mask[0, 0] = True
+    assert np.array_equal(solve_dirichlet(prob).u, sol.u, equal_nan=True)
