@@ -304,7 +304,7 @@ def critical_numerator_coeffs(zeros):
     without moving its roots.  One forward scan over the zeros carries
     ``(prod P_j, sum_k w_k prod_{j != k} P_j)`` with ``P_j(z) = (z - a_j)
     (1 - conj(a_j) z)`` and ``w_j = 1 - |a_j|^2``, the recurrence that
-    ``solver._assemble`` runs on Taylor jets; the sum is kept padded to the
+    ``solver._Conditions`` runs on Taylor jets; the sum is kept padded to the
     length of the product, so its two leading entries stay zero.
     """
     p = np.ones(1, dtype=complex)

@@ -117,6 +117,7 @@ class JobConfig:
             }
         except (TypeError, ValueError) as exc:
             raise InputError(f"tolerances must be numbers: {exc}") from exc
+        HomotopyConfig(**self.tolerances)  # positive and finite, or raises
 
 
 def _grid(cfg: JobConfig) -> dict:

@@ -74,13 +74,21 @@ class PolarGrid:
         return PolarGrid(2 * self.n_r, 2 * self.n_theta, self.r_max)
 
 
-def _clear_of_zeros(nodes: np.ndarray, zero_set: CriticalSet, h: float):
+def _clear_of_zeros(grid: PolarGrid, zero_set: CriticalSet):
     """True at the nodes farther than two spacings ``h`` from every point of
-    ``zero_set`` (everywhere when the set is empty)."""
-    if not zero_set.entries:
-        return np.ones(nodes.shape, dtype=bool)
-    zs = np.array([p for p, _ in zero_set.entries])
-    return np.min(np.abs(nodes[..., None] - zs), axis=-1) > 2.0 * h
+    ``zero_set`` (everywhere when the set is empty).
+
+    A node on a ring of radius ``r`` is at least ``|r - |p||`` from ``p``,
+    so distances to ``p`` are computed only on the rings within ``3h`` of
+    ``|p|``: the ``2h`` of the test plus one spacing of slack, so that no
+    rounding of either distance can change a node's verdict.
+    """
+    clear = np.ones((grid.n_r, grid.n_theta), dtype=bool)
+    h = grid.h
+    for p, _ in zero_set.entries:
+        rings = np.flatnonzero(np.abs(grid.radii - abs(p)) <= 3.0 * h)
+        clear[rings] &= np.abs(grid.nodes[rings] - p) > 2.0 * h
+    return clear
 
 
 def _max_filter3(a: np.ndarray) -> np.ndarray:
@@ -110,7 +118,7 @@ class DensityField:
             raise InputError("values shape does not match the grid")
         if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
             raise InputError("density values must be finite and nonnegative")
-        clear = _clear_of_zeros(self.grid.nodes, self.zero_set, self.grid.h)
+        clear = _clear_of_zeros(self.grid, self.zero_set)
         if np.any(vals[clear] == 0.0):
             raise InputError(
                 "density vanishes farther than two spacings from its "

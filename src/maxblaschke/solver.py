@@ -13,16 +13,21 @@ damped Newton iteration at each step, and halves the step on failure until
 it falls below ``2**-_STEP_HALVING_LIMIT / _STEPS``, where it raises.  ``Q``
 and its derivatives with respect to ``b_k`` and ``conj(b_k)`` are short
 Taylor jets at the targets, all targets at once, built in factored form by
-one forward and one backward scan over the zeros; the Newton line search
-evaluates only the residual (the forward scan), and the Jacobian is built
-only when a step is taken.  The conjugate-linear structure is handled by
-assembling the real ``2(m-N)``-dimensional system.  The unimodular factor is
-set last so that ``B^(N+1)(0) > 0``.
+one forward and one backward scan over the zeros.  Each Newton iterate is
+scanned once: the forward scan gives the residual, which is all the
+convergence test and the line search need, and when a step is taken the
+Jacobian reuses that scan's prefix pairs and adds only the backward scan.
+What a path step's targets and origin zeros fix is set up once per step.
+The conjugate-linear structure is handled by assembling the real
+``2(m-N)``-dimensional system.  The unimodular factor is set last so that
+``B^(N+1)(0) > 0``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import operator
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -55,6 +60,20 @@ class HomotopyConfig:
     newton_tol: float = 1e-12
     roundtrip_tol: float = 1e-8
 
+    def __post_init__(self):
+        # NaN fails every comparison, so a NaN tolerance would pass any
+        # residual or switch the round-trip check off
+        for f in fields(self):
+            value = getattr(self, f.name)
+            try:
+                ok = 0.0 < value < math.inf
+            except TypeError:
+                ok = False
+            if not ok:
+                raise InputError(
+                    f"{f.name} must be a positive finite number, got {value!r}"
+                )
+
 
 @dataclass
 class SolveReport:
@@ -76,16 +95,7 @@ class SolveReport:
 
 # ----------------------------------------------------------------------
 # jet arithmetic: a jet is [f(c), f'(c)/1!, ..., f^(K)(c)/K!] along the last
-# axis; leading axes stack zeros and targets.
-
-def _jets(coeffs, length):
-    """Stack broadcast coefficient arrays as jets, truncated or zero-padded."""
-    shape = np.broadcast_shapes(*map(np.shape, coeffs))
-    out = np.zeros(shape + (length,), dtype=complex)
-    for i, ci in enumerate(coeffs[:length]):
-        out[..., i] = ci
-    return out
-
+# axis; leading axes stack pairs, zeros and targets.
 
 def _jet_mul(a, b):
     """Truncated product of (broadcast-compatible) stacked jets."""
@@ -95,62 +105,106 @@ def _jet_mul(a, b):
     return out
 
 
-def _assemble(free, n_origin, targets, jacobian=True):
-    """Condition residual and, if ``jacobian``, its Wirtinger blocks.
+class _Conditions:
+    """The conditions of one path step and their Wirtinger derivatives.
 
     With ``P_j(z) = (z - a_j)(1 - conj(a_j) z)`` and ``w_j = 1 - |a_j|^2``
-    over all zeros ``a_j`` (the origin ones included), the critical numerator
-    is ``Q = sum_k w_k prod_{j != k} P_j``.  The residual stacks the Taylor
-    coefficients ``0..k-1`` of ``Q`` at every target ``(c, k)``; the blocks
-    ``A``, ``Bm`` hold their derivatives with respect to each free zero ``b``
-    and ``conj(b)``.
+    over all zeros ``a_j`` (the ``n_origin`` ones at 0 first), the critical
+    numerator is ``Q = sum_k w_k prod_{j != k} P_j``.  The residual stacks
+    the Taylor coefficients ``0..k-1`` of ``Q`` at every target ``(c, k)``;
+    the blocks ``A``, ``Bm`` hold their derivatives with respect to each
+    free zero ``b`` and ``conj(b)``.
 
     Jets at all targets are stacked and padded to the largest multiplicity,
     then scanned over the zeros carrying pairs ``(prod P, weighted
-    leave-one-out sum)``, combined as ``(p_a, s_a)(p_b, s_b) = (p_a p_b,
-    s_a p_b + p_a s_b)``.  The forward scan alone gives ``Q``; with the
-    backward scan, ``u_l = prod_{j != l} P_j`` and ``S_l = sum_{k != l} w_k
-    prod_{j not in {k, l}} P_j`` come from the prefix before ``l`` and the
-    suffix after it, and ``dQ/db_l = -conj(b_l) u_l - (1 - conj(b_l) z) S_l``,
-    ``dQ/dconj(b_l) = -b_l u_l - (z - b_l) z S_l``.  So an assembly costs
+    leave-one-out sum)`` as one array with a leading axis of 2, combined as
+    ``(p_a, s_a)(p_b, s_b) = (p_a p_b, s_a p_b + p_a s_b)``: one jet product
+    per zero, then ``w p`` added to the sum half.  The targets and the pair
+    after the origin zeros, which no free zero touches, are set up once per
+    path step.  :meth:`scan` runs the forward scan of an iterate: its last
+    pair gives ``Q``, and it returns its prefix pairs with it.
+    :meth:`jacobian` takes those pairs and runs only the backward scan:
+    ``u_l = prod_{j != l} P_j`` and ``S_l = sum_{k != l} w_k prod_{j not in
+    {k, l}} P_j`` come from the prefix before ``l`` and the suffix after it,
+    and ``dQ/db_l = -conj(b_l) u_l - (1 - conj(b_l) z) S_l``,
+    ``dQ/dconj(b_l) = -b_l u_l - (z - b_l) z S_l``.  So an iterate costs
     O(d) vectorized jet products and no factor is ever divided out.
     """
-    c = np.array([t for t, _ in targets], dtype=complex)
-    ks = np.array([k for _, k in targets])
-    rows_t = np.repeat(np.arange(len(ks)), ks)
-    rows_j = np.concatenate([np.arange(k) for k in ks])
-    K1 = int(ks.max())
-    a = np.concatenate([np.zeros(n_origin, dtype=complex), free])[:, None]
-    ac = np.conj(a)
-    w = (1.0 - np.abs(a) ** 2)[..., None]
-    P = _jets([(c - a) * (1 - ac * c), 1 - 2 * ac * c + np.abs(a) ** 2, -ac],
-              K1)
-    d = len(a)
-    pre_p = np.empty((d + 1, len(c), K1), dtype=complex)
-    pre_s = np.empty_like(pre_p)
-    pre_p[0], pre_s[0] = _jets([np.ones_like(c)], K1), 0.0
-    for l in range(d):
-        pre_s[l + 1] = _jet_mul(pre_s[l], P[l]) + w[l] * pre_p[l]
-        pre_p[l + 1] = _jet_mul(pre_p[l], P[l])
-    R = pre_s[d][rows_t, rows_j]
-    if not jacobian:
-        return R
-    suf_p = np.empty_like(pre_p)
-    suf_s = np.empty_like(pre_p)
-    suf_p[d], suf_s[d] = pre_p[0], 0.0
-    for l in range(d - 1, n_origin, -1):
-        suf_s[l] = _jet_mul(P[l], suf_s[l + 1]) + w[l] * suf_p[l + 1]
-        suf_p[l] = _jet_mul(P[l], suf_p[l + 1])
-    pp, ps = pre_p[n_origin:d], pre_s[n_origin:d]
-    sp, ss = suf_p[n_origin + 1:], suf_s[n_origin + 1:]
-    u = _jet_mul(pp, sp)
-    S = _jet_mul(ps, sp) + _jet_mul(pp, ss)
-    b, bc = a[n_origin:], ac[n_origin:]
-    lin = _jets([1 - bc * c, -bc], K1)
-    quad = _jets([(c - b) * c, 2 * c - b, 1.0], K1)
-    dq = -bc[..., None] * u - _jet_mul(lin, S)
-    dqbar = -b[..., None] * u - _jet_mul(quad, S)
-    return R, dq[:, rows_t, rows_j].T, dqbar[:, rows_t, rows_j].T
+
+    def __init__(self, n_origin, targets):
+        self.n_origin = n_origin
+        self.c = np.array([t for t, _ in targets], dtype=complex)
+        ks = np.array([k for _, k in targets])
+        self.rows_t = np.repeat(np.arange(len(ks)), ks)
+        self.rows_j = np.concatenate([np.arange(k) for k in ks])
+        self.K1 = int(ks.max())
+        self.one = np.zeros((len(self.c), self.K1), dtype=complex)
+        self.one[:, 0] = 1.0
+        pair = np.stack([self.one, np.zeros_like(self.one)])
+        P, w = self._factors(np.zeros((n_origin, 1), dtype=complex))
+        for l in range(n_origin):
+            pair = self._step(pair, P[l], w[l])
+        self.origin = pair
+
+    def _factors(self, a):
+        """Jets of ``P_j`` and weights ``w_j`` of the zeros ``a`` (a column)."""
+        c, K1 = self.c, self.K1
+        ac = np.conj(a)
+        P = np.zeros((len(a), len(c), K1), dtype=complex)
+        P[..., 0] = (c - a) * (1 - ac * c)
+        if K1 > 1:
+            P[..., 1] = 1 - 2 * ac * c + np.abs(a) ** 2
+        if K1 > 2:
+            P[..., 2] = -ac
+        return P, (1.0 - np.abs(a) ** 2)[..., None]
+
+    @staticmethod
+    def _step(pair, Pl, wl):
+        """The pair after one more zero: ``(p P, s P + w p)``."""
+        out = _jet_mul(pair, Pl)
+        out[1] += wl * pair[0]
+        return out
+
+    def scan(self, free):
+        """Residual of the iterate ``free`` and its forward scan."""
+        n0 = self.n_origin
+        a = np.concatenate([np.zeros(n0, dtype=complex), free])[:, None]
+        P, w = self._factors(a)
+        pre = np.empty((len(free) + 1,) + self.origin.shape, dtype=complex)
+        pre[0] = self.origin
+        for i in range(len(free)):
+            pre[i + 1] = self._step(pre[i], P[n0 + i], w[n0 + i])
+        return pre[-1, 1][self.rows_t, self.rows_j], (a, P, w, pre)
+
+    def jacobian(self, scan):
+        """Blocks ``A``, ``Bm`` at the iterate whose forward scan is ``scan``."""
+        a, P, w, pre = scan
+        n0, c, K1 = self.n_origin, self.c, self.K1
+        n = len(a) - n0
+        suf = np.empty_like(pre)
+        suf[n, 0], suf[n, 1] = self.one, 0.0
+        for i in range(n - 1, 0, -1):
+            # the new factor comes first in the product, as the suffix grows
+            # to the left; swapping the operands would change the rounding
+            out = _jet_mul(P[n0 + i], suf[i + 1])
+            out[1] += w[n0 + i] * suf[i + 1, 0]
+            suf[i] = out
+        sp, ss = suf[1:, 0], suf[1:, 1]
+        us = _jet_mul(pre[:-1], sp[:, None])
+        u, S = us[:, 0], us[:, 1] + _jet_mul(pre[:-1, 0], ss)
+        b = a[n0:]
+        bc = np.conj(b)
+        lq = np.zeros((2, n, len(c), K1), dtype=complex)
+        lq[0, ..., 0] = 1 - bc * c
+        lq[1, ..., 0] = (c - b) * c
+        if K1 > 1:
+            lq[0, ..., 1] = -bc
+            lq[1, ..., 1] = 2 * c - b
+        if K1 > 2:
+            lq[1, ..., 2] = 1.0
+        dq = -np.stack([bc, b])[..., None] * u - _jet_mul(lq, S)
+        dq = dq[:, :, self.rows_t, self.rows_j]
+        return dq[0].T, dq[1].T
 
 
 def _q_coefficient_scale(zeros):
@@ -158,26 +212,26 @@ def _q_coefficient_scale(zeros):
     return float(np.max(np.abs(critical_numerator_coeffs(zeros))))
 
 
-def _newton(free, n_origin, targets, cfg, scale):
+def _newton(free, conditions, cfg, scale):
     """Damped Newton on the free zeros; returns (free, iters, residual).
 
-    The convergence test and every damping trial evaluate the residual
-    alone; an accepted trial's residual carries into the next iteration, and
-    the Jacobian is built only when a step is taken.
+    Each iterate is scanned once: the convergence test and every damping
+    trial run the forward scan alone, and the scan of the accepted iterate
+    (the start, or the trial that won) carries into the next iteration,
+    where the Jacobian reuses it and runs only the backward scan.
     """
     n = len(free)
-    R = _assemble(free, n_origin, targets, jacobian=False)
+    J = np.empty((2 * n, 2 * n))
+    R, scan = conditions.scan(free)
     for it in range(1, _MAX_NEWTON_ITERS + 1):
-        res = float(np.max(np.abs(R))) / scale
+        r_norm = np.max(np.abs(R))
+        res = float(r_norm) / scale
         if res <= cfg.newton_tol:
             return free, it, res
-        _, A, Bm = _assemble(free, n_origin, targets)
-        J = np.block(
-            [
-                [(A + Bm).real, -(A - Bm).imag],
-                [(A + Bm).imag, (A - Bm).real],
-            ]
-        )
+        A, Bm = conditions.jacobian(scan)
+        ApB, AmB = A + Bm, A - Bm
+        J[:n, :n], J[:n, n:] = ApB.real, -AmB.imag
+        J[n:, :n], J[n:, n:] = ApB.imag, AmB.real
         rhs = -np.concatenate([R.real, R.imag])
         try:
             step = np.linalg.solve(J, rhs)
@@ -188,9 +242,9 @@ def _newton(free, n_origin, targets, cfg, scale):
             trial = free + alpha * delta
             if np.any(np.abs(trial) >= 1.0):
                 continue  # a zero escaped the closed disk: shrink the step
-            Rt = _assemble(trial, n_origin, targets, jacobian=False)
-            if np.max(np.abs(Rt)) <= (1 - 0.25 * alpha) * np.max(np.abs(R)):
-                free, R = trial, Rt
+            Rt, st = conditions.scan(trial)
+            if np.max(np.abs(Rt)) <= (1 - 0.25 * alpha) * r_norm:
+                free, R, scan = trial, Rt, st
                 break
         else:
             raise NumericalError("Newton step rejected (no admissible damping)")
@@ -271,6 +325,7 @@ def solve_maximal(
                 candidates.append(
                     _collapsed_predictor(n_origin - 1, targets, m)
                 )
+            conditions = _Conditions(n_origin, targets)
             accepted = None
             for predictor in candidates:
                 if np.any(np.abs(predictor) >= 1.0):
@@ -279,7 +334,7 @@ def solve_maximal(
                     [0j] * n_origin + list(predictor)
                 )
                 try:
-                    accepted = _newton(predictor, n_origin, targets, cfg, scale)
+                    accepted = _newton(predictor, conditions, cfg, scale)
                 except NumericalError:
                     continue
                 break
@@ -346,6 +401,10 @@ def truncation_sequence(
     beyond rounding slack raises.
     """
     points = list(points)
+    try:
+        n_max = operator.index(n_max)
+    except TypeError:
+        raise InputError(f"n_max must be an integer, got {n_max!r}") from None
     if n_max < 0:
         raise InputError("n_max must be nonnegative")
     if n_max > len(points):

@@ -121,6 +121,15 @@ def test_unknown_command_rejected_by_parser(tmp_path):
         ("verify-extremal", {"points": []}, ["--seed", "-1"]),
         ("solve", _crit([(0.3 + 0j, 1), (-0.2j, 1), (0.5 + 0j, 1)]),
          ["--tol", '{"roundtrip_tol": 0}']),
+        ("solve", _crit([(0.3 + 0j, 1), (-0.2j, 1), (0.5 + 0j, 1)]),
+         ["--tol", '{"roundtrip_tol": 1e-300}']),
+        ("solve", _crit([(0.3 + 0j, 1)]), ["--tol", '{"roundtrip_tol": NaN}']),
+        ("solve", _crit([(0.3 + 0j, 1)]),
+         ["--tol", '{"roundtrip_tol": Infinity}']),
+        ("solve", _crit([(0.3 + 0j, 1)]), ["--tol", '{"newton_tol": NaN}']),
+        ("solve", _crit([(0.3 + 0j, 1)]), ["--tol", '{"newton_tol": -1e-12}']),
+        ("pde-oracle", MONOMIAL,
+         ["--grid", '{"n": 65, "r": 0.5}', "--tol", '{"newton_tol": 0}']),
         ("union",
          {"first": {"points": []}, "second": {"points": []}, "scale": "x"},
          []),
@@ -150,7 +159,9 @@ def test_unknown_command_rejected_by_parser(tmp_path):
          "competitors-inf", "n-max-string", "n-max-inf", "n-max-negative",
          "competitors-fraction", "n-max-fraction", "grid-n-fraction",
          "seed-negative",
-         "roundtrip-tol-zero", "scale-string",
+         "roundtrip-tol-zero", "roundtrip-tol-tiny", "roundtrip-tol-nan",
+         "roundtrip-tol-inf", "newton-tol-nan", "newton-tol-negative",
+         "pde-oracle-newton-tol-zero", "scale-string",
          "point-nan", "zero-nan", "eta-inf", "moebius-nan", "radius-inf",
          "outside-domain", "moebius-pole"],
 )

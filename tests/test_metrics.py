@@ -6,6 +6,7 @@ from maxblaschke.blaschke import CriticalSet, FiniteBlaschke
 from maxblaschke.errors import InputError, NumericalError
 from maxblaschke.metrics import (
     DensityField,
+    _clear_of_zeros,
     _max_filter3,
     PolarGrid,
     ahlfors_check,
@@ -50,6 +51,40 @@ def test_max_filter_equals_scipy(shape):
         a[rng.random(shape) < 0.1] = np.inf
         ref = maximum_filter(a, size=3, mode=("nearest", "wrap"))
         assert np.array_equal(_max_filter3(a), ref)
+
+
+def _dense_clear(grid, zero_set):
+    """Every node's distance to every point: the formula the band-limited
+    mask must reproduce."""
+    if not zero_set.entries:
+        return np.ones(grid.nodes.shape, dtype=bool)
+    zs = np.array([p for p, _ in zero_set.entries])
+    return np.min(np.abs(grid.nodes[..., None] - zs), axis=-1) > 2.0 * grid.h
+
+
+@pytest.mark.parametrize(
+    "grid", [GRID, PolarGrid(), PolarGrid(n_r=8, n_theta=8, r_max=0.5)])
+def test_clear_of_zeros_equals_dense_formula(grid):
+    rng = np.random.default_rng([grid.n_r, grid.n_theta])
+    h, r = grid.h, grid.radii
+    # moduli at 0, on and around the innermost ring, the band's edges
+    # and r_max; angles random, or exactly a node's
+    moduli = [0.0, r[0], r[0] + 2 * h, max(r[0] - 2 * h, 0.0), r[1],
+              r[-1], r[-1] - 2 * h, r[-2], min(r[-1] + 2 * h, 0.99),
+              0.5 * (r[0] + r[1])]
+    assert _clear_of_zeros(grid, CriticalSet()).all()
+    for _ in range(40):
+        count = int(rng.integers(1, 4))
+        mods = rng.choice(moduli, count) + rng.choice(
+            [0.0, 1e-12, -1e-12, 1e-3], count)
+        mods = np.clip(mods, 0.0, 0.999)
+        angles = np.where(rng.random(count) < 0.5,
+                          grid.thetas[rng.integers(0, grid.n_theta, count)],
+                          2 * np.pi * rng.random(count))
+        points = mods * np.exp(1j * angles)
+        points = list(dict.fromkeys(complex(p) for p in points))
+        C = CriticalSet(tuple((p, 1) for p in points))
+        assert np.array_equal(_clear_of_zeros(grid, C), _dense_clear(grid, C))
 
 
 def test_grid_refine_doubles():

@@ -15,7 +15,8 @@ from maxblaschke.disk import RiemannMapSpec
 from maxblaschke.errors import InputError, NumericalError
 from maxblaschke.solver import (
     HomotopyConfig,
-    _assemble,
+    _Conditions,
+    _jet_mul,
     solve_maximal,
     transplant,
     truncation_sequence,
@@ -108,9 +109,18 @@ def test_tight_tolerance_is_honored():
 
 
 def test_roundtrip_tolerance_is_enforced():
-    cfg = HomotopyConfig(roundtrip_tol=0.0)
+    cfg = HomotopyConfig(roundtrip_tol=1e-300)
     with pytest.raises(NumericalError, match="round trip off by"):
         solve_maximal(CriticalSet.from_points([0.3, -0.2j, 0.5]), cfg)
+
+
+@pytest.mark.parametrize("field", ["newton_tol", "roundtrip_tol"])
+@pytest.mark.parametrize("value", [0.0, -1e-8, math.nan, math.inf, "1e-8"])
+def test_config_rejects_tolerance_that_is_not_positive_finite(field, value):
+    """A NaN round-trip tolerance would switch the round-trip check off, and
+    a NaN or nonpositive Newton tolerance would end in a breakdown."""
+    with pytest.raises(InputError, match=field):
+        HomotopyConfig(**{field: value})
 
 
 def test_trace_reaches_t_one():
@@ -166,6 +176,13 @@ ASSEMBLY_CASES = [
 ]
 
 
+def _assemble(free, n_origin, targets):
+    """Residual and Wirtinger blocks from one forward scan and its reuse."""
+    conditions = _Conditions(n_origin, targets)
+    R, scan = conditions.scan(free)
+    return (R,) + conditions.jacobian(scan)
+
+
 @pytest.mark.parametrize("n_origin, free, targets", ASSEMBLY_CASES)
 def test_assembly_matches_expanded_numerator(n_origin, free, targets):
     free = np.array(free, dtype=complex)
@@ -175,7 +192,6 @@ def test_assembly_matches_expanded_numerator(n_origin, free, targets):
 
     R, A, Bm = _assemble(free, n_origin, targets)
     assert np.allclose(R, rows(free), rtol=1e-12, atol=1e-14)
-    assert np.array_equal(_assemble(free, n_origin, targets, jacobian=False), R)
 
     h = 1e-6
     for l in range(len(free)):
@@ -185,6 +201,109 @@ def test_assembly_matches_expanded_numerator(n_origin, free, targets):
         dy = (rows(free + 1j * e) - rows(free - 1j * e)) / (2 * h)
         assert np.allclose(A[:, l], (dx - 1j * dy) / 2, rtol=0, atol=1e-8)
         assert np.allclose(Bm[:, l], (dx + 1j * dy) / 2, rtol=0, atol=1e-8)
+
+
+def _jets(coeffs, length):
+    """Stack broadcast coefficient arrays as jets, truncated or zero-padded."""
+    shape = np.broadcast_shapes(*map(np.shape, coeffs))
+    out = np.zeros(shape + (length,), dtype=complex)
+    for i, ci in enumerate(coeffs[:length]):
+        out[..., i] = ci
+    return out
+
+
+def _reference_assemble(free, n_origin, targets, jacobian=True):
+    """The assembly as one function, with separate product and sum scans,
+    rebuilding the targets and rescanning the origin zeros on every call.
+    The solver must reproduce it bit for bit."""
+    c = np.array([t for t, _ in targets], dtype=complex)
+    ks = np.array([k for _, k in targets])
+    rows_t = np.repeat(np.arange(len(ks)), ks)
+    rows_j = np.concatenate([np.arange(k) for k in ks])
+    K1 = int(ks.max())
+    a = np.concatenate([np.zeros(n_origin, dtype=complex), free])[:, None]
+    ac = np.conj(a)
+    w = (1.0 - np.abs(a) ** 2)[..., None]
+    P = _jets([(c - a) * (1 - ac * c), 1 - 2 * ac * c + np.abs(a) ** 2, -ac],
+              K1)
+    d = len(a)
+    pre_p = np.empty((d + 1, len(c), K1), dtype=complex)
+    pre_s = np.empty_like(pre_p)
+    pre_p[0], pre_s[0] = _jets([np.ones_like(c)], K1), 0.0
+    for l in range(d):
+        pre_s[l + 1] = _jet_mul(pre_s[l], P[l]) + w[l] * pre_p[l]
+        pre_p[l + 1] = _jet_mul(pre_p[l], P[l])
+    R = pre_s[d][rows_t, rows_j]
+    if not jacobian:
+        return R
+    suf_p = np.empty_like(pre_p)
+    suf_s = np.empty_like(pre_p)
+    suf_p[d], suf_s[d] = pre_p[0], 0.0
+    for l in range(d - 1, n_origin, -1):
+        suf_s[l] = _jet_mul(P[l], suf_s[l + 1]) + w[l] * suf_p[l + 1]
+        suf_p[l] = _jet_mul(P[l], suf_p[l + 1])
+    pp, ps = pre_p[n_origin:d], pre_s[n_origin:d]
+    sp, ss = suf_p[n_origin + 1:], suf_s[n_origin + 1:]
+    u = _jet_mul(pp, sp)
+    S = _jet_mul(ps, sp) + _jet_mul(pp, ss)
+    b, bc = a[n_origin:], ac[n_origin:]
+    lin = _jets([1 - bc * c, -bc], K1)
+    quad = _jets([(c - b) * c, 2 * c - b, 1.0], K1)
+    dq = -bc[..., None] * u - _jet_mul(lin, S)
+    dqbar = -b[..., None] * u - _jet_mul(quad, S)
+    return R, dq[:, rows_t, rows_j].T, dqbar[:, rows_t, rows_j].T
+
+
+def _seeded_states(count, seed=14):
+    """(n_origin, free, targets): 1-3 origin zeros, 1-8 free zeros, 1-5
+    targets of multiplicity 1-3."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n_free = int(rng.integers(1, 9))
+        free = rng.uniform(0, 0.9, n_free) * np.exp(
+            2j * np.pi * rng.random(n_free))
+        targets = [(complex(rng.uniform(0, 0.8)
+                            * np.exp(2j * np.pi * rng.random())),
+                    int(rng.integers(1, 4)))
+                   for _ in range(int(rng.integers(1, 6)))]
+        yield int(rng.integers(1, 4)), free, targets
+
+
+def _assert_equals_reference(n_origin, free, targets):
+    free = np.array(free, dtype=complex)
+    R0, A0, Bm0 = _reference_assemble(free, n_origin, targets)
+    R, A, Bm = _assemble(free, n_origin, targets)
+    assert np.array_equal(R, R0)
+    assert np.array_equal(A, A0)
+    assert np.array_equal(Bm, Bm0)
+
+
+@pytest.mark.parametrize("n_origin, free, targets", ASSEMBLY_CASES)
+def test_assembly_equals_reference_bit_for_bit(n_origin, free, targets):
+    """The factored scans change the numpy calls, not the arithmetic: every
+    entry of R, A and Bm equals the reference's exactly."""
+    _assert_equals_reference(n_origin, free, targets)
+
+
+def test_assembly_equals_reference_on_seeded_states():
+    for n_origin, free, targets in _seeded_states(200):
+        _assert_equals_reference(n_origin, free, targets)
+
+
+def test_reused_scan_gives_the_fresh_blocks():
+    """Newton keeps the scan of the accepted iterate across other trials;
+    the Jacobian built from it equals one built from a fresh scan."""
+    for n_origin, free, targets in _seeded_states(20, seed=7):
+        conditions = _Conditions(n_origin, targets)
+        R, kept = conditions.scan(free)
+        conditions.scan(0.5 * free)  # a rejected damping trial
+        A, Bm = conditions.jacobian(kept)
+        R_fresh, fresh = _Conditions(n_origin, targets).scan(free)
+        A_fresh, Bm_fresh = conditions.jacobian(fresh)
+        assert np.array_equal(R, R_fresh)
+        assert np.array_equal(A, A_fresh)
+        assert np.array_equal(Bm, Bm_fresh)
+        assert np.array_equal(conditions.jacobian(kept)[0], A)
 
 
 # ----------------------------------------------------------------------
@@ -208,6 +327,12 @@ def test_truncation_rejects_long_prefix():
         truncation_sequence([0.5], 2)
     with pytest.raises(InputError):
         truncation_sequence([0.5], -1)
+
+
+@pytest.mark.parametrize("n_max", [1.5, 1.0, "1", None])
+def test_truncation_rejects_non_integral_length(n_max):
+    with pytest.raises(InputError, match="n_max"):
+        truncation_sequence([0.5, -0.5], n_max)
 
 
 # ----------------------------------------------------------------------
