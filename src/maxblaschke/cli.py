@@ -53,7 +53,7 @@ EXIT_BAD_JSON = 3
 
 _TOLERANCES = tuple(f.name for f in fields(HomotopyConfig))
 _GRID_DEFAULTS = {
-    "n_r": 128, "n_theta": 512, "r_max": 0.95,  # polar grid
+    **{f.name: f.default for f in fields(PolarGrid)},  # n_r, n_theta, r_max
     "n": 257, "r": 0.75,  # PDE oracle
 }
 #: Largest grid, in nodes, a job may ask for: n_r * n_theta for the polar
@@ -76,6 +76,8 @@ class JobConfig:
     grid: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
     seed: int = 0
+    #: the solver configuration built from ``tolerances``
+    homotopy: HomotopyConfig = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -100,7 +102,10 @@ class JobConfig:
                 )
         if self.grid.get("r_max", 0.0) >= 1.0 or self.grid.get("r", 0.0) >= 1.0:
             raise InputError("grid radius must be < 1")
-        g = _grid(self)
+        # the job's grid: defaults filled in, node counts as ints
+        g = self.grid = {**_GRID_DEFAULTS, **self.grid}
+        for key in ("n_r", "n_theta", "n"):
+            g[key] = _count(g[key], f"grid parameter {key}")
         for nodes in (g["n_r"] * g["n_theta"], g["n"] ** 2):
             if nodes > _MAX_GRID_NODES:
                 raise InputError(
@@ -117,22 +122,14 @@ class JobConfig:
             }
         except (TypeError, ValueError) as exc:
             raise InputError(f"tolerances must be numbers: {exc}") from exc
-        HomotopyConfig(**self.tolerances)  # positive and finite, or raises
-
-
-def _grid(cfg: JobConfig) -> dict:
-    """The job's grid parameters, defaults filled in, node counts as ints."""
-    g = {**_GRID_DEFAULTS, **cfg.grid}
-    for key in ("n_r", "n_theta", "n"):
-        g[key] = _count(g[key], f"grid parameter {key}")
-    return g
+        # positive and finite, or raises
+        self.homotopy = HomotopyConfig(**self.tolerances)
 
 
 def _polar_grid(cfg: JobConfig) -> PolarGrid:
-    g = _grid(cfg)
-    return PolarGrid(
-        n_r=g["n_r"], n_theta=g["n_theta"], r_max=float(g["r_max"])
-    )
+    """The job's polar grid, built only by the commands that read it: the
+    others accept grids that PolarGrid would reject."""
+    return PolarGrid(**{f.name: cfg.grid[f.name] for f in fields(PolarGrid)})
 
 
 def _count(value, name: str) -> int:
@@ -164,11 +161,11 @@ def _points(data: dict, command: str) -> list:
 def _solved(data: dict, cfg: JobConfig):
     """The input's critical set and its maximal solve."""
     C = CriticalSet.from_dict(data)
-    return C, solve_maximal(C, HomotopyConfig(**cfg.tolerances))
+    return C, solve_maximal(C, cfg.homotopy)
 
 
 # Report builders: ``builder(data, cfg)`` returns the report body, or for
-# _CSV_COMMANDS the node values and the sidecar body.
+# _CSV_COMMANDS the polar grid, its node values and the sidecar body.
 
 
 def _solve(data: dict, cfg: JobConfig) -> dict:
@@ -193,7 +190,7 @@ def _critpoints(data: dict, cfg: JobConfig) -> dict:
 def _metric(data: dict, cfg: JobConfig):
     _, rep = _solved(data, cfg)
     lam = pullback_density(rep.solution, _polar_grid(cfg))
-    return lam.values, {
+    return lam.grid, lam.values, {
         "tolerances": cfg.tolerances,
         "functional": rep.functional_value,
         "zero_set": lam.zero_set.to_dict(),
@@ -207,7 +204,7 @@ def _curvature(data: dict, cfg: JobConfig):
     band = _curvature_band(grid.h)
     deviation = curv.max_deviation(-4.0)
     # uncertified stencil values are rounding noise beside critical points
-    return np.where(curv.defined, curv.values, np.nan), {
+    return grid, np.where(curv.defined, curv.values, np.nan), {
         "tolerances": cfg.tolerances,
         "band": band,
         "max_deviation": deviation,
@@ -221,8 +218,7 @@ def _pde_oracle(data: dict, cfg: JobConfig) -> dict:
     from .pde import oracle_validate
 
     B = FiniteBlaschke.from_dict(data)
-    g = _grid(cfg)
-    n, r = g["n"], float(g["r"])
+    n, r = cfg.grid["n"], cfg.grid["r"]
     deviation = oracle_validate(B, r, n)
     h = 2.0 * r / (n - 1)
     budget = 5.0 * h * h
@@ -245,12 +241,11 @@ def _verify_extremal(data: dict, cfg: JobConfig) -> dict:
     C, rep = _solved(data, cfg)
     rng = np.random.default_rng(cfg.seed)
     specs = default_competitor_specs(C, count, rng)
-    hc = HomotopyConfig(**cfg.tolerances)
     return {
         "seed": cfg.seed,
         "tolerances": cfg.tolerances,
         "margin_tolerance": MARGIN_TOL,
-        **extremality_suite(C, rep.solution, specs, hc),
+        **extremality_suite(C, rep.solution, specs, cfg.homotopy),
     }
 
 
@@ -278,9 +273,8 @@ def _compose(data: dict, cfg: JobConfig) -> dict:
         raise InputError(
             "compose input needs 'outer' and 'inner' products"
         ) from exc
-    hc = HomotopyConfig(**cfg.tolerances)
-    semi = semigroup_check(inner, outer, hc)
-    left = left_factor_check(outer, inner, hc)
+    semi = semigroup_check(inner, outer, cfg.homotopy)
+    left = left_factor_check(outer, cfg.homotopy)
     return {
         "tolerances": cfg.tolerances,
         "match_tolerance": MATCH_TOL,
@@ -299,19 +293,17 @@ def _union(data: dict, cfg: JobConfig) -> dict:
             "union input needs 'first' and 'second' critical sets"
         ) from exc
     c = _scalar(data, "scale", 0.5)
-    hc = HomotopyConfig(**cfg.tolerances)
     return {
         "tolerances": cfg.tolerances,
         "scale": c,
-        **union_suite(C1, C2, c, _polar_grid(cfg), hc),
+        **union_suite(C1, C2, c, _polar_grid(cfg), cfg.homotopy),
     }
 
 
 def _converge(data: dict, cfg: JobConfig) -> dict:
     points = _points(data, "converge")
     n_max = _count(data.get("n_max", len(points)), "input field 'n_max'")
-    hc = HomotopyConfig(**cfg.tolerances)
-    result = truncation_sequence(points, n_max, hc)
+    result = truncation_sequence(points, n_max, cfg.homotopy)
     fn = result.functionals
     sups = result.sup_differences
     non_increasing = all(
@@ -349,7 +341,7 @@ def _map_spec(data) -> RiemannMapSpec:
 def _transplant(data: dict, cfg: JobConfig) -> dict:
     spec = _map_spec(data.get("map", {"kind": "identity"}))
     points = _points(data, "transplant")
-    result = transplant(points, spec, HomotopyConfig(**cfg.tolerances))
+    result = transplant(points, spec, cfg.homotopy)
     return {
         "tolerances": cfg.tolerances,
         "disk_critical_set": result.disk_critical_set.to_dict(),
@@ -398,10 +390,10 @@ def run(cfg: JobConfig) -> int:
     if not isinstance(data, dict):
         raise InputError("input must hold a JSON object")
     built = _BUILDERS[cfg.command](data, cfg)
-    values, body = built if csv else (None, built)
+    grid, values, body = built if csv else (None, None, built)
     report = {"command": cfg.command, **body}
     if csv:
-        field_to_csv(_polar_grid(cfg), values, cfg.output_path, sidecar=report)
+        field_to_csv(grid, values, cfg.output_path, sidecar=report)
     elif cfg.output_path:
         write_json(report, cfg.output_path)
     else:
@@ -424,7 +416,7 @@ def _build_config(args) -> JobConfig:
             job[key] = json.loads(value) if flag in ("grid", "tol") else value
     if "command" not in job:
         raise InputError("no command given (positional argument or job file)")
-    unknown = set(job) - {f.name for f in fields(JobConfig)}
+    unknown = set(job) - {f.name for f in fields(JobConfig) if f.init}
     if unknown:
         raise InputError(f"unknown job field(s): {sorted(unknown)}")
     return JobConfig(**job)

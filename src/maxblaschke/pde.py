@@ -16,18 +16,20 @@ Discretization: Cartesian grid masked to the disk, with cut-cell (unequal
 arm) 5-point stencils where an arm crosses the circle (Shortley & Weller,
 J. Appl. Phys. 9, 1938), so the boundary data enters exactly on the circle.
 The stencil matrix depends only on the grid size and the radius, so each
-such grid is built, and its Laplacian LU-factored, once (the two grids used
-last stay cached); the boundary trace is read once per assembly, at every
-arm's crossing point, and enters only the right-hand side.  The nonlinear
-system is solved by damped Newton; for kappa <= 0 the negated Jacobian is an
-irreducibly diagonally dominant M-matrix, so the linear solves are well
-posed.  The Jacobian is the grid's Laplacian plus an O(h^2) diagonal, so
-every Newton step is taken by GMRES preconditioned with the Laplacian's LU,
-the fixed fast-solver preconditioner of Concus & Golub (*Use of fast direct
-methods for the efficient numerical solution of nonseparable elliptic
-equations*, SIAM J. Numer. Anal. 10, 1973), in an inexact Newton iteration
-(Kelley, *Solving Nonlinear Equations with Newton's Method*, SIAM 2003).
-Only a GMRES failure factors a Jacobian, for that solve alone.
+such grid is built once (the two grids used last stay cached) and holds only
+what the solves read: the Laplacian scaled by h^2/4, that factor h2, and the
+scaled Laplacian's LU.  Each solve looks its grid up once and reads the
+boundary trace once, at every arm's crossing point, where it enters only the
+right-hand side.  The nonlinear system is solved by damped Newton; for
+kappa <= 0 the negated Jacobian is an irreducibly diagonally dominant
+M-matrix, so the linear solves are well posed.  The Jacobian is the grid's
+Laplacian plus an O(h^2) diagonal, so every Newton step is taken by GMRES
+preconditioned with the Laplacian's LU, the fixed fast-solver
+preconditioner of Concus & Golub (*Use of fast direct methods for the
+efficient numerical solution of nonseparable elliptic equations*, SIAM J.
+Numer. Anal. 10, 1973), in an inexact Newton iteration (Kelley, *Solving
+Nonlinear Equations with Newton's Method*, SIAM 2003).  Only a GMRES
+failure factors a Jacobian, for that solve alone.
 """
 
 from __future__ import annotations
@@ -92,9 +94,6 @@ class PdeProblem:
         if not (callable(self.curvature) and callable(self.boundary)):
             raise InputError("PDE curvature and boundary must be callables")
 
-    def curvature_at(self, z):
-        return np.asarray(self.curvature(z), dtype=float)
-
     @property
     def spacing(self) -> float:
         return 2.0 * self.radius / (self.n - 1)
@@ -117,7 +116,6 @@ class PdeSolution:
     scale would not allow on fine grids).
     """
 
-    problem: PdeProblem
     u: np.ndarray
     mask: np.ndarray
     residual_norm: float
@@ -130,20 +128,20 @@ class PdeSolution:
 class _Grid:
     """The (n, radius)-only part of the discretization, arrays read-only.
 
-    ``nodes``/``mask``: the complex grid and its interior; ``A``: the cut-cell
-    Laplacian on the interior nodes; ``cut_rows``, ``cut_coefs`` and
-    ``crossings``: each cut arm's row, stencil coefficient and crossing point
-    on the circle; ``As`` = A h^2/4, the scaled Laplacian, and ``lu`` its
-    sparse LU as a LinearOperator, the Newton preconditioner.
+    ``nodes``/``mask``: the complex grid and its interior; ``cut_rows``,
+    ``cut_coefs`` and ``crossings``: each cut arm's row, stencil coefficient
+    (of the unscaled Laplacian) and crossing point on the circle; ``As``: the
+    cut-cell Laplacian on the interior nodes times ``h2`` = h^2/4, and
+    ``lu`` its sparse LU as a LinearOperator, the Newton preconditioner.
     """
 
     nodes: np.ndarray
     mask: np.ndarray
-    A: sp.csr_matrix
     cut_rows: np.ndarray
     cut_coefs: np.ndarray
     crossings: np.ndarray
     As: sp.csr_matrix
+    h2: float
     lu: spla.LinearOperator
 
 
@@ -217,42 +215,42 @@ def _grid(n: int, radius: float) -> _Grid:
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(N, N),
     )
-    As = A * (h ** 2 / 4.0)
+    h2 = h ** 2 / 4.0
+    As = A * h2
     lu = _factor(As)
     cut_rows, cut_coefs, crossings = (
         np.concatenate(a) for a in (cut_rows, cut_coefs, crossings)
     )
-    for arr in (nodes, mask, cut_rows, cut_coefs, crossings, A.data,
-                A.indices, A.indptr, As.data, As.indices, As.indptr):
+    for arr in (nodes, mask, cut_rows, cut_coefs, crossings, As.data,
+                As.indices, As.indptr):
         arr.flags.writeable = False
-    return _Grid(nodes, mask, A, cut_rows, cut_coefs, crossings, As, lu)
+    return _Grid(nodes, mask, cut_rows, cut_coefs, crossings, As, h2, lu)
 
 
-def _assemble(problem: PdeProblem):
-    """Cut-cell 5-point Laplacian: matrix on interior nodes + boundary term.
+def _assemble(problem: PdeProblem, grid: _Grid):
+    """The boundary term of ``problem`` on ``grid``: Delta_h u = A u + g.
 
-    Returns (A, g, mask, nodes, log_b_min): Delta_h u = A u + g, with g
-    holding the boundary-data contributions from arms cut by the circle, and
-    log_b_min the smallest log trace value the stencil reads.  A, mask and
-    nodes are the cached grid's; only the one ``problem.boundary`` call and
-    g are per problem.
+    Returns (g, log_b_min): g holds the boundary-data contributions from
+    arms cut by the circle to the unscaled stencil, and log_b_min is the
+    smallest log trace value the stencil reads.  ``problem.boundary`` is
+    called once, at every crossing point.
     """
-    grid = _grid(problem.n, problem.radius)
     b = np.asarray(problem.boundary(grid.crossings), dtype=float)
     if np.any(b <= 0.0) or not np.all(np.isfinite(b)):
         raise InputError("boundary trace must be positive")
     log_b = np.log(b)
-    g = np.zeros(grid.A.shape[0])
+    g = np.zeros(grid.As.shape[0])
     np.add.at(g, grid.cut_rows, grid.cut_coefs * log_b)
-    return grid.A, g, grid.mask, grid.nodes, float(log_b.min())
+    return g, float(log_b.min())
 
 
 def solve_dirichlet(problem: PdeProblem) -> PdeSolution:
     """Damped Newton for the discretized problem.
 
-    Starts from the constant u = min log b over the trace values the stencil
-    reads (for kappa <= 0 this sits below the solution, where Newton for this
-    monotone problem is reliable).
+    The grid of (n, radius) is looked up once and the boundary trace read
+    once, for the boundary term.  Starts from the constant u = min log b over
+    the trace values the stencil reads (for kappa <= 0 this sits below the
+    solution, where Newton for this monotone problem is reliable).
 
     The Jacobian is As + diag(2 h^2/4 kappa e^{2u}), the grid's scaled
     Laplacian plus an O(h^2) diagonal, so every Newton step, the first
@@ -271,14 +269,14 @@ def solve_dirichlet(problem: PdeProblem) -> PdeSolution:
         MAX_NEWTON_ITERS damped iterations (final residual in the message).
     """
     misses = _grid.cache_info().misses
-    _, g, mask, nodes, log_b_min = _assemble(problem)
     grid = _grid(problem.n, problem.radius)
     factorizations = _grid.cache_info().misses - misses
-    kappa = problem.curvature_at(nodes[mask])
+    g, log_b_min = _assemble(problem, grid)
+    mask = grid.mask
+    kappa = np.asarray(problem.curvature(grid.nodes[mask]), dtype=float)
     if np.any(kappa > 0.0) or not np.all(np.isfinite(kappa)):
         raise InputError("curvature must be nonpositive and finite")
-    h2 = problem.spacing ** 2 / 4.0
-    As = grid.As
+    As, h2 = grid.As, grid.h2
     gs = g * h2
     u = np.full(As.shape[0], log_b_min)
 
@@ -323,9 +321,7 @@ def solve_dirichlet(problem: PdeProblem) -> PdeSolution:
         )
     full = np.full(mask.shape, np.nan)
     full[mask] = u
-    return PdeSolution(
-        problem, full, mask, rnorm, iters, factorizations, krylov_iters
-    )
+    return PdeSolution(full, mask, rnorm, iters, factorizations, krylov_iters)
 
 
 def constant_curvature_problem(

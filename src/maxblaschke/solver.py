@@ -121,8 +121,9 @@ class _Conditions:
     ``(p_a, s_a)(p_b, s_b) = (p_a p_b, s_a p_b + p_a s_b)``: one jet product
     per zero, then ``w p`` added to the sum half.  The targets and the pair
     after the origin zeros, which no free zero touches, are set up once per
-    path step.  :meth:`scan` runs the forward scan of an iterate: its last
-    pair gives ``Q``, and it returns its prefix pairs with it.
+    path step.  :meth:`scan` runs the forward scan of an iterate from that
+    pair, building factor jets for the free zeros only: its last pair gives
+    ``Q``, and it returns its prefix pairs with it.
     :meth:`jacobian` takes those pairs and runs only the backward scan:
     ``u_l = prod_{j != l} P_j`` and ``S_l = sum_{k != l} w_k prod_{j not in
     {k, l}} P_j`` come from the prefix before ``l`` and the suffix after it,
@@ -132,7 +133,6 @@ class _Conditions:
     """
 
     def __init__(self, n_origin, targets):
-        self.n_origin = n_origin
         self.c = np.array([t for t, _ in targets], dtype=complex)
         ks = np.array([k for _, k in targets])
         self.rows_t = np.repeat(np.arange(len(ks)), ks)
@@ -148,9 +148,13 @@ class _Conditions:
 
     def _factors(self, a):
         """Jets of ``P_j`` and weights ``w_j`` of the zeros ``a`` (a column)."""
-        c, K1 = self.c, self.K1
+        # c as a (1, T) row: numpy multiplies a (1, 1) and a (1,) complex
+        # array with its scalar kernel, which rounds unlike the array kernel
+        # of every larger shape; as a row, one zero against one target
+        # stays on the array kernel
+        c, K1 = self.c[None, :], self.K1
         ac = np.conj(a)
-        P = np.zeros((len(a), len(c), K1), dtype=complex)
+        P = np.zeros((len(a), len(self.c), K1), dtype=complex)
         P[..., 0] = (c - a) * (1 - ac * c)
         if K1 > 1:
             P[..., 1] = 1 - 2 * ac * c + np.abs(a) ** 2
@@ -167,32 +171,30 @@ class _Conditions:
 
     def scan(self, free):
         """Residual of the iterate ``free`` and its forward scan."""
-        n0 = self.n_origin
-        a = np.concatenate([np.zeros(n0, dtype=complex), free])[:, None]
-        P, w = self._factors(a)
+        b = free[:, None]
+        P, w = self._factors(b)
         pre = np.empty((len(free) + 1,) + self.origin.shape, dtype=complex)
         pre[0] = self.origin
         for i in range(len(free)):
-            pre[i + 1] = self._step(pre[i], P[n0 + i], w[n0 + i])
-        return pre[-1, 1][self.rows_t, self.rows_j], (a, P, w, pre)
+            pre[i + 1] = self._step(pre[i], P[i], w[i])
+        return pre[-1, 1][self.rows_t, self.rows_j], (b, P, w, pre)
 
     def jacobian(self, scan):
         """Blocks ``A``, ``Bm`` at the iterate whose forward scan is ``scan``."""
-        a, P, w, pre = scan
-        n0, c, K1 = self.n_origin, self.c, self.K1
-        n = len(a) - n0
+        b, P, w, pre = scan
+        c, K1 = self.c, self.K1
+        n = len(b)
         suf = np.empty_like(pre)
         suf[n, 0], suf[n, 1] = self.one, 0.0
         for i in range(n - 1, 0, -1):
             # the new factor comes first in the product, as the suffix grows
             # to the left; swapping the operands would change the rounding
-            out = _jet_mul(P[n0 + i], suf[i + 1])
-            out[1] += w[n0 + i] * suf[i + 1, 0]
+            out = _jet_mul(P[i], suf[i + 1])
+            out[1] += w[i] * suf[i + 1, 0]
             suf[i] = out
         sp, ss = suf[1:, 0], suf[1:, 1]
         us = _jet_mul(pre[:-1], sp[:, None])
         u, S = us[:, 0], us[:, 1] + _jet_mul(pre[:-1, 0], ss)
-        b = a[n0:]
         bc = np.conj(b)
         lq = np.zeros((2, n, len(c), K1), dtype=complex)
         lq[0, ..., 0] = 1 - bc * c

@@ -124,6 +124,8 @@ class BoundaryProbe:
 
 def boundary_probes(C: CriticalSet, count: int = 8) -> list:
     """``count`` directions, spread out, all >= 0.1 from the critical points."""
+    if count < 1:
+        raise InputError(f"need at least one probe direction, got {count}")
     candidates = np.exp(2j * np.pi * np.arange(64) / 64)
     crit = np.array(C.points()) if C.entries else np.empty(0, dtype=complex)
     if crit.size:
@@ -138,10 +140,16 @@ def boundary_probes(C: CriticalSet, count: int = 8) -> list:
 def default_competitor_specs(
     C: CriticalSet, count: int, rng: np.random.Generator, larger: int = 2
 ) -> list:
-    """A mixed batch of all four kinds, ``larger`` of the expensive re-solve
-    kind and the rest split ~40/30/30 between the cheap families."""
-    if count < 4:
-        raise InputError("need at least one competitor of each kind")
+    """A mixed batch: ``larger`` of the expensive re-solve kind and the rest
+    split ~40/30/30 between the three cheap kinds, each of which gets at
+    least one, so with the default ``larger`` of 2 ``count`` must be >= 5."""
+    if larger < 0:
+        raise InputError(f"larger must be nonnegative, got {larger}")
+    if count - larger < 3:
+        raise InputError(
+            f"{count} competitors with {larger} larger-critical-set re-solves "
+            f"leave a kind empty: need at least {larger + 3}"
+        )
     specs = []
     for _ in range(larger):
         extra = []
@@ -526,13 +534,11 @@ def semigroup_check(
     }
 
 
-def left_factor_check(
-    B: FiniteBlaschke, C_right: FiniteBlaschke, cfg=None
-) -> dict:
-    """If B o C_right is maximal, the left factor is itself maximal.
+def left_factor_check(B: FiniteBlaschke, cfg=None) -> dict:
+    """If a composite B o C is maximal, the left factor B is itself maximal.
 
     Re-solves for the critical set of B alone and fits the automorphism; the
-    right factor only certifies the hypothesis and is otherwise unused.
+    right factor C plays no part in the check.
     """
     _, err = _resolve_and_match(B, cfg)
     return {

@@ -221,7 +221,7 @@ def test_criterion_09_semigroup(corpus, corpus_solves):
         outer = pick(n_outer)
         inner = pick(n_inner)
         semi = semigroup_check(inner, outer)
-        left = left_factor_check(outer, inner)
+        left = left_factor_check(outer)
         degrees.append(semi["composite_degree"])
         worst_match = max(worst_match, semi["match_error"],
                           left["match_error"])

@@ -114,6 +114,8 @@ def test_unknown_command_rejected_by_parser(tmp_path):
         ("converge", {"points": [], "n_max": INF}, []),
         ("converge", {"points": [], "n_max": -1}, []),
         ("verify-extremal", {"points": [], "competitors": 16.7}, []),
+        ("verify-extremal", {**_crit([(0.5 + 0j, 1)]), "competitors": 4},
+         []),
         ("converge",
          {**_crit([(0.3 + 0j, 1), (-0.2j, 1), (0.5 + 0j, 1)]), "n_max": 2.9},
          []),
@@ -157,7 +159,8 @@ def test_unknown_command_rejected_by_parser(tmp_path):
          "scaled-no-radius", "moebius-no-coeffs", "scaled-negative",
          "unknown-map", "transplant-list", "competitors-string",
          "competitors-inf", "n-max-string", "n-max-inf", "n-max-negative",
-         "competitors-fraction", "n-max-fraction", "grid-n-fraction",
+         "competitors-fraction", "competitors-four", "n-max-fraction",
+         "grid-n-fraction",
          "seed-negative",
          "roundtrip-tol-zero", "roundtrip-tol-tiny", "roundtrip-tol-nan",
          "roundtrip-tol-inf", "newton-tol-nan", "newton-tol-negative",
@@ -242,6 +245,36 @@ def test_job_file_unknown_field_is_exit_2(tmp_path, capsys):
     job = _write(tmp_path, "job.json", {"command": "solve", "speed": "max"})
     assert main(["--config", job]) == 2
     assert "unknown job field" in capsys.readouterr().err
+
+
+def test_job_file_derived_field_is_exit_2(tmp_path, capsys):
+    """``homotopy`` is a JobConfig attribute built from the tolerances, not
+    a job field."""
+    job = _write(tmp_path, "job.json", {"command": "solve", "homotopy": {}})
+    assert main(["--config", job]) == 2
+    assert "unknown job field" in capsys.readouterr().err
+
+
+def test_grid_ignored_by_command_may_be_one_polar_grid_rejects(
+    tmp_path, capsys
+):
+    """``solve`` validates ``--grid`` and ignores it, so a polar grid too
+    small to build passes; ``metric`` builds it and exits 2."""
+    inp = _write(tmp_path, "c.json", _crit([(0.5 + 0j, 1)]))
+    grid = ["--grid", '{"n_r": 4, "n_theta": 4.0}']
+    assert main(["solve", "--input", inp] + grid) == 0
+    out = str(tmp_path / "field.csv")
+    assert main(["metric", "--input", inp, "--output", out] + grid) == 2
+    assert "at least 8 rings" in capsys.readouterr().err
+
+
+def test_job_grid_resolved_once():
+    cfg = JobConfig(command="pde-oracle", grid={"n": 65.0, "r": 0.5},
+                    tolerances={"newton_tol": 1e-11})
+    assert cfg.grid == {"n_r": 128, "n_theta": 512, "r_max": 0.95,
+                        "n": 65, "r": 0.5}
+    assert all(type(cfg.grid[k]) is int for k in ("n_r", "n_theta", "n"))
+    assert cfg.homotopy == HomotopyConfig(newton_tol=1e-11)
 
 
 @pytest.mark.parametrize(

@@ -206,13 +206,15 @@ def test_assembly_matches_loop_reference(n, r):
         calls.append(1)
         return np.exp(np.real(xi))
 
-    A, g, mask, _, _ = pde._assemble(
-        constant_curvature_problem(n, r, -4.0, boundary)
+    grid = pde._grid(n, r)
+    g, _ = pde._assemble(
+        constant_curvature_problem(n, r, -4.0, boundary), grid
     )
     assert len(calls) == 1
     A_ref, g_ref = _loop_assembly(n, r, lambda xi: math.exp(xi.real))
-    assert A.shape == A_ref.shape == (int(mask.sum()),) * 2
-    assert abs(A - A_ref).max() <= 1e-14 * abs(A_ref).max()
+    As_ref = A_ref * grid.h2
+    assert grid.As.shape == A_ref.shape == (int(grid.mask.sum()),) * 2
+    assert abs(grid.As - As_ref).max() <= 1e-14 * abs(As_ref).max()
     assert np.max(np.abs(g - g_ref)) <= 1e-14 * np.max(np.abs(g_ref))
 
 
@@ -232,11 +234,13 @@ def _two_point_problem(radius=0.75):
 def _direct_newton(problem):
     """Reference: the same damped Newton with every step solved by one
     sparse direct solve of the current Jacobian."""
-    A, g, mask, nodes, log_b_min = pde._assemble(problem)
-    kappa = problem.curvature_at(nodes[mask])
+    grid = pde._grid(problem.n, problem.radius)
+    g, log_b_min = pde._assemble(problem, grid)
+    mask = grid.mask
+    kappa = np.asarray(problem.curvature(grid.nodes[mask]), dtype=float)
     h2 = problem.spacing ** 2 / 4.0
-    As, gs = A * h2, g * h2
-    u = np.full(A.shape[0], log_b_min)
+    As, gs = grid.As, g * h2
+    u = np.full(As.shape[0], log_b_min)
 
     def residual(v):
         return As @ v + gs + h2 * kappa * np.exp(2.0 * v)

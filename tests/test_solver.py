@@ -290,6 +290,18 @@ def test_assembly_equals_reference_on_seeded_states():
         _assert_equals_reference(n_origin, free, targets)
 
 
+def test_assembly_equals_reference_with_one_free_zero_and_one_target():
+    """One free zero against one target: the reference builds its factor
+    jets over the origin zeros too, so its arrays are never of size 1; the
+    scan's must round as those do."""
+    rng = np.random.default_rng(15)
+    for _ in range(200):
+        free = [complex(rng.uniform(0, 0.9) * np.exp(2j * np.pi * rng.random()))]
+        target = complex(rng.uniform(0, 0.8) * np.exp(2j * np.pi * rng.random()))
+        _assert_equals_reference(int(rng.integers(1, 4)), free,
+                                 [(target, int(rng.integers(1, 4)))])
+
+
 def test_reused_scan_gives_the_fresh_blocks():
     """Newton keeps the scan of the accepted iterate across other trials;
     the Jacobian built from it equals one built from a fresh scan."""

@@ -116,6 +116,24 @@ def test_quadrature_functional_agrees_with_derivative(b_two):
     assert direct == pytest.approx(F_TWO, abs=1e-10)
 
 
+def test_default_specs_hold_one_of_each_kind():
+    """Five is the least count with every kind beside two re-solves."""
+    kinds = [s.kind for s in
+             default_competitor_specs(C_TWO, 5, np.random.default_rng(1))]
+    assert sorted(kinds) == sorted(
+        ["larger-critical-set"] * 2 + ["postcompose-automorphism",
+                                       "scalar-multiple",
+                                       "antiderivative-family"]
+    )
+
+
+@pytest.mark.parametrize("count, larger", [(4, 2), (3, 1), (2, 0), (5, -1)])
+def test_default_specs_reject_too_few_for_every_kind(count, larger):
+    with pytest.raises(InputError):
+        default_competitor_specs(C_TWO, count, np.random.default_rng(1),
+                                 larger=larger)
+
+
 def test_competitor_spec_validation():
     with pytest.raises(InputError):
         CompetitorSpec(kind="unheard-of")
@@ -155,6 +173,12 @@ def test_probes_keep_clear_of_critical_points():
     for p in probes:
         assert abs(p.direction - 0.5) >= 0.1
         assert abs(abs(p.direction) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("count", [0, -2])
+def test_probes_reject_count_below_one(count):
+    with pytest.raises(InputError):
+        boundary_probes(C_ONE, count)
 
 
 def test_phi_closed_forms(b_one):
@@ -210,9 +234,9 @@ def test_semigroup_composition(b_one):
     assert out["pass"]
 
 
-def test_left_factor_of_composition(b_one):
+def test_left_factor_of_composition():
     sq = FiniteBlaschke(zeros=(0j, 0j), eta=1.0)
-    out = left_factor_check(sq, b_one)
+    out = left_factor_check(sq)
     assert out["factor_degree"] == 2
     assert out["pass"]
 
