@@ -238,9 +238,11 @@ def _verify_extremal(data: dict, cfg: JobConfig) -> dict:
         raise InputError(
             f"{count} competitors exceed the limit of {_MAX_COMPETITORS}"
         )
-    C, rep = _solved(data, cfg)
-    rng = np.random.default_rng(cfg.seed)
-    specs = default_competitor_specs(C, count, rng)
+    # the specs need only the set and the seed: a count they reject ends the
+    # job before the solve
+    C = CriticalSet.from_dict(data)
+    specs = default_competitor_specs(C, count, np.random.default_rng(cfg.seed))
+    rep = solve_maximal(C, cfg.homotopy)
     return {
         "seed": cfg.seed,
         "tolerances": cfg.tolerances,

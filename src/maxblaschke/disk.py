@@ -101,31 +101,6 @@ class DiskAutomorphism:
         out = self.rotation * (c - z) / (1.0 - np.conj(c) * z)
         return complex(out) if out.ndim == 0 else out
 
-    def derivative(self, z):
-        """T'(z) = rotation * (|c|^2 - 1) / (1 - conj(c) z)^2."""
-        z = np.asarray(z, dtype=complex)
-        c = self.center
-        out = self.rotation * (abs(c) ** 2 - 1.0) / (1.0 - np.conj(c) * z) ** 2
-        return complex(out) if out.ndim == 0 else out
-
-    def inverse(self) -> "DiskAutomorphism":
-        """The inverse automorphism, again in (rotation, center) form."""
-        return DiskAutomorphism(
-            rotation=np.conj(self.rotation), center=self.rotation * self.center
-        )
-
-    def compose(self, other: "DiskAutomorphism") -> "DiskAutomorphism":
-        """Return ``self`` after ``other``, i.e. ``z -> self(other(z))``."""
-        center = other.inverse()(self.inverse()(0j))
-        # Fix the rotation from a sample point where the centered factor is
-        # well away from 0/0; validate nothing, closure is exact algebra.
-        probe = 0.25 + 0.125j
-        if abs(probe - center) < 1e-3:
-            probe = -probe
-        base = (center - probe) / (1.0 - np.conj(center) * probe)
-        rotation = self(other(probe)) / base
-        return DiskAutomorphism(rotation=rotation, center=center)
-
 
 @dataclass(frozen=True)
 class RiemannMapSpec:

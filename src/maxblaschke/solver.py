@@ -8,9 +8,12 @@ Given a critical set ``C`` of total mass ``m`` containing 0 with multiplicity
 so the unknowns are the ``m - N`` free zeros ``b_k``.  The defining equations
 say the critical numerator polynomial ``Q`` vanishes at each prescribed
 nonzero point to its multiplicity.  The solver follows the path ``C(t) = t C``
-from the collapsed state ``B_0 = z^(m+1)`` at ``t = 0``, correcting with a
-damped Newton iteration at each step, and halves the step on failure until
-it falls below ``2**-_STEP_HALVING_LIMIT / _STEPS``, where it raises.  ``Q``
+from the collapsed state ``B_0 = z^(m+1)`` at ``t = 0``.  Each step has one
+predictor, the last free zeros moved along a slope: first the tangent of the
+collapsed asymptotic, computed once, then the secant through the last
+accepted step.  A damped Newton iteration corrects it, and a predictor that
+leaves the disk or a failed correction halves the step until it falls below
+``2**-_STEP_HALVING_LIMIT / _STEPS``, where the solve raises.  ``Q``
 and its derivatives with respect to ``b_k`` and ``conj(b_k)`` are short
 Taylor jets at the targets, all targets at once, built in factored form by
 one forward and one backward scan over the zeros.  Each Newton iterate is
@@ -257,14 +260,16 @@ def _newton(free, conditions, cfg, scale):
 
 
 def _collapsed_predictor(order, targets, total):
-    """Asymptotic free zeros near the collapsed state.
+    """Tangent of the free zeros at the collapsed state.
 
     For small targets, ``B`` behaves like the polynomial ``p`` with
-    ``p'(z) = (m+1) z^order prod (z - c_i)^{k_i}`` and ``p(0) = 0``; the
-    nonzero roots of ``p`` start the first Newton correction (the labeled
-    Jacobian is singular at the exactly collapsed state, so the solver never
-    starts there).  The root of ``p`` at 0, of order ``order + 1``, is exact
-    and comes last.
+    ``p'(z) = (m+1) z^order prod (z - c_i)^{k_i}`` and ``p(0) = 0``.  For
+    the targets ``t c_i``, ``p(t w) = t^(m+1) p_1(w)`` with ``p_1`` built on
+    the ``c_i``, so the nonzero roots of ``p`` are ``t`` times those of
+    ``p_1``: computed once on the unscaled targets, they are the slope that
+    starts the path (the labeled Jacobian is singular at the exactly
+    collapsed state, so the solver never corrects there).  The root of
+    ``p`` at 0, of order ``order + 1``, is exact and comes last.
     """
     points = [c for c, k in targets for _ in range(k)]
     p = antiderivative([total + 1.0] + [0.0] * order, points)
@@ -290,9 +295,10 @@ def solve_maximal(
     Raises
     ------
     NumericalError
-        On homotopy breakdown (no predictor's Newton correction is accepted
-        before the path step falls below ``2**-_STEP_HALVING_LIMIT / _STEPS``)
-        or a failed critical-set round trip.
+        On homotopy breakdown (the path step falls below
+        ``2**-_STEP_HALVING_LIMIT / _STEPS`` with the predictor still leaving
+        the disk or its Newton correction still failing) or a failed
+        critical-set round trip.
     """
     cfg = cfg or HomotopyConfig()
     m = C.total
@@ -301,45 +307,31 @@ def solve_maximal(
     n_free = m - (n_origin - 1)
 
     trace = []
+    free = np.zeros(n_free, dtype=complex)
     if n_free == 0:
-        free = np.array([], dtype=complex)
         trace.append((1.0, 0.0, 0))
     else:
-        free = None
-        free_prev = None
+        # p(tw) = t^(m+1) p_1(w): the collapsed free zeros at t are t times
+        # p_1's, so the path leaves t = 0 along that tangent; each accepted
+        # step replaces it by the secant through that step.
+        slope = _collapsed_predictor(n_origin - 1, entries, m)
         t = 0.0
-        t_prev = 0.0
         dt = 1.0 / _STEPS
         while t < 1.0:
             t_next = min(1.0, t + dt)
-            targets = [(t_next * c, k) for c, k in entries]
-            # Predictors, in order of preference: secant extrapolation from
-            # the last two accepted states, the last state unchanged, and --
-            # early in the deformation, where the Jacobian is nearly
-            # singular -- the collapsed-state asymptotic.
-            candidates = []
-            if free is not None:
-                if free_prev is not None:
-                    slope = (free - free_prev) / (t - t_prev)
-                    candidates.append(free + slope * (t_next - t))
-                candidates.append(free)
-            if free is None or t_next <= 0.25:
-                candidates.append(
-                    _collapsed_predictor(n_origin - 1, targets, m)
-                )
-            conditions = _Conditions(n_origin, targets)
+            predictor = free + slope * (t_next - t)
             accepted = None
-            for predictor in candidates:
-                if np.any(np.abs(predictor) >= 1.0):
-                    continue  # escaped the disk: useless starting point
+            if np.all(np.abs(predictor) < 1.0):
+                targets = [(t_next * c, k) for c, k in entries]
                 scale = _q_coefficient_scale(
                     [0j] * n_origin + list(predictor)
                 )
                 try:
-                    accepted = _newton(predictor, conditions, cfg, scale)
+                    accepted = _newton(
+                        predictor, _Conditions(n_origin, targets), cfg, scale
+                    )
                 except NumericalError:
-                    continue
-                break
+                    pass
             if accepted is None:
                 dt *= 0.5
                 if dt * _STEPS < 2.0 ** -_STEP_HALVING_LIMIT:
@@ -348,7 +340,7 @@ def solve_maximal(
                     )
                 continue
             nxt, iters, res = accepted
-            free_prev, t_prev = free, t
+            slope = (nxt - free) / (t_next - t)
             free, t = nxt, t_next
             dt = min(2 * dt, 1.0 / _STEPS)
             trace.append((t, res, iters))
@@ -374,6 +366,14 @@ def solve_maximal(
         functional_value=functional,
         homotopy_trace=trace,
     )
+
+
+def _index(value, name: str) -> int:
+    """``value`` as an int, read as ``operator.index`` reads it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass
@@ -403,10 +403,7 @@ def truncation_sequence(
     beyond rounding slack raises.
     """
     points = list(points)
-    try:
-        n_max = operator.index(n_max)
-    except TypeError:
-        raise InputError(f"n_max must be an integer, got {n_max!r}") from None
+    n_max = _index(n_max, "n_max")
     if n_max < 0:
         raise InputError("n_max must be nonnegative")
     if n_max > len(points):

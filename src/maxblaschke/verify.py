@@ -38,7 +38,7 @@ from .metrics import (
     union_metric,
 )
 from .roots import antiderivative
-from .solver import HomotopyConfig, solve_maximal
+from .solver import HomotopyConfig, _index, solve_maximal
 
 #: Number of quadrature nodes on |z| = 1/2 for derivatives at the origin.
 CAUCHY_NODES = 4096
@@ -124,6 +124,7 @@ class BoundaryProbe:
 
 def boundary_probes(C: CriticalSet, count: int = 8) -> list:
     """``count`` directions, spread out, all >= 0.1 from the critical points."""
+    count = _index(count, "count")
     if count < 1:
         raise InputError(f"need at least one probe direction, got {count}")
     candidates = np.exp(2j * np.pi * np.arange(64) / 64)
@@ -143,6 +144,7 @@ def default_competitor_specs(
     """A mixed batch: ``larger`` of the expensive re-solve kind and the rest
     split ~40/30/30 between the three cheap kinds, each of which gets at
     least one, so with the default ``larger`` of 2 ``count`` must be >= 5."""
+    count, larger = _index(count, "count"), _index(larger, "larger")
     if larger < 0:
         raise InputError(f"larger must be nonnegative, got {larger}")
     if count - larger < 3:

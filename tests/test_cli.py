@@ -207,6 +207,21 @@ def test_competitor_count_over_the_limit_is_exit_2(
     assert "exceed the limit" in capsys.readouterr().err
 
 
+def test_too_few_competitors_is_exit_2_before_the_solve(
+    tmp_path, capsys, monkeypatch
+):
+    """The specs are drawn, and a count they reject ends the job, before
+    the solve."""
+    def no_solve(C, cfg=None):
+        raise AssertionError("solved before the competitor specs were drawn")
+
+    monkeypatch.setattr(cli, "solve_maximal", no_solve)
+    data = {**_crit([(0.5 + 0j, 1)]), "competitors": 4}
+    inp = _write(tmp_path, "c.json", data)
+    assert main(["verify-extremal", "--input", inp]) == 2
+    assert "leave a kind empty" in capsys.readouterr().err
+
+
 def test_critpoints_report_recovers_input(tmp_path):
     inp = _write(tmp_path, "c.json", _crit([(0.3 + 0.2j, 1)]))
     solved = tmp_path / "solved.json"

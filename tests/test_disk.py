@@ -60,27 +60,10 @@ def test_automorphism_rejects_non_finite(kwargs):
 
 
 @given(disk_points(0.85), disk_points(0.9))
-def test_automorphism_inverse_round_trip(c, z):
+def test_automorphism_sends_center_to_zero_and_keeps_the_disk(c, z):
     T = DiskAutomorphism(rotation=np.exp(0.7j), center=c)
-    assert T.inverse()(T(z)) == pytest.approx(z, abs=1e-12)
-    # T sends its center to 0 and is a disk bijection
     assert T(c) == pytest.approx(0.0, abs=1e-15)
     assert abs(T(z)) < 1.0
-
-
-@given(disk_points(0.8), disk_points(0.8), disk_points(0.9))
-@settings(max_examples=100)
-def test_automorphism_composition(c1, c2, z):
-    S = DiskAutomorphism(rotation=-1.0, center=c1)
-    T = DiskAutomorphism(rotation=1j, center=c2)
-    assert S.compose(T)(z) == pytest.approx(S(T(z)), abs=1e-12)
-
-
-def test_automorphism_derivative_matches_difference_quotient():
-    T = DiskAutomorphism(rotation=np.exp(0.3j), center=0.4 - 0.2j)
-    z, h = 0.25 + 0.1j, 1e-6
-    fd = (T(z + h) - T(z - h)) / (2 * h)
-    assert T.derivative(z) == pytest.approx(fd, abs=1e-9)
 
 
 @pytest.mark.parametrize("spec", [

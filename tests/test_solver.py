@@ -1,10 +1,12 @@
 import math
 import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from maxblaschke import solver
 from maxblaschke.blaschke import (
     CriticalSet,
     critical_numerator_coeffs,
@@ -128,28 +130,82 @@ def test_trace_reaches_t_one():
     assert rep.homotopy_trace[-1][0] == 1.0
 
 
-def test_sixteen_points_end_in_bounded_work():
-    """The m = 16 set of the solve-time sweep (seed 1) once livelocked with
-    the path step shrinking towards zero; it must now end, either verified
-    or with a typed error."""
-    rng = np.random.default_rng([1, 16])
-    points = rng.uniform(0.15, 0.7, 16) * np.exp(2j * np.pi * rng.random(16))
-    C = CriticalSet.from_points(points)
+def _sweep_set(m, seed):
+    """The m-point set of the solve-time sweep, drawn as bench/sweep.py
+    draws it."""
+    rng = np.random.default_rng([seed, m])
+    points = rng.uniform(0.15, 0.7, m) * np.exp(2j * np.pi * rng.random(m))
+    return CriticalSet.from_points(points)
 
+
+@contextmanager
+def _alarm(seconds):
+    """Raise TimeoutError in the block once ``seconds`` have passed."""
     def hung(signum, frame):
-        raise TimeoutError("solve_maximal did not end within 60 s")
+        raise TimeoutError(f"solve_maximal did not end within {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
+    signal.alarm(seconds)
     try:
-        rep = solve_maximal(C)
-    except NumericalError as exc:
-        assert "homotopy breakdown" in str(exc)
-    else:
-        assert critical_points(rep.solution).match(C) <= 1e-8
+        yield
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_sixteen_points_end_in_bounded_work():
+    """The m = 16 sets of the solve-time sweep (seeds 1-3) once livelocked
+    with the path step shrinking towards zero, and later broke down just
+    after t = 0.25; the path now reaches t = 1 and verifies on each."""
+    for seed in (1, 2, 3):
+        C = _sweep_set(16, seed)
+        with _alarm(60):
+            rep = solve_maximal(C)
+        assert rep.homotopy_trace[-1][0] == 1.0
+        assert critical_points(rep.solution).match(C) <= 1e-8
+
+
+def test_twenty_four_points_verify_on_seed_two():
+    C = _sweep_set(24, 2)
+    with _alarm(60):
+        rep = solve_maximal(C)
+    assert critical_points(rep.solution).match(C) <= 1e-8
+
+
+@pytest.mark.parametrize("m", [24, 32, 48, 64])
+def test_large_sweep_sets_end_verified_or_typed(m):
+    """Seed 1 beyond m = 16: a verified product or a NumericalError, within
+    the alarm."""
+    C = _sweep_set(m, 1)
+    with _alarm(60):
+        try:
+            rep = solve_maximal(C)
+        except NumericalError:
+            return
+    assert critical_points(rep.solution).match(C) <= 1e-8
+
+
+@pytest.mark.parametrize("points, calls", [
+    ([0.4 + 0.3j, -0.2 + 0.5j, 0.35, 0.1 - 0.6j], 1),
+    ([0j, 0.3 - 0.4j], 1),
+    ([0j, 0j, 0j], 0),
+    ([], 0),
+])
+def test_collapsed_predictor_runs_once_per_solve(monkeypatch, points, calls):
+    """The collapsed tangent is computed once on the unscaled targets, and
+    not at all when no zero is free."""
+    seen = []
+
+    def counted(*args):
+        seen.append(args)
+        return collapsed(*args)
+
+    collapsed = solver._collapsed_predictor
+    monkeypatch.setattr(solver, "_collapsed_predictor", counted)
+    C = CriticalSet.from_points(points)
+    solve_maximal(C)
+    assert len(seen) == calls
+    assert all(list(args[1]) == list(C.nonzero_entries()) for args in seen)
 
 
 # ----------------------------------------------------------------------

@@ -127,8 +127,10 @@ def test_default_specs_hold_one_of_each_kind():
     )
 
 
-@pytest.mark.parametrize("count, larger", [(4, 2), (3, 1), (2, 0), (5, -1)])
+@pytest.mark.parametrize("count, larger", [(4, 2), (3, 1), (2, 0), (5, -1),
+                                          (7.5, 2), (8, 1.5)])
 def test_default_specs_reject_too_few_for_every_kind(count, larger):
+    """Too few for every kind, or a count that is not an integer."""
     with pytest.raises(InputError):
         default_competitor_specs(C_TWO, count, np.random.default_rng(1),
                                  larger=larger)
@@ -175,8 +177,9 @@ def test_probes_keep_clear_of_critical_points():
         assert abs(abs(p.direction) - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("count", [0, -2])
+@pytest.mark.parametrize("count", [0, -2, 2.5])
 def test_probes_reject_count_below_one(count):
+    """Below one, or not an integer."""
     with pytest.raises(InputError):
         boundary_probes(C_ONE, count)
 
