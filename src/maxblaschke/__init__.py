@@ -11,7 +11,6 @@ _EXPORTS = {
         "CriticalSet",
         "FiniteBlaschke",
         "compose",
-        "critical_numerator_coeffs",
         "critical_points",
         "derivative",
         "derivative_at_origin_order",

@@ -38,7 +38,7 @@ import numpy as np
 
 from .disk import BOUNDARY_TOL, pseudo_hyperbolic_distance
 from .errors import InputError, NumericalError
-from .roots import MERGE_TOL, cluster_roots, polynomial_roots
+from .roots import MERGE_TOL, PRECLUSTER_TOL, cluster_roots, polynomial_roots
 
 #: Evaluation closer than this to a reflected pole 1/conj(a_k) is rejected.
 POLE_TOL = 1e-14
@@ -62,6 +62,14 @@ class CriticalSet:
         merged = []
         for point, mult in self.entries:
             point = complex(point)
+            # an integral number (2 or 2.0); int() would truncate 1.5 and
+            # read "2" or True
+            if isinstance(mult, float) and mult.is_integer():
+                mult = int(mult)
+            integral = isinstance(mult, (int, np.integer))
+            if isinstance(mult, bool) or not integral:
+                raise InputError("critical point multiplicity must be an "
+                                 f"integer, got {mult!r}")
             mult = int(mult)
             if mult < 1:
                 raise InputError("critical point multiplicity must be >= 1")
@@ -328,7 +336,15 @@ def critical_points(B: FiniteBlaschke) -> CriticalSet:
     repeated critical points are resolved only up to the root splitting that
     such an uncertainty induces (about its square root, for double points),
     so nearby-but-distinct critical points closer than that are reported as
-    one multiple point.
+    one multiple point.  A k-fold point away from the zeros of ``B`` is then
+    polished by three Newton steps on the (k - 1)-th derivative of
+
+        B'/B(z) = sum_a 1/(z - a) - sum_{a != 0} 1/(z - 1/conj(a)),
+
+    which, unlike a derivative of the expanded numerator, locates it to
+    rounding rather than to its cluster's splitting.  With
+    ``S_j = sum s (z - p)^-j`` over those poles ``p`` and their signs ``s``,
+    each step is ``z += S_k / (k S_(k+1))``.
     """
     d = B.degree
     if d <= 1:
@@ -346,6 +362,16 @@ def critical_points(B: FiniteBlaschke) -> CriticalSet:
             f"expected {d - 1} interior critical points, found {len(inside)}"
         )
     clusters = cluster_roots(inside, q)
+    zeros = np.array(B.zeros)
+    poles = np.concatenate([zeros, 1 / np.conj(zeros[zeros != 0])])
+    signs = np.where(np.arange(len(poles)) < d, 1.0, -1.0)
+    for i, (z, k) in enumerate(clusters):
+        # B'/B has a pole at a zero of B: a multiple zero stays as it is
+        if k > 1 and np.min(np.abs(z - zeros)) > PRECLUSTER_TOL:
+            for _ in range(3):
+                r = 1 / (z - poles)
+                z += np.sum(signs * r**k) / (k * np.sum(signs * r ** (k + 1)))
+            clusters[i] = (complex(z), k)
     return CriticalSet(tuple(clusters))
 
 

@@ -37,7 +37,6 @@ import numpy as np
 from .blaschke import (
     CriticalSet,
     FiniteBlaschke,
-    critical_numerator_coeffs,
     critical_points,
     derivative,
     derivative_at_origin_order,
@@ -84,9 +83,10 @@ class SolveReport:
 
     ``homotopy_trace`` holds one ``(t, residual, newton_iters)`` triple per
     accepted path step; ``residual_norm`` is the final max-norm of the
-    scale-normalized critical-numerator conditions; ``roundtrip_error`` is the
-    largest pseudo-hyperbolic distance between the requested critical set and
-    the one recovered from the solution.
+    critical-numerator conditions divided by the degree ``m + 1`` of the
+    product; ``roundtrip_error`` is the largest pseudo-hyperbolic distance
+    between the requested critical set and the one recovered from the
+    solution.
     """
 
     solution: FiniteBlaschke
@@ -212,13 +212,10 @@ class _Conditions:
         return dq[0].T, dq[1].T
 
 
-def _q_coefficient_scale(zeros):
-    """Max coefficient magnitude of the critical numerator polynomial."""
-    return float(np.max(np.abs(critical_numerator_coeffs(zeros))))
-
-
 def _newton(free, conditions, cfg, scale):
     """Damped Newton on the free zeros; returns (free, iters, residual).
+
+    It stops once ``max|R| / scale <= cfg.newton_tol``.
 
     Each iterate is scanned once: the convergence test and every damping
     trial run the forward scan alone, and the scan of the accepted iterate
@@ -315,6 +312,9 @@ def solve_maximal(
         # p_1's, so the path leaves t = 0 along that tangent; each accepted
         # step replaces it by the secant through that step.
         slope = _collapsed_predictor(n_origin - 1, entries, m)
+        # Newton's residual is measured against deg B = m + 1, the largest
+        # coefficient of Q = (m + 1) z^m at the collapsed start
+        scale = m + 1.0
         t = 0.0
         dt = 1.0 / _STEPS
         while t < 1.0:
@@ -323,9 +323,6 @@ def solve_maximal(
             accepted = None
             if np.all(np.abs(predictor) < 1.0):
                 targets = [(t_next * c, k) for c, k in entries]
-                scale = _q_coefficient_scale(
-                    [0j] * n_origin + list(predictor)
-                )
                 try:
                     accepted = _newton(
                         predictor, _Conditions(n_origin, targets), cfg, scale

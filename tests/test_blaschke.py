@@ -57,6 +57,11 @@ def test_critical_set_input_validation():
         CriticalSet(((1.0 + 0j, 1),))
     with pytest.raises(InputError):
         CriticalSet(((0.5 + 0j, 0),))
+    for mult in (1.5, "2", True, float("nan"), float("inf"), None):
+        with pytest.raises(InputError, match="must be an integer"):
+            CriticalSet(((0.5 + 0j, mult),))
+    assert CriticalSet(((0.5 + 0j, 2.0),)).entries == ((0.5 + 0j, 2),)
+    assert CriticalSet(((0.5 + 0j, np.int64(2)),)).entries == ((0.5 + 0j, 2),)
 
 
 def test_critical_set_union_and_contains():
@@ -393,3 +398,41 @@ def test_compose_chain_rule_adds_critical_points():
     crit = critical_points(compose(B, C))
     assert crit.total == 3
     assert crit.origin_multiplicity == 1
+
+
+def _double_point_composite(seed):
+    """``outer o F`` with every ``F``-preimage of ``a`` an exact double
+    critical point, and those preimages from an independent polynomial.
+
+    ``outer`` has the zeros ``(a - r)/(1 - conj(a) r)`` over the cube roots
+    ``r`` of ``w0``, so it is a Moebius map of ``((a - z)/(1 - conj(a) z))^3``
+    and its two critical points are both at ``a``.  The preimages are the
+    roots of ``eta_F prod (z - f) - a prod (1 - conj(f) z)``.
+    """
+    rng = np.random.default_rng(seed)
+    a = 0.5 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+    w0 = 0.5 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+    r = w0 ** (1 / 3) * np.exp(2j * np.pi * np.arange(3) / 3)
+    outer = FiniteBlaschke(zeros=tuple((a - r) / (1 - np.conj(a) * r)))
+    n = int(rng.integers(2, 5))
+    f = np.append(
+        0.7 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n)), 0
+    )
+    F = FiniteBlaschke(zeros=tuple(f), eta=np.exp(2j * np.pi * rng.random()))
+    reflected = np.ones(1, dtype=complex)
+    for c in f:
+        reflected = np.convolve(reflected, [-np.conj(c), 1.0])
+    num = F.eta * np.poly(f) - a * reflected
+    return compose(outer, F), polynomial_roots(num)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_double_critical_points_of_composites_are_exact(seed):
+    """Each F-preimage of the outer factor's double critical point comes
+    back as one double point, to near rounding, not to the square root of
+    the composite zeros' error."""
+    composite, preimages = _double_point_composite(seed)
+    doubles = [p for p, k in critical_points(composite).entries if k == 2]
+    assert len(doubles) == len(preimages)
+    for z in preimages:
+        assert min(abs(p - z) for p in doubles) <= 1e-12

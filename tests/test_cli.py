@@ -153,6 +153,9 @@ def test_unknown_command_rejected_by_parser(tmp_path):
                   "coeffs": [{"re": 1.0, "im": 0.0}, {"re": 1.0, "im": 0.0},
                              {"re": 1.0, "im": 0.0}]},
           "points": [{"re": -1.0, "im": 0.0}]}, []),
+        ("solve", _crit([(0.5 + 0j, 1.5)]), []),
+        ("solve", _crit([(0.5 + 0j, "2")]), []),
+        ("solve", _crit([(0.5 + 0j, True)]), []),
     ],
     ids=["grid-list", "grid-string", "grid-inf", "tol-string",
          "critpoints-tol-string", "pde-oracle-tol-string",
@@ -166,7 +169,8 @@ def test_unknown_command_rejected_by_parser(tmp_path):
          "roundtrip-tol-inf", "newton-tol-nan", "newton-tol-negative",
          "pde-oracle-newton-tol-zero", "scale-string",
          "point-nan", "zero-nan", "eta-inf", "moebius-nan", "radius-inf",
-         "outside-domain", "moebius-pole"],
+         "outside-domain", "moebius-pole", "multiplicity-fraction",
+         "multiplicity-string", "multiplicity-bool"],
 )
 def test_bad_parameters_are_exit_2(tmp_path, capsys, command, data, flags):
     inp = _write(tmp_path, "in.json", data)
@@ -585,11 +589,10 @@ PUBLIC_NAMES = [
     "InputError", "NumericalError", "PdeProblem", "PdeSolution", "PolarGrid",
     "RiemannMapSpec", "SolveReport", "TransplantResult", "TruncationResult",
     "ahlfors_check", "boundary_probes", "boundary_quotient", "compose",
-    "constant_curvature_problem", "critical_numerator_coeffs",
-    "critical_points", "default_competitor_specs", "derivative",
-    "derivative_at_origin_order", "discrete_curvature",
-    "divisor_reduced_problem", "dominance_check", "evaluate",
-    "extremality_suite", "fit_automorphism", "hyperbolic_density",
+    "constant_curvature_problem", "critical_points",
+    "default_competitor_specs", "derivative", "derivative_at_origin_order",
+    "discrete_curvature", "divisor_reduced_problem", "dominance_check",
+    "evaluate", "extremality_suite", "fit_automorphism", "hyperbolic_density",
     "hyperbolic_field", "left_factor_check", "oracle_validate",
     "phi_boundary_bound", "product_density", "pseudo_hyperbolic_distance",
     "pullback_density", "refinement_contraction", "semigroup_check",

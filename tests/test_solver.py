@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxblaschke import solver
+from maxblaschke import blaschke, solver
 from maxblaschke.blaschke import (
     CriticalSet,
     critical_numerator_coeffs,
@@ -206,6 +206,26 @@ def test_collapsed_predictor_runs_once_per_solve(monkeypatch, points, calls):
     solve_maximal(C)
     assert len(seen) == calls
     assert all(list(args[1]) == list(C.nonzero_entries()) for args in seen)
+
+
+def test_path_loop_expands_no_critical_numerator(monkeypatch):
+    """Newton's scale is fixed per solve, so the only expansion of Q is the
+    round trip's ``critical_points``."""
+    seen = []
+
+    def counted(zeros):
+        seen.append(zeros)
+        return expand(zeros)
+
+    expand = blaschke.critical_numerator_coeffs
+    monkeypatch.setattr(blaschke, "critical_numerator_coeffs", counted)
+    monkeypatch.setattr(solver, "critical_numerator_coeffs", counted,
+                        raising=False)
+    rep = solve_maximal(
+        CriticalSet.from_points([0.4 + 0.3j, -0.2 + 0.5j, 0.35, 0.1 - 0.6j])
+    )
+    assert len(rep.homotopy_trace) > 1
+    assert len(seen) == 1
 
 
 # ----------------------------------------------------------------------
