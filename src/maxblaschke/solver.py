@@ -11,9 +11,14 @@ nonzero point to its multiplicity.  The solver follows the path ``C(t) = t C``
 from the collapsed state ``B_0 = z^(m+1)`` at ``t = 0``.  Each step has one
 predictor, the last free zeros moved along a slope: first the tangent of the
 collapsed asymptotic, computed once, then the secant through the last
-accepted step.  A damped Newton iteration corrects it, and a predictor that
-leaves the disk or a failed correction halves the step until it falls below
-``2**-_STEP_HALVING_LIMIT / _STEPS``, where the solve raises.  ``Q``
+accepted step.  A damped Newton iteration corrects it.  The first step tries
+``t = 1`` directly; each accepted step doubles the step, up to what is left
+of the path, and a predictor that leaves the disk or a failed correction
+halves it until it falls below ``_MIN_STEP``, where the solve raises.  A
+finite critical set has one extremal product (Heins), so a long step has no
+other branch to land on.  On the step that ends at ``t = 1``, the converged
+iterate gets one more Newton correction, so the product's accuracy does not
+depend on the path taken to it.  ``Q``
 and its derivatives with respect to ``b_k`` and ``conj(b_k)`` are short
 Taylor jets at the targets, all targets at once, built in factored form by
 one forward and one backward scan over the zeros.  Each Newton iterate is
@@ -47,12 +52,10 @@ from .errors import InputError, NumericalError
 from .roots import antiderivative, polynomial_roots
 
 
-#: Path steps on [0, 1] when no step has to be halved.
-_STEPS = 32
 #: Newton iterations allowed per path step.
 _MAX_NEWTON_ITERS = 50
-#: Halvings of the path step allowed before the solve raises.
-_STEP_HALVING_LIMIT = 8
+#: Smallest path step; a failure below it raises "homotopy breakdown".
+_MIN_STEP = 2.0 ** -13
 
 
 @dataclass(frozen=True)
@@ -82,9 +85,11 @@ class SolveReport:
     """Outcome of a solve: the product plus convergence diagnostics.
 
     ``homotopy_trace`` holds one ``(t, residual, newton_iters)`` triple per
-    accepted path step; ``residual_norm`` is the final max-norm of the
-    critical-numerator conditions divided by the degree ``m + 1`` of the
-    product; ``roundtrip_error`` is the largest pseudo-hyperbolic distance
+    accepted path step, often a single one at ``t = 1``, and the last
+    step's count includes the endpoint polish when it was kept;
+    ``residual_norm`` is the final max-norm of the critical-numerator
+    conditions divided by the degree ``m + 1`` of the product;
+    ``roundtrip_error`` is the largest pseudo-hyperbolic distance
     between the requested critical set and the one recovered from the
     solution.
     """
@@ -212,10 +217,12 @@ class _Conditions:
         return dq[0].T, dq[1].T
 
 
-def _newton(free, conditions, cfg, scale):
+def _newton(free, conditions, cfg, scale, polish=False):
     """Damped Newton on the free zeros; returns (free, iters, residual).
 
-    It stops once ``max|R| / scale <= cfg.newton_tol``.
+    It stops once ``max|R| / scale <= cfg.newton_tol``.  With ``polish``,
+    the converged iterate gets one more correction, kept only if the line
+    search accepts it.
 
     Each iterate is scanned once: the convergence test and every damping
     trial run the forward scan alone, and the scan of the accepted iterate
@@ -225,11 +232,14 @@ def _newton(free, conditions, cfg, scale):
     n = len(free)
     J = np.empty((2 * n, 2 * n))
     R, scan = conditions.scan(free)
+    converged = None
     for it in range(1, _MAX_NEWTON_ITERS + 1):
         r_norm = np.max(np.abs(R))
         res = float(r_norm) / scale
         if res <= cfg.newton_tol:
-            return free, it, res
+            if converged or not polish:
+                return free, it, res
+            converged = free, it, res
         A, Bm = conditions.jacobian(scan)
         ApB, AmB = A + Bm, A - Bm
         J[:n, :n], J[:n, n:] = ApB.real, -AmB.imag
@@ -249,6 +259,8 @@ def _newton(free, conditions, cfg, scale):
                 free, R, scan = trial, Rt, st
                 break
         else:
+            if converged:
+                return converged
             raise NumericalError("Newton step rejected (no admissible damping)")
     res = float(np.max(np.abs(R))) / scale
     if res <= cfg.newton_tol:
@@ -292,10 +304,9 @@ def solve_maximal(
     Raises
     ------
     NumericalError
-        On homotopy breakdown (the path step falls below
-        ``2**-_STEP_HALVING_LIMIT / _STEPS`` with the predictor still leaving
-        the disk or its Newton correction still failing) or a failed
-        critical-set round trip.
+        On homotopy breakdown (the path step falls below ``_MIN_STEP`` with
+        the predictor still leaving the disk or its Newton correction still
+        failing) or a failed critical-set round trip.
     """
     cfg = cfg or HomotopyConfig()
     m = C.total
@@ -316,7 +327,7 @@ def solve_maximal(
         # coefficient of Q = (m + 1) z^m at the collapsed start
         scale = m + 1.0
         t = 0.0
-        dt = 1.0 / _STEPS
+        dt = 1.0
         while t < 1.0:
             t_next = min(1.0, t + dt)
             predictor = free + slope * (t_next - t)
@@ -325,13 +336,14 @@ def solve_maximal(
                 targets = [(t_next * c, k) for c, k in entries]
                 try:
                     accepted = _newton(
-                        predictor, _Conditions(n_origin, targets), cfg, scale
+                        predictor, _Conditions(n_origin, targets), cfg, scale,
+                        polish=t_next == 1.0,
                     )
                 except NumericalError:
                     pass
             if accepted is None:
                 dt *= 0.5
-                if dt * _STEPS < 2.0 ** -_STEP_HALVING_LIMIT:
+                if dt < _MIN_STEP:
                     raise NumericalError(
                         f"homotopy breakdown near t = {t_next:.6f}"
                     )
@@ -339,7 +351,7 @@ def solve_maximal(
             nxt, iters, res = accepted
             slope = (nxt - free) / (t_next - t)
             free, t = nxt, t_next
-            dt = min(2 * dt, 1.0 / _STEPS)
+            dt = min(2 * dt, 1.0 - t)
             trace.append((t, res, iters))
 
     g0 = complex(np.prod(-free)) if len(free) else 1.0 + 0j

@@ -165,11 +165,45 @@ def test_sixteen_points_end_in_bounded_work():
         assert critical_points(rep.solution).match(C) <= 1e-8
 
 
-def test_twenty_four_points_verify_on_seed_two():
-    C = _sweep_set(24, 2)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_twenty_four_points_verify(seed):
+    """Seeds 1 and 3 need the endpoint polish, which makes the product's
+    accuracy independent of the path; without it they end about 1e-6 off
+    and fail the round trip."""
+    C = _sweep_set(24, seed)
     with _alarm(60):
         rep = solve_maximal(C)
     assert critical_points(rep.solution).match(C) <= 1e-8
+
+
+def test_corpus_round_trips_within_1e_12(corpus_solves):
+    worst = max(rep.roundtrip_error for rep, _ in corpus_solves)
+    assert worst <= 1e-12
+
+
+def test_corpus_path_work_is_bounded(corpus_solves):
+    """Most corpus sets converge in one step from the collapsed tangent at
+    t = 1; with every step capped at 1/32 the corpus took 1476 path steps
+    and 4077 Newton iterations."""
+    traces = [rep.homotopy_trace for rep, _ in corpus_solves]
+    assert sum(len(trace) for trace in traces) <= 150
+    assert sum(iters for trace in traces for _, _, iters in trace) <= 600
+
+
+def test_breakdown_after_fourteen_attempts(monkeypatch):
+    """A correction that always fails is tried at dt = 1, 1/2, ...,
+    2**-13 = _MIN_STEP, and then the solve raises; only the first attempt
+    ends at t = 1 and asks for the endpoint polish."""
+    attempts = []
+
+    def failing(free, conditions, cfg, scale, polish=False):
+        attempts.append(polish)
+        raise NumericalError("Newton did not converge")
+
+    monkeypatch.setattr(solver, "_newton", failing)
+    with pytest.raises(NumericalError, match="homotopy breakdown"):
+        solve_maximal(CriticalSet.from_points([0.3, -0.2j]))
+    assert attempts == [True] + [False] * 13
 
 
 @pytest.mark.parametrize("m", [24, 32, 48, 64])
@@ -208,9 +242,10 @@ def test_collapsed_predictor_runs_once_per_solve(monkeypatch, points, calls):
     assert all(list(args[1]) == list(C.nonzero_entries()) for args in seen)
 
 
-def test_path_loop_expands_no_critical_numerator(monkeypatch):
+def test_path_loop_expands_no_critical_numerator(monkeypatch, corpus):
     """Newton's scale is fixed per solve, so the only expansion of Q is the
-    round trip's ``critical_points``."""
+    round trip's ``critical_points``.  Corpus set 16 is one of the few whose
+    path takes more than one step."""
     seen = []
 
     def counted(zeros):
@@ -221,9 +256,7 @@ def test_path_loop_expands_no_critical_numerator(monkeypatch):
     monkeypatch.setattr(blaschke, "critical_numerator_coeffs", counted)
     monkeypatch.setattr(solver, "critical_numerator_coeffs", counted,
                         raising=False)
-    rep = solve_maximal(
-        CriticalSet.from_points([0.4 + 0.3j, -0.2 + 0.5j, 0.35, 0.1 - 0.6j])
-    )
+    rep = solve_maximal(corpus[16])
     assert len(rep.homotopy_trace) > 1
     assert len(seen) == 1
 

@@ -382,6 +382,18 @@ def test_batched_scores_match_reference_on_corpus(
     assert checked >= 10
 
 
+@pytest.mark.parametrize("index", [10, 20, 21])
+def test_corpus_double_points_skip_no_competitor(corpus, corpus_solves, index):
+    """These products once read their own constraint check above
+    CONSTRAINT_TOL, so most scalar multiples and automorphisms (594, 678 and
+    676 of 1000) were skipped, not scored."""
+    C, (rep, _) = corpus[index], corpus_solves[index]
+    specs = default_competitor_specs(C, 1000, np.random.default_rng(7))
+    out = extremality_suite(C, rep.solution, specs)
+    assert out["skipped"] == 0
+    assert out["pass"]
+
+
 def test_batched_scores_match_reference_on_mismatched_pair(
         b_one, shared_resolves):
     """B is maximal for a simple point at 0.5 but scored against the double
