@@ -5,13 +5,13 @@ A finite Blaschke product of degree ``d`` is
     B(z) = eta * prod_k (z - a_k) / (1 - conj(a_k) z),   |a_k| < 1, |eta| = 1,
 
 stored as the unimodular factor ``eta`` plus the multiset of zeros.  The
-derivative never vanishes on the unit circle, and the ``d - 1`` critical
-points inside the disk are the disk roots of the numerator polynomial
+derivative never vanishes on the unit circle.  Inside the disk ``B`` has
+``d - 1`` critical points: a ``k``-fold zero is a ``(k - 1)``-fold critical
+point, and the others are the disk roots of the logarithmic derivative
 
-    Q(z) = sum_k (1 - |a_k|^2) * prod_{j != k} (z - a_j)(1 - conj(a_j) z),
+    B'/B(z) = sum_k 1/(z - a_k) - sum_{a_k != 0} 1/(z - 1/conj(a_k)),
 
-of degree ``2d - 2``, whose root set is symmetric under reflection across the
-circle.
+whose roots are symmetric under reflection across the circle.
 
 Serialization schema (JSON)
 ---------------------------
@@ -36,12 +36,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import BOUNDARY_TOL, pseudo_hyperbolic_distance
+from .disk import BOUNDARY_TOL, DiskAutomorphism, pseudo_hyperbolic_distance
 from .errors import InputError, NumericalError
-from .roots import MERGE_TOL, PRECLUSTER_TOL, cluster_roots, polynomial_roots
+from .roots import MERGE_TOL, polynomial_roots
 
 #: Evaluation closer than this to a reflected pole 1/conj(a_k) is rejected.
 POLE_TOL = 1e-14
+#: Roots of B'/B closer than this are candidates for one multiple critical
+#: point: the eigen-solve splits a 4-fold point by about eps**(1/4).
+GROUP_TOL = 1e-3
+#: Relative splitting of a multiple critical point that is put down to the
+#: error of the zeros (see ``_group``).
+SPLIT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -305,74 +311,114 @@ def derivative_at_origin_order(B: FiniteBlaschke, order: int) -> float:
     return math.factorial(order + 1) * g0.real
 
 
-def critical_numerator_coeffs(zeros):
-    """Coefficients (descending) of the numerator polynomial of ``B'``.
-
-    Depends only on the zero multiset; the unimodular factor scales ``B'``
-    without moving its roots.  One forward scan over the zeros carries
-    ``(prod P_j, sum_k w_k prod_{j != k} P_j)`` with ``P_j(z) = (z - a_j)
-    (1 - conj(a_j) z)`` and ``w_j = 1 - |a_j|^2``, the recurrence that
-    ``solver._Conditions`` runs on Taylor jets; the sum is kept padded to the
-    length of the product, so its two leading entries stay zero.
-    """
-    p = np.ones(1, dtype=complex)
-    s = np.zeros(1, dtype=complex)
-    for a in zeros:
-        P = np.array([-np.conj(a), 1.0 + abs(a) ** 2, -a], dtype=complex)
-        s = np.convolve(s, P)
-        s[2:] += (1.0 - abs(a) ** 2) * p
-        p = np.convolve(p, P)
-    return s[2:] if len(s) > 1 else s
-
-
 def critical_points(B: FiniteBlaschke) -> CriticalSet:
     """Critical set of ``B`` inside the unit disk, with multiplicities.
 
-    The ``2d - 2`` roots of the critical numerator polynomial split into
-    ``d - 1`` inside the disk and their reflections outside; roots too close
-    to the circle make that split ill-defined and raise.
+    Each ``k``-fold zero of ``B`` is a ``(k - 1)``-fold critical point; the
+    others are roots of
 
-    The product's zeros are taken to be accurate to a relative 1e-12;
-    repeated critical points are resolved only up to the root splitting that
-    such an uncertainty induces (about its square root, for double points),
-    so nearby-but-distinct critical points closer than that are reported as
-    one multiple point.  A k-fold point away from the zeros of ``B`` is then
-    polished by three Newton steps on the (k - 1)-th derivative of
+        B'/B(z) = sum_p s / (z - p),
 
-        B'/B(z) = sum_a 1/(z - a) - sum_{a != 0} 1/(z - 1/conj(a)),
+    whose poles ``p`` are the distinct zeros ``a`` of ``B``, with weight
+    ``s = k`` their multiplicity, and for ``a != 0`` their reflections
+    ``1/conj(a)``, with weight ``-k``.  The roots come in pairs ``z``,
+    ``1/conj(z)``, and the inner one of each pair is critical; a root too
+    close to the circle to classify raises ``NumericalError``.
 
-    which, unlike a derivative of the expanded numerator, locates it to
-    rounding rather than to its cluster's splitting.  With
-    ``S_j = sum s (z - p)^-j`` over those poles ``p`` and their signs ``s``,
-    each step is ``z += S_k / (k S_(k+1))``.
+    The roots start as the eigenvalues of an arrowhead matrix (Golub, SIAM
+    Rev. 15, 1973).  The disk automorphism ``T`` that swaps the smallest
+    zero ``c`` of ``B`` and 0 is its own inverse, and ``crit B =
+    T(crit(B o T))``; ``B o T`` has a zero of some order ``n0`` at 0, so
+    ``z (B o T)'/(B o T)(z) = n0 + sum s p / (z - p)`` over its nonzero
+    poles, whose roots are the eigenvalues of ``diag(p) - (s p / n0) 1^T``.
+
+    Roots closer than ``GROUP_TOL`` are tested as one multiple root (see
+    ``_group``): a multiple critical point splits under the error of the
+    zeros, and so nearby-but-distinct critical points that close are
+    reported as one.  Each ``k``-fold point is polished by three Newton
+    steps on the ``(k - 1)``-th derivative of B'/B: with ``S_j = sum s
+    (z - p)^-j``, each step is ``z += S_k / (k S_(k+1))``.
+
+    For z(z - a)/(1 - a z) the critical point is (1 - sqrt(1 - a^2))/a:
+
+    >>> [(round(p.real, 12), k) for p, k in
+    ...  critical_points(FiniteBlaschke(zeros=(0, 0.5))).entries]
+    [(0.267949192431, 1)]
     """
     d = B.degree
     if d <= 1:
         return CriticalSet()
-    q = critical_numerator_coeffs(B.zeros)
-    roots = polynomial_roots(q)
-    circle_gap = np.abs(np.abs(roots) - 1.0)
-    if np.any(circle_gap < 10 * MERGE_TOL):
+    zeros, mult = np.unique(np.array(B.zeros), return_counts=True)
+    entries = [(a, k - 1) for a, k in zip(zeros, mult) if k > 1]
+    # T(z) = (c - z)/(1 - conj(c) z) is -z when 0 is a zero of B
+    T = DiskAutomorphism(center=zeros[np.argmin(np.abs(zeros))])
+    u = T(zeros)
+    p, s = _poles(u[u != 0], mult[u != 0])
+    n0 = mult[u == 0].sum()
+    roots = np.linalg.eigvals(np.diag(p) - (s * p / n0)[:, None])
+    if np.any(np.abs(np.abs(roots) - 1.0) < 10 * MERGE_TOL):
         raise NumericalError(
             "critical point too close to the unit circle to classify"
         )
-    inside = roots[np.abs(roots) < 1.0]
-    if len(inside) != d - 1:
+    inside = T(roots[np.abs(roots) < 1.0])
+    if 2 * len(inside) != len(roots):
         raise NumericalError(
-            f"expected {d - 1} interior critical points, found {len(inside)}"
+            f"expected {d - 1} interior critical points, found "
+            f"{d - len(zeros) + len(inside)}"
         )
-    clusters = cluster_roots(inside, q)
-    zeros = np.array(B.zeros)
-    poles = np.concatenate([zeros, 1 / np.conj(zeros[zeros != 0])])
-    signs = np.where(np.arange(len(poles)) < d, 1.0, -1.0)
-    for i, (z, k) in enumerate(clusters):
-        # B'/B has a pole at a zero of B: a multiple zero stays as it is
-        if k > 1 and np.min(np.abs(z - zeros)) > PRECLUSTER_TOL:
-            for _ in range(3):
-                r = 1 / (z - poles)
-                z += np.sum(signs * r**k) / (k * np.sum(signs * r ** (k + 1)))
-            clusters[i] = (complex(z), k)
-    return CriticalSet(tuple(clusters))
+    poles, signs = _poles(zeros, mult)
+    points, orders = _group(inside, poles, signs, np.array(B.zeros))
+    for _ in range(3):
+        r = 1 / (points[:, None] - poles)
+        rk = signs * r ** orders[:, None]
+        points = points + rk.sum(axis=1) / (orders * (rk * r).sum(axis=1))
+    entries.extend(zip(points, orders.tolist()))
+    return CriticalSet(tuple(entries))
+
+
+def _poles(zeros, mult):
+    """Poles and weights of B'/B from the distinct zeros and their
+    multiplicities: each zero ``a`` with weight ``k`` and, for ``a != 0``,
+    its reflection ``1/conj(a)`` with weight ``-k``."""
+    nonzero = zeros != 0
+    return (np.concatenate([zeros, 1 / np.conj(zeros[nonzero])]),
+            np.concatenate([mult, -mult[nonzero]]).astype(float))
+
+
+def _group(z, poles, signs, zeros):
+    """Roots of B'/B within ``GROUP_TOL`` of one another, as (points,
+    orders); ``zeros`` are those of ``B``, with multiplicity.
+
+    A group of ``k`` with centroid ``c`` and radius ``r`` is one ``k``-fold
+    root if the split ``|S_(k+1)(c)| r^k`` stays within ``SPLIT_TOL`` of
+    either of two sizes of B'/B at ``c``: that of its terms,
+    ``sum |s/(c - p)|``, or ``deg B / |prod P_j(c)|`` with ``P_j(z) =
+    (z - a_j)(1 - conj(a_j) z)``, the scale on which ``Q = B'/B prod P_j``
+    is the solver's residual.  Otherwise its members stay simple roots.
+    """
+    linked = np.abs(z[:, None] - z) <= GROUP_TOL
+    for j in range(z.size):
+        linked |= np.outer(linked[:, j], linked[j])
+    points, orders = [], []
+    for i in range(z.size):
+        if linked[i, :i].any():
+            continue  # i is not its group's smallest index
+        members = z[linked[i]]
+        k = members.size
+        if k > 1:
+            c = members.mean()
+            r = 1 / (c - poles)
+            split = (abs(np.sum(signs * r ** (k + 1)))
+                     * np.max(np.abs(members - c)) ** k)
+            prod = np.prod(np.abs((c - zeros) * (1 - np.conj(zeros) * c)))
+            if (split <= SPLIT_TOL * np.sum(np.abs(signs * r))
+                    or split * prod <= SPLIT_TOL * zeros.size):
+                points.append(c)
+                orders.append(k)
+                continue
+        points.extend(members)
+        orders.extend([1] * k)
+    return np.array(points, dtype=complex), np.array(orders)
 
 
 def compose(B: FiniteBlaschke, C: FiniteBlaschke) -> FiniteBlaschke:

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from maxblaschke import blaschke
 from maxblaschke.blaschke import (
     CriticalSet,
     FiniteBlaschke,
     compose,
-    critical_numerator_coeffs,
     critical_points,
     derivative,
     derivative_at_origin_order,
@@ -19,7 +19,8 @@ from maxblaschke.blaschke import (
 )
 from maxblaschke.disk import pseudo_hyperbolic_distance
 from maxblaschke.errors import InputError, NumericalError
-from maxblaschke.roots import antiderivative, cluster_roots, polynomial_roots
+from maxblaschke.roots import antiderivative, polynomial_roots
+from maxblaschke.solver import solve_maximal
 
 
 def zeros_strategy(max_len=4, max_radius=0.8):
@@ -260,51 +261,7 @@ def test_derivative_at_origin_order_monomial():
 
 
 # ----------------------------------------------------------------------
-# critical numerator
-
-def test_critical_numerator_degree_and_reflection_symmetry():
-    zeros = (0j, 0.6 + 0j, -0.2 + 0.3j)
-    q = critical_numerator_coeffs(zeros)
-    assert len(q) == 2 * len(zeros) - 1  # degree 2d - 2
-    roots = polynomial_roots(q)
-    # root multiset is closed under z -> 1/conj(z)
-    reflected = 1.0 / np.conj(roots)
-    for r in roots:
-        assert np.min(np.abs(reflected - r)) < 1e-8
-
-
-def _mp_critical_numerator(zeros):
-    """Coefficients of sum_k w_k prod_{j != k} P_j to 50 digits, each
-    leave-one-out product expanded on its own."""
-    with mpmath.workdps(50):
-        a = [mpmath.mpc(x) for x in zeros]
-        quads = [[-mpmath.conj(x), 1 + abs(x) ** 2, -x] for x in a]
-        total = [mpmath.mpc(0)] * (2 * len(a) - 1)
-        for k in range(len(a)):
-            term = [1 - abs(a[k]) ** 2]
-            for q in quads[:k] + quads[k + 1:]:
-                prod = [mpmath.mpc(0)] * (len(term) + 2)
-                for i, x in enumerate(term):
-                    for j, y in enumerate(q):
-                        prod[i + j] += x * y
-                term = prod
-            total = [x + y for x, y in zip(total, term)]
-        return np.array([complex(x) for x in total])
-
-
-@pytest.mark.parametrize("d", range(1, 13))
-def test_critical_numerator_matches_mpmath(d):
-    """Random zeros with the first d // 3 at the origin and the last one
-    repeated."""
-    rng = np.random.default_rng(2000 + d)
-    zeros = 0.95 * np.sqrt(rng.random(d)) * np.exp(2j * np.pi * rng.random(d))
-    zeros[: d // 3] = 0.0
-    if d > 1:
-        zeros[-1] = zeros[-2]
-    want = _mp_critical_numerator(zeros)
-    err = np.max(np.abs(critical_numerator_coeffs(zeros) - want))
-    assert err <= 1e-13 * np.max(np.abs(want)), err
-
+# antiderivatives and critical points
 
 def test_antiderivative_has_the_prescribed_derivative():
     poly = [1.5 - 0.5j, 0.2, -1j]
@@ -332,25 +289,27 @@ def test_degree_two_critical_point_closed_form(a):
     ([0.3, 0.3, 0.6], [2, 1]),
     ([0.3, 0.3, 0.3, 0.6], [3, 1]),
 ])
-def test_cluster_roots_splits_only_separate_roots(points, multiplicities):
-    """Roots 3e-5 apart share a coarse cluster too wide for a double root,
-    so it splits into simple roots; an exact multiple root stays merged."""
-    coeffs = np.poly(points)
-    clusters = sorted(cluster_roots(polynomial_roots(coeffs), coeffs),
-                      key=lambda e: e[0].real)
-    assert [k for _, k in clusters] == multiplicities
+def test_solved_points_come_back_with_their_multiplicities(points,
+                                                          multiplicities):
+    """Points 3e-5 apart stay two simple points, too far apart for a double
+    point split by the solve's error; a multiple point comes back as one."""
+    C = CriticalSet.from_points(points)
+    crit = critical_points(solve_maximal(C).solution)
+    got = sorted(crit.entries, key=lambda e: e[0].real)
+    assert [k for _, k in got] == multiplicities
     expected = sorted(set(points))
-    assert max(abs(p - q) for (p, _), q in zip(clusters, expected)) <= 1e-10
+    assert max(abs(p - q) for (p, _), q in zip(got, expected)) <= 1e-10
 
 
-def test_cluster_roots_leaves_the_merge_to_critical_set():
+def test_wide_group_leaves_the_merge_to_critical_set():
     """A group too wide for a triple root comes back as simple roots, even
     the two of them within MERGE_TOL; CriticalSet merges those two."""
     roots = np.array([0.01, 0.01 + 5e-9, 0.01006], dtype=complex)
-    coeffs = np.poly(np.append(roots, 0.6))
-    clusters = cluster_roots(roots, coeffs)
-    assert clusters == [(complex(z), 1) for z in roots]
-    assert CriticalSet(tuple(clusters)).entries == (
+    points, orders = blaschke._group(roots, np.array([0.6, 1 / 0.6, 0j]),
+                                     np.array([1.0, -1.0, 1.0]),
+                                     np.array([0j, 0.6]))
+    assert points.tolist() == roots.tolist() and orders.tolist() == [1] * 3
+    assert CriticalSet(tuple(zip(points, orders))).entries == (
         (0.01 + 0j, 2), (0.01006 + 0j, 1)
     )
 
@@ -436,3 +395,70 @@ def test_double_critical_points_of_composites_are_exact(seed):
     assert len(doubles) == len(preimages)
     for z in preimages:
         assert min(abs(p - z) for p in doubles) <= 1e-12
+
+
+def _disk_points(rng, n, radius):
+    """``n`` points ``radius * sqrt(U) * exp(2 pi i V)``, uniform in area."""
+    return radius * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_critical_points_of_compositions(seed):
+    """A degree-7 product composed with a degree-3 one, zeros up to radius
+    0.85 and none at the origin: the companion roots of the expanded
+    numerator raised on 17 of these seeds."""
+    rng = np.random.default_rng(seed)
+    A = FiniteBlaschke(zeros=tuple(_disk_points(rng, 7, 0.85)))
+    B = FiniteBlaschke(zeros=tuple(_disk_points(rng, 3, 0.85)))
+    assert critical_points(compose(A, B)).total == 20
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_exact_quadruple_critical_point(seed):
+    """The zeros ``(a - r_j)/(1 - conj(a) r_j)`` over the fifth roots
+    ``r_j`` of ``w0`` make a Moebius image of ``T_a(z)^5`` with ``T_a`` the
+    involution swapping ``a`` and 0, so ``a`` is its one, 4-fold, critical
+    point.  The eigen-solve splits it by about 1e-4."""
+    rng = np.random.default_rng(seed)
+    a, w0 = _disk_points(rng, 1, 0.7)[0], _disk_points(rng, 1, 0.7)[0]
+    r = w0 ** 0.2 * np.exp(2j * np.pi * np.arange(5) / 5)
+    B = FiniteBlaschke(zeros=tuple((a - r) / (1 - np.conj(a) * r)))
+    (point, mult), = critical_points(B).entries
+    assert mult == 4
+    assert abs(point - a) <= 1e-10
+
+
+def _mp_newton_on_log_derivative(B, z, steps=5):
+    """``steps`` Newton steps on B'/B from ``z``, in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        poles = [mpmath.mpc(a) for a in B.zeros]
+        signs = [1] * len(poles)
+        for a in list(poles):
+            if a != 0:
+                poles.append(1 / mpmath.conj(a))
+                signs.append(-1)
+        w = mpmath.mpc(z)
+        for _ in range(steps):
+            r = [1 / (w - p) for p in poles]
+            w += (mpmath.fsum(s * x for s, x in zip(signs, r))
+                  / mpmath.fsum(s * x * x for s, x in zip(signs, r)))
+        return complex(w)
+
+
+@pytest.mark.parametrize("d", [33, 49])
+def test_large_degree_critical_points_match_mpmath(d):
+    """A random product with one zero at the origin and the others up to
+    radius 0.9: each returned point is within 1e-12 of the root of B'/B
+    that 50-digit Newton reaches from it, and the d - 1 roots are
+    distinct."""
+    rng = np.random.default_rng(1)
+    B = FiniteBlaschke(zeros=tuple(np.append(_disk_points(rng, d - 1, 0.9),
+                                             0)))
+    crit = critical_points(B)
+    assert [k for _, k in crit.entries] == [1] * (d - 1)
+    limits = []
+    for p, _ in crit.entries:
+        limits.append(_mp_newton_on_log_derivative(B, p))
+        assert abs(limits[-1] - p) <= 1e-12
+    gaps = np.abs(np.subtract.outer(limits, limits)) + np.eye(d - 1)
+    assert gaps.min() > 1e-6
