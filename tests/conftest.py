@@ -37,6 +37,27 @@ def random_critical_set(rng) -> CriticalSet:
     return CriticalSet(tuple(entries))
 
 
+def critical_numerator_coeffs(zeros):
+    """Coefficients (descending) of the numerator polynomial of ``B'``,
+
+        Q(z) = sum_k w_k prod_{j != k} P_j(z),
+
+    with ``P_j(z) = (z - a_j)(1 - conj(a_j) z)`` and ``w_j = 1 - |a_j|^2``.
+    One forward scan over the zeros carries ``(prod P_j, Q)``, the
+    recurrence that ``solver._Conditions`` runs on Taylor jets; the sum is
+    kept padded to the length of the product, so its two leading entries
+    stay zero.
+    """
+    p = np.ones(1, dtype=complex)
+    s = np.zeros(1, dtype=complex)
+    for a in zeros:
+        P = np.array([-np.conj(a), 1.0 + abs(a) ** 2, -a], dtype=complex)
+        s = np.convolve(s, P)
+        s[2:] += (1.0 - abs(a) ** 2) * p
+        p = np.convolve(p, P)
+    return s[2:] if len(s) > 1 else s
+
+
 @pytest.fixture(scope="session")
 def corpus():
     rng = np.random.default_rng(CORPUS_SEED)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from conftest import critical_numerator_coeffs
 from maxblaschke import blaschke
 from maxblaschke.blaschke import (
     CriticalSet,
@@ -261,6 +262,53 @@ def test_derivative_at_origin_order_monomial():
 
 
 # ----------------------------------------------------------------------
+# critical numerator, the reference for the solver's condition assembly
+
+def test_critical_numerator_degree_and_reflection_symmetry():
+    zeros = (0j, 0.6 + 0j, -0.2 + 0.3j)
+    q = critical_numerator_coeffs(zeros)
+    assert len(q) == 2 * len(zeros) - 1  # degree 2d - 2
+    roots = polynomial_roots(q)
+    # root multiset is closed under z -> 1/conj(z)
+    reflected = 1.0 / np.conj(roots)
+    for r in roots:
+        assert np.min(np.abs(reflected - r)) < 1e-8
+
+
+def _mp_critical_numerator(zeros):
+    """Coefficients of sum_k w_k prod_{j != k} P_j to 50 digits, each
+    leave-one-out product expanded on its own."""
+    with mpmath.workdps(50):
+        a = [mpmath.mpc(x) for x in zeros]
+        quads = [[-mpmath.conj(x), 1 + abs(x) ** 2, -x] for x in a]
+        total = [mpmath.mpc(0)] * (2 * len(a) - 1)
+        for k in range(len(a)):
+            term = [1 - abs(a[k]) ** 2]
+            for q in quads[:k] + quads[k + 1:]:
+                prod = [mpmath.mpc(0)] * (len(term) + 2)
+                for i, x in enumerate(term):
+                    for j, y in enumerate(q):
+                        prod[i + j] += x * y
+                term = prod
+            total = [x + y for x, y in zip(total, term)]
+        return np.array([complex(x) for x in total])
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_critical_numerator_matches_mpmath(d):
+    """Random zeros with the first d // 3 at the origin and the last one
+    repeated."""
+    rng = np.random.default_rng(2000 + d)
+    zeros = 0.95 * np.sqrt(rng.random(d)) * np.exp(2j * np.pi * rng.random(d))
+    zeros[: d // 3] = 0.0
+    if d > 1:
+        zeros[-1] = zeros[-2]
+    want = _mp_critical_numerator(zeros)
+    err = np.max(np.abs(critical_numerator_coeffs(zeros) - want))
+    assert err <= 1e-13 * np.max(np.abs(want)), err
+
+
+# ----------------------------------------------------------------------
 # antiderivatives and critical points
 
 def test_antiderivative_has_the_prescribed_derivative():
@@ -289,10 +337,10 @@ def test_degree_two_critical_point_closed_form(a):
     ([0.3, 0.3, 0.6], [2, 1]),
     ([0.3, 0.3, 0.3, 0.6], [3, 1]),
 ])
-def test_solved_points_come_back_with_their_multiplicities(points,
-                                                          multiplicities):
-    """Points 3e-5 apart stay two simple points, too far apart for a double
-    point split by the solve's error; a multiple point comes back as one."""
+def test_cluster_roots_splits_only_separate_roots(points, multiplicities):
+    """Solve and recover: points 3e-5 apart stay two simple points, too far
+    apart for a double point split by the solve's error; a multiple point
+    comes back as one."""
     C = CriticalSet.from_points(points)
     crit = critical_points(solve_maximal(C).solution)
     got = sorted(crit.entries, key=lambda e: e[0].real)
@@ -301,7 +349,7 @@ def test_solved_points_come_back_with_their_multiplicities(points,
     assert max(abs(p - q) for (p, _), q in zip(got, expected)) <= 1e-10
 
 
-def test_wide_group_leaves_the_merge_to_critical_set():
+def test_cluster_roots_leaves_the_merge_to_critical_set():
     """A group too wide for a triple root comes back as simple roots, even
     the two of them within MERGE_TOL; CriticalSet merges those two."""
     roots = np.array([0.01, 0.01 + 5e-9, 0.01006], dtype=complex)

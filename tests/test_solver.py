@@ -2,11 +2,11 @@ import math
 import signal
 from contextlib import contextmanager
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import critical_numerator_coeffs
 from maxblaschke import solver
 from maxblaschke.blaschke import (
     CriticalSet,
@@ -15,7 +15,6 @@ from maxblaschke.blaschke import (
 )
 from maxblaschke.disk import RiemannMapSpec
 from maxblaschke.errors import InputError, NumericalError
-from maxblaschke.roots import polynomial_roots
 from maxblaschke.solver import (
     HomotopyConfig,
     _Conditions,
@@ -166,18 +165,27 @@ def test_sixteen_points_end_in_bounded_work():
         assert critical_points(rep.solution).match(C) <= 1e-8
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("m", [24, 32])
-def test_sweep_sets_verify(m, seed):
-    """At m = 24, seeds 1 and 3 need the endpoint polish, which makes the
-    product's accuracy independent of the path; without it they end about
-    1e-6 off and fail the round trip.  At m = 32, seeds 2 and 3 failed it
-    (2.4e-5 and 3.3e-8) while the critical points came from the companion
-    roots of the expanded critical numerator."""
+def _sweep_set_verifies(m, seed):
     C = _sweep_set(m, seed)
     with _alarm(60):
         rep = solve_maximal(C)
     assert critical_points(rep.solution).match(C) <= 1e-8
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_twenty_four_points_verify(seed):
+    """Seeds 1 and 3 need the endpoint polish, which makes the product's
+    accuracy independent of the path; without it they end about 1e-6 off
+    and fail the round trip."""
+    _sweep_set_verifies(24, seed)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_thirty_two_points_verify(seed):
+    """Seeds 2 and 3 failed the round trip (2.4e-5 and 3.3e-8) while the
+    critical points came from the companion roots of the expanded critical
+    numerator."""
+    _sweep_set_verifies(32, seed)
 
 
 def test_corpus_round_trips_within_1e_12(corpus_solves):
@@ -249,71 +257,6 @@ def test_collapsed_predictor_runs_once_per_solve(monkeypatch, points, calls):
 # ----------------------------------------------------------------------
 # condition assembly, checked against the expanded critical numerator and
 # against central differences
-
-def critical_numerator_coeffs(zeros):
-    """Coefficients (descending) of the numerator polynomial of ``B'``,
-
-        Q(z) = sum_k w_k prod_{j != k} P_j(z),
-
-    with ``P_j(z) = (z - a_j)(1 - conj(a_j) z)`` and ``w_j = 1 - |a_j|^2``.
-    One forward scan over the zeros carries ``(prod P_j, Q)``, the
-    recurrence that ``solver._Conditions`` runs on Taylor jets; the sum is
-    kept padded to the length of the product, so its two leading entries
-    stay zero.
-    """
-    p = np.ones(1, dtype=complex)
-    s = np.zeros(1, dtype=complex)
-    for a in zeros:
-        P = np.array([-np.conj(a), 1.0 + abs(a) ** 2, -a], dtype=complex)
-        s = np.convolve(s, P)
-        s[2:] += (1.0 - abs(a) ** 2) * p
-        p = np.convolve(p, P)
-    return s[2:] if len(s) > 1 else s
-
-
-def test_critical_numerator_degree_and_reflection_symmetry():
-    zeros = (0j, 0.6 + 0j, -0.2 + 0.3j)
-    q = critical_numerator_coeffs(zeros)
-    assert len(q) == 2 * len(zeros) - 1  # degree 2d - 2
-    roots = polynomial_roots(q)
-    # root multiset is closed under z -> 1/conj(z)
-    reflected = 1.0 / np.conj(roots)
-    for r in roots:
-        assert np.min(np.abs(reflected - r)) < 1e-8
-
-
-def _mp_critical_numerator(zeros):
-    """Coefficients of sum_k w_k prod_{j != k} P_j to 50 digits, each
-    leave-one-out product expanded on its own."""
-    with mpmath.workdps(50):
-        a = [mpmath.mpc(x) for x in zeros]
-        quads = [[-mpmath.conj(x), 1 + abs(x) ** 2, -x] for x in a]
-        total = [mpmath.mpc(0)] * (2 * len(a) - 1)
-        for k in range(len(a)):
-            term = [1 - abs(a[k]) ** 2]
-            for q in quads[:k] + quads[k + 1:]:
-                prod = [mpmath.mpc(0)] * (len(term) + 2)
-                for i, x in enumerate(term):
-                    for j, y in enumerate(q):
-                        prod[i + j] += x * y
-                term = prod
-            total = [x + y for x, y in zip(total, term)]
-        return np.array([complex(x) for x in total])
-
-
-@pytest.mark.parametrize("d", range(1, 13))
-def test_critical_numerator_matches_mpmath(d):
-    """Random zeros with the first d // 3 at the origin and the last one
-    repeated."""
-    rng = np.random.default_rng(2000 + d)
-    zeros = 0.95 * np.sqrt(rng.random(d)) * np.exp(2j * np.pi * rng.random(d))
-    zeros[: d // 3] = 0.0
-    if d > 1:
-        zeros[-1] = zeros[-2]
-    want = _mp_critical_numerator(zeros)
-    err = np.max(np.abs(critical_numerator_coeffs(zeros) - want))
-    assert err <= 1e-13 * np.max(np.abs(want)), err
-
 
 def _taylor_rows(zeros, targets):
     """Taylor coefficients 0..k-1 of the critical numerator at each target."""
