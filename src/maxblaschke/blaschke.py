@@ -11,7 +11,9 @@ point, and the others are the disk roots of the logarithmic derivative
 
     B'/B(z) = sum_k 1/(z - a_k) - sum_{a_k != 0} 1/(z - 1/conj(a_k)),
 
-whose roots are symmetric under reflection across the circle.
+whose roots are symmetric under reflection across the circle.  The module
+also composes products and builds the polynomial antiderivatives with
+prescribed roots that the solver's start and the competitor families use.
 
 Serialization schema (JSON)
 ---------------------------
@@ -38,8 +40,10 @@ import numpy as np
 
 from .disk import BOUNDARY_TOL, DiskAutomorphism, pseudo_hyperbolic_distance
 from .errors import InputError, NumericalError
-from .roots import MERGE_TOL, polynomial_roots
 
+#: Final merge tolerance: points closer than this are never reported
+#: separately.
+MERGE_TOL = 1e-8
 #: Evaluation closer than this to a reflected pole 1/conj(a_k) is rejected.
 POLE_TOL = 1e-14
 #: Roots of B'/B closer than this are candidates for one multiple critical
@@ -421,45 +425,56 @@ def _group(z, poles, signs, zeros):
     return np.array(points, dtype=complex), np.array(orders)
 
 
+def antiderivative(poly, points):
+    """Descending coefficients of  integral_0^z p(t) prod_j (t - c_j) dt.
+
+    ``poly`` holds the descending coefficients of ``p`` and ``points`` the
+    roots ``c_j``, repeated by multiplicity; the factors are multiplied in
+    the given order.
+    """
+    core = np.asarray(poly, dtype=complex)
+    for c in points:
+        core = np.convolve(core, np.array([1.0, -c]))
+    return np.polyint(core)
+
+
 def compose(B: FiniteBlaschke, C: FiniteBlaschke) -> FiniteBlaschke:
     """The composite ``B o C`` as a finite Blaschke product.
 
     Its zeros are the ``C``-preimages of the zeros of ``B`` (degree
-    ``deg B * deg C``); the unimodular factor is fitted from one evaluation
-    and validated at several more.
+    ``deg B * deg C``).  A zero of ``B`` at 0 contributes the zeros of
+    ``C`` exactly; the preimages of any other zero ``a`` are the roots of
+    ``eta_C N(z) - a D(z)``, with ``N(z) = prod (z - c)`` and ``D(z) =
+    prod (1 - conj(c) z)``, each polished by two Newton steps on ``C(z) =
+    a``.  The unimodular factor comes from one boundary value, ``B(C(1))``
+    over the composite's zeros' factors at 1: both are unimodular, so
+    neither is ever small.  The result is validated at three points.
     """
     if B.degree == 0 or C.degree == 0:
         # constant outer or inner factor collapses the composite
         value = evaluate(B, evaluate(C, 0j)) if C.degree == 0 else B.eta
         return FiniteBlaschke(zeros=(), eta=value)
-    num = np.array([1.0 + 0j])
-    for c in C.zeros:
-        num = np.convolve(num, np.array([1.0, -c]))
-    num *= C.eta
-    den = np.array([1.0 + 0j])
-    for c in C.zeros:
-        den = np.convolve(den, np.array([-np.conj(c), 1.0]))
+    N = np.poly(C.zeros)
+    # D is N with its coefficients conjugated and reversed
+    D = np.conj(N)[::-1]
     zeros = []
     for a in B.zeros:
-        # preimages C(z) = a: roots of eta_C * N(z) - a * D(z), both arrays
-        # already share length deg C + 1 in descending order
-        zeros.extend(polynomial_roots(num - a * den))
-    zeros = np.array(zeros, dtype=complex)
-    # fit the unimodular factor at a probe where the centered product is tame
-    candidate = FiniteBlaschke(zeros=tuple(zeros), eta=1.0)
-    for probe in (0.31 + 0.17j, -0.23 + 0.29j, 0.11 - 0.37j):
-        base = evaluate(candidate, probe)
-        if abs(base) > 1e-6:
-            break
-    else:
-        raise NumericalError("no usable probe point for composition fit")
-    eta = evaluate(B, evaluate(C, probe)) / base
-    if abs(abs(eta) - 1.0) > 1e-6:
-        raise NumericalError("composition produced a non-unimodular factor")
+        if a == 0:
+            zeros.extend(C.zeros)
+            continue
+        z = np.roots(C.eta * N - a * D)
+        for _ in range(2):
+            value, slope = _scan(C, z)
+            # no step at a critical point of C, where C' = 0
+            z = z - np.divide(value - a, slope, out=np.zeros_like(value),
+                              where=slope != 0)
+        zeros.extend(z)
+    zeros = np.array(zeros)
+    eta = (evaluate(B, evaluate(C, 1.0))
+           / np.prod((1.0 - zeros) / (1.0 - np.conj(zeros))))
     result = FiniteBlaschke(zeros=tuple(zeros), eta=eta)
     for check in (0.4 + 0j, -0.1 + 0.33j, 0.05 - 0.21j):
         direct = evaluate(B, evaluate(C, check))
         if abs(direct - evaluate(result, check)) > 1e-8:
             raise NumericalError("composition validation failed")
     return result
-

@@ -42,6 +42,7 @@ import numpy as np
 from .blaschke import (
     CriticalSet,
     FiniteBlaschke,
+    antiderivative,
     critical_points,
     derivative,
     derivative_at_origin_order,
@@ -49,7 +50,6 @@ from .blaschke import (
 )
 from .disk import RiemannMapSpec
 from .errors import InputError, NumericalError
-from .roots import antiderivative, polynomial_roots
 
 
 #: Newton iterations allowed per path step.
@@ -277,12 +277,14 @@ def _collapsed_predictor(order, targets, total):
     the ``c_i``, so the nonzero roots of ``p`` are ``t`` times those of
     ``p_1``: computed once on the unscaled targets, they are the slope that
     starts the path (the labeled Jacobian is singular at the exactly
-    collapsed state, so the solver never corrects there).  The root of
-    ``p`` at 0, of order ``order + 1``, is exact and comes last.
+    collapsed state, so the solver never corrects there).  The roots are
+    the companion eigenvalues of ``np.roots``, unpolished, since Newton
+    corrects the predicted zeros anyway; ``p`` has an exact root of order
+    ``order + 1`` at 0, which ``np.roots`` returns exactly and last.
     """
     points = [c for c, k in targets for _ in range(k)]
     p = antiderivative([total + 1.0] + [0.0] * order, points)
-    return polynomial_roots(p)[: -(order + 1)]
+    return np.roots(p)[: -(order + 1)]
 
 
 def solve_maximal(

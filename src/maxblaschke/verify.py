@@ -21,6 +21,7 @@ from .blaschke import (
     CriticalSet,
     FiniteBlaschke,
     _scan,
+    antiderivative,
     compose,
     critical_points,
     derivative_at_origin_order,
@@ -37,7 +38,6 @@ from .metrics import (
     pullback_density,
     union_metric,
 )
-from .roots import antiderivative
 from .solver import HomotopyConfig, _index, solve_maximal
 
 #: Number of quadrature nodes on |z| = 1/2 for derivatives at the origin.

@@ -16,11 +16,11 @@ from maxblaschke.blaschke import (
     derivative,
     derivative_at_origin_order,
     POLE_TOL,
+    antiderivative,
     evaluate,
 )
 from maxblaschke.disk import pseudo_hyperbolic_distance
 from maxblaschke.errors import InputError, NumericalError
-from maxblaschke.roots import antiderivative, polynomial_roots
 from maxblaschke.solver import solve_maximal
 
 
@@ -268,7 +268,7 @@ def test_critical_numerator_degree_and_reflection_symmetry():
     zeros = (0j, 0.6 + 0j, -0.2 + 0.3j)
     q = critical_numerator_coeffs(zeros)
     assert len(q) == 2 * len(zeros) - 1  # degree 2d - 2
-    roots = polynomial_roots(q)
+    roots = np.roots(q)
     # root multiset is closed under z -> 1/conj(z)
     reflected = 1.0 / np.conj(roots)
     for r in roots:
@@ -407,6 +407,46 @@ def test_compose_chain_rule_adds_critical_points():
     assert crit.origin_multiplicity == 1
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_compose_power_of_z_is_exact(k, corpus_solves):
+    """z^k o C is C^k: the zeros of the outer factor at 0 give C's own zeros
+    exactly, and the factor eta_C^k comes from one boundary value."""
+    double = FiniteBlaschke(zeros=(0.3 + 0.2j, 0.3 + 0.2j, -0.5j, 0j),
+                            eta=np.exp(0.7j))
+    outer = FiniteBlaschke(zeros=(0j,) * k)
+    for C in [rep.solution for rep, _ in corpus_solves] + [double]:
+        got = compose(outer, C)
+        want = FiniteBlaschke(zeros=C.zeros * k, eta=C.eta ** k)
+        assert got.zeros == want.zeros
+        assert abs(got.eta - want.eta) <= 1e-15
+
+
+@pytest.mark.filterwarnings("error")
+def test_compose_at_a_critical_value_is_exact():
+    """C(z) = (z^2 - 1/4)/(1 - z^2/4) takes its critical value -1/4 at the
+    double preimage 0, where C' = 0 exactly, and B(w) = (w + 1/4)/(1 + w/4)
+    makes B o C = z^2."""
+    B = FiniteBlaschke(zeros=(-0.25 + 0j,))
+    C = FiniteBlaschke(zeros=(0.5 + 0j, -0.5 + 0j))
+    got = compose(B, C)
+    assert got.zeros == (0j, 0j)
+    assert abs(got.eta - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("j", [0, 4, 19, 23, 31, 32, 33, 36, 40, 42, 46])
+def test_compose_small_composites(j, corpus_solves):
+    """Corpus set 5's product has the zeros {0, 0, 0}; composed with these
+    corpus products it is small at any fixed probe point, which a fitted
+    unimodular factor could not use."""
+    B, C = corpus_solves[5][0].solution, corpus_solves[j][0].solution
+    assert B.zeros == (0j, 0j, 0j)
+    A = compose(B, C)
+    assert A.degree == 3 * C.degree
+    z = np.array([0.3 - 0.2j, 0.1j, -0.55, 0.8 * np.exp(2j)])
+    assert evaluate(A, z) == pytest.approx(evaluate(B, evaluate(C, z)),
+                                           abs=1e-12)
+
+
 def _double_point_composite(seed):
     """``outer o F`` with every ``F``-preimage of ``a`` an exact double
     critical point, and those preimages from an independent polynomial.
@@ -430,7 +470,7 @@ def _double_point_composite(seed):
     for c in f:
         reflected = np.convolve(reflected, [-np.conj(c), 1.0])
     num = F.eta * np.poly(f) - a * reflected
-    return compose(outer, F), polynomial_roots(num)
+    return compose(outer, F), np.roots(num)
 
 
 @pytest.mark.parametrize("seed", range(60))

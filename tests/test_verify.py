@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from maxblaschke.blaschke import (
     CriticalSet,
     FiniteBlaschke,
+    antiderivative,
     compose,
     derivative_at_origin_order,
     evaluate,
@@ -14,7 +15,6 @@ from maxblaschke.blaschke import (
 from maxblaschke.disk import DiskAutomorphism
 from maxblaschke.errors import InputError, NumericalError
 from maxblaschke.metrics import PolarGrid
-from maxblaschke.roots import antiderivative
 from maxblaschke.solver import solve_maximal
 from maxblaschke.verify import (
     CAUCHY_NODES,
