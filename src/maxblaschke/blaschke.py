@@ -260,16 +260,30 @@ def _scan(B: FiniteBlaschke, z, tangent=True):
     p = np.ones(z.shape, dtype=complex)
     dp = np.zeros(z.shape, dtype=complex) if tangent else None
     for a in B.zeros:
-        denom = 1.0 - np.conj(a) * z
+        # in place, each operation and its operands in the order of
+        # dp * f + p * ((1 - |a|^2) / denom**2), since numpy's complex
+        # product is not bitwise commutative; the bits are the expression
+        # form's except on a one-element array, where numpy's in-place
+        # product skips the fused multiply-add.  empty_like buffers keep
+        # 0-d inputs working.
+        denom = np.multiply(np.conj(a), z, out=np.empty_like(z))
+        np.subtract(1.0, denom, out=denom)
         if np.any(np.abs(denom) < POLE_TOL):
             raise NumericalError(
                 "evaluation point too close to a reflected pole"
             )
-        f = (z - a) / denom
+        f = np.subtract(z, a, out=np.empty_like(z))
+        f /= denom
         if tangent:
-            dp = dp * f + p * ((1.0 - abs(a) ** 2) / denom**2)
-        p = p * f
-    return B.eta * p, B.eta * dp if tangent else None
+            dp *= f
+            denom **= 2
+            np.divide(1.0 - abs(a) ** 2, denom, out=denom)
+            np.multiply(p, denom, out=denom)
+            dp += denom
+        p *= f
+    # p[()] makes a 0-d result a numpy scalar, whose product with eta
+    # rounds as the expression form's scalar arithmetic did
+    return B.eta * p[()], B.eta * dp[()] if tangent else None
 
 
 def evaluate(B: FiniteBlaschke, z):

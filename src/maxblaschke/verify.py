@@ -223,17 +223,23 @@ def _worst(derivs: np.ndarray) -> np.ndarray:
 class _CompetitorEngine:
     """Shared evaluation data for scoring many competitors against one B.
 
-    Precomputes B on the Cauchy circle, the boundary ring, and small rings
-    around each prescribed critical point, and the matrix ``derivs`` taking
-    values on those rings to the constrained derivatives f^(i)(p),
-    i = 1..multiplicity.  Each competitor kind is then scored as one batch.
+    Precomputes the Cauchy circle and the boundary samples (for the
+    antiderivative and re-solve kinds), B on small rings around each
+    prescribed critical point, and the matrix ``derivs`` taking values on
+    those rings to the constrained derivatives f^(i)(p), i = 1..multiplicity.
+    The scalar-multiple and automorphism kinds are scored in closed form
+    from B's order-(N+1) coefficient g(0) at the origin.  Each competitor
+    kind is scored as one batch.
     """
 
     def __init__(self, C: CriticalSet, B: FiniteBlaschke, cfg=None):
         self.C = C
         self.cfg = cfg
         order = C.origin_multiplicity  # functional: Re f^(order+1)(0)
+        # raises unless B = z^(order+1) g with g(0) != 0
         self.target = derivative_at_origin_order(B, order)
+        # g(0), complex unless B is normalized: the order-(N+1) coefficient
+        self.g0 = math.prod((-a for a in B.zeros if a != 0), start=B.eta)
         self.factorial = math.factorial(order + 1)
         k = np.arange(CAUCHY_NODES)
         self.qnodes = 0.5 * np.exp(2j * np.pi * k / CAUCHY_NODES)
@@ -241,8 +247,6 @@ class _CompetitorEngine:
         self.bnodes = np.exp(
             2j * np.pi * np.arange(SUP_SAMPLES) / SUP_SAMPLES
         )
-        self.B_q = evaluate(B, self.qnodes)
-        self.B_b = evaluate(B, self.bnodes)
         # rings used for derivative constraints at the critical points:
         # f^(i)(p) = i! / (64 r^i) * sum_j f(p + r u_j) u_j^-i, r = 0.05
         u = np.exp(2j * np.pi * np.arange(64) / 64)
@@ -278,16 +282,15 @@ class _CompetitorEngine:
                 coeffs[idx], violations[idx] = scorer([specs[i] for i in idx])
         return self.target - coeffs.real * self.factorial, violations
 
-    # Each scorer returns, per spec, the Cauchy coefficient sum f(q) w(q)
-    # of the deflated competitor f and its constraint violation.
+    # Each scorer returns, per spec, the order-(N+1) Taylor coefficient of
+    # the deflated competitor f and its constraint violation.
 
     def _scalars(self, specs):
-        """f = s B: every quantity is B's own, times s."""
+        """f = s B: |s B| = |s| <= 1 on the circle, and every coefficient is
+        B's own, times s."""
         s = np.array([sp.scalar for sp in specs], dtype=complex)
-        sup = np.abs(s) * np.max(np.abs(self.B_b))
-        scale = s * (1.0 - DEFLATION) / np.maximum(1.0, sup)
-        coeff = self.B_q @ self.qweights
-        return scale * coeff, np.abs(scale) * _worst(self.B_r @ self.derivs)
+        scale = s * (1.0 - DEFLATION)
+        return scale * self.g0, np.abs(scale) * _worst(self.B_r @ self.derivs)
 
     def _antiderivatives(self, specs):
         """f = P(z) @ basis: the antiderivative is linear in p's coefficients,
@@ -323,42 +326,14 @@ class _CompetitorEngine:
     def _automorphisms(self, specs):
         """f = T o B with T(w) = eta (c - w) / (1 - conj(c) w).
 
-        The sup uses the real identity |T(w)|^2 = 1 + (|c|^2 - 1)(1 - |w|^2)
-        / (1 - 2x + |c|^2 |w|^2) with x = Re(conj(c) w); |B| = 1 on the
-        circle up to rounding, so the denominator's rounding only touches a
-        rounding-size term.  The quadrature is linear in f and
-        T(w) = eta [c + (|c|^2 - 1) sum_{k>=1} conj(c)^(k-1) w^k], so it is
-        a Horner sum over the moments M_k = sum_q B(q)^k w(q), cut where
-        (max|c| max|B(q)|)^k < eps.  B vanishes to order N + 1 at 0 (the
-        target requires it), so max|B(q)| <= 1/2 and the cut comes by k = 53.
+        |T o B| = 1 on the circle.  B vanishes to order N + 1 at 0, so
+        T o B = T(0) + T'(0) B + O(z^(2N+2)) and its order-(N+1) coefficient
+        is T'(0) g(0), with T'(0) = eta (|c|^2 - 1).
         """
         eta = np.array([sp.automorphism.rotation for sp in specs])
         c = np.array([sp.automorphism.center for sp in specs])
-        c2 = np.abs(c) ** 2
-        w2 = np.abs(self.B_b) ** 2
-        planar_c = np.stack([c.real, c.imag], axis=1)
-        planar_w = np.stack([self.B_b.real, self.B_b.imag])
-        excess = np.empty(len(c))  # sup |T(B)|^2 - 1
-        for rows in _chunks(len(c), SUP_SAMPLES):
-            x = planar_c[rows] @ planar_w
-            a = c2[rows, None]
-            excess[rows] = np.max(
-                (a - 1.0) * (1.0 - w2) / (1.0 - 2.0 * x + a * w2), axis=1
-            )
-        sup = np.sqrt(1.0 + excess)
-        scale = eta * (1.0 - DEFLATION) / np.maximum(1.0, sup)
-        rho = np.max(np.abs(c)) * np.max(np.abs(self.B_q))
-        eps = np.finfo(float).eps
-        n_terms = 1 if rho < eps else math.ceil(math.log(eps) / math.log(rho))
-        moments = np.empty(n_terms + 1, dtype=complex)
-        power = self.qweights.copy()
-        for k in range(n_terms + 1):
-            moments[k] = np.sum(power)
-            power *= self.B_q
-        series = np.full(len(c), moments[n_terms])
-        for k in range(n_terms - 1, 0, -1):
-            series = series * np.conj(c) + moments[k]
-        coeff = c * moments[0] + (c2 - 1.0) * series
+        scale = eta * (1.0 - DEFLATION)
+        coeff = (np.abs(c) ** 2 - 1.0) * self.g0
         ring = np.empty((len(c), self.derivs.shape[1]), dtype=complex)
         for rows in _chunks(len(c), len(self.rnodes)):
             cc = c[rows, None]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from conftest import critical_numerator_coeffs
+from conftest import critical_numerator_coeffs, scan_reference
 from maxblaschke import blaschke
 from maxblaschke.blaschke import (
     CriticalSet,
@@ -21,6 +21,7 @@ from maxblaschke.blaschke import (
 )
 from maxblaschke.disk import pseudo_hyperbolic_distance
 from maxblaschke.errors import InputError, NumericalError
+from maxblaschke.metrics import PolarGrid
 from maxblaschke.solver import solve_maximal
 
 
@@ -218,6 +219,31 @@ def test_evaluate_and_derivative_match_mpmath(d):
                       (derivative(B, z), ref[:, 1])):
         err = np.max(np.abs(got - want)) / np.max(np.abs(want))
         assert err <= 1e-13, err
+
+
+def test_scan_is_bit_identical_to_expression_form():
+    """The in-place scan keeps every operation and its order, so values and
+    tangents equal the expression form's bit for bit: on seeded products of
+    degree <= 6 with random unimodular factors, at a 0-d point, on a polar
+    grid and with zeros at the origin."""
+    rng = np.random.default_rng(2026)
+    grid = PolarGrid(n_r=16, n_theta=32).nodes
+    cases = []
+    for _ in range(20):
+        d = int(rng.integers(0, 7))
+        zeros = 0.9 * np.sqrt(rng.random(d)) * np.exp(2j * np.pi * rng.random(d))
+        B = FiniteBlaschke(tuple(zeros), eta=np.exp(2j * np.pi * rng.random()))
+        z = 0.99 * np.sqrt(rng.random(50)) * np.exp(2j * np.pi * rng.random(50))
+        cases.append((B, z))
+    B = FiniteBlaschke((0j, 0j, 0.3 - 0.4j, -0.6j), eta=np.exp(1.1j))
+    cases += [(B, 0.2 + 0.1j), (B, grid), (FiniteBlaschke((0j,) * 3), grid)]
+    for B, z in cases:
+        want, want_slope = scan_reference(B, z)
+        got, slope = blaschke._scan(B, z)
+        assert got.shape == slope.shape == np.shape(z)
+        assert np.array_equal(got, want) and np.array_equal(slope, want_slope)
+        value, none = blaschke._scan(B, z, tangent=False)
+        assert none is None and np.array_equal(value, want)
 
 
 def test_evaluate_rejects_reflected_pole():

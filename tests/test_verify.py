@@ -105,9 +105,11 @@ def test_mixed_batch_wins_everything(b_two):
 
 
 def test_quadrature_functional_agrees_with_derivative(b_two):
-    """Dual route: the suite's Cauchy-integral functional versus the direct
-    coefficient formula.  The identity competitor is deflated by 1e-6, so a
-    margin of exactly F * 1e-6 certifies the two routes agree."""
+    """The identity competitor, scored in closed form from g(0), against
+    the coefficient formula behind the target.  It is deflated by 1e-6, so
+    its margin is F * 1e-6.  The Cauchy-integral route that once scored it
+    is the per-spec reference below, which the batched-scoring tests check
+    the closed forms against."""
     T = DiskAutomorphism(rotation=-1.0, center=0j)  # identity map
     out = extremality_suite(
         C_TWO, b_two, [CompetitorSpec(kind="postcompose-automorphism", automorphism=T)])
@@ -441,6 +443,26 @@ def test_batched_scores_on_empty_set_and_origin_point():
         B = solve_maximal(C).solution
         specs = default_competitor_specs(C, 300, rng, larger=0)
         _assert_matches_reference(C, B, specs)
+
+
+@pytest.mark.parametrize("theta", [0.7, 2.0, -2.6])
+def test_closed_forms_match_reference_on_rotated_products(
+        corpus, corpus_solves, theta):
+    """B rotated by eta = e^(i theta): g(0) picks up an imaginary part, which
+    the closed forms keep and the reference's quadrature and sampled sup
+    see independently.  Corpus sets 0 (a double origin point among 8
+    points), 10 and 30 (double points elsewhere), and a small set with a
+    double origin point."""
+    rng = np.random.default_rng(abs(int(100 * theta)))
+    cases = [(corpus[i], corpus_solves[i][0].solution) for i in (0, 10, 30)]
+    C = CriticalSet(((0j, 2), (0.4 + 0.1j, 1)))
+    cases.append((C, solve_maximal(C).solution))
+    for C, B in cases:
+        B = FiniteBlaschke(B.zeros, eta=B.eta * np.exp(1j * theta))
+        specs = [s for s in default_competitor_specs(C, 200, rng, larger=0)
+                 if s.kind != "antiderivative-family"]
+        out = _assert_matches_reference(C, B, specs)
+        assert out["skipped"] == 0
 
 
 @pytest.mark.parametrize("kwargs", [
