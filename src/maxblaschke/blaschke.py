@@ -317,16 +317,31 @@ def derivative_at_origin_order(B: FiniteBlaschke, order: int) -> float:
     InputError
         If the zero order of ``B`` at the origin is not exactly ``order + 1``.
     """
-    at_origin = sum(1 for a in B.zeros if a == 0)
+    at_origin = B.zeros.count(0)
     if at_origin != order + 1:
         raise InputError(
             f"zero order at origin is {at_origin}, expected {order + 1}"
         )
-    g0 = B.eta
-    for a in B.zeros:
-        if a != 0:
-            g0 *= -a
-    return math.factorial(order + 1) * g0.real
+    return math.factorial(order + 1) * _origin_coefficient(B, order).real
+
+
+def _origin_coefficient(B: FiniteBlaschke, order: int) -> complex:
+    """The coefficient of ``z^(order+1)`` in ``B``, complex in general.
+
+    With a zero of exact order ``order + 1`` at 0 it is ``g(0) = eta *
+    prod(-a)`` over the nonzero zeros ``a`` (each factor is ``-a`` at 0);
+    with a zero of higher order it is 0.  A lower order raises
+    ``InputError``.
+    """
+    at_origin = B.zeros.count(0)
+    if at_origin < order + 1:
+        raise InputError(
+            f"zero order at origin is {at_origin}, expected at least "
+            f"{order + 1}"
+        )
+    if at_origin > order + 1:
+        return 0j
+    return math.prod((-a for a in B.zeros if a != 0), start=B.eta)
 
 
 def critical_points(B: FiniteBlaschke) -> CriticalSet:

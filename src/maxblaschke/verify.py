@@ -20,6 +20,7 @@ import numpy as np
 from .blaschke import (
     CriticalSet,
     FiniteBlaschke,
+    _origin_coefficient,
     _scan,
     antiderivative,
     compose,
@@ -40,11 +41,16 @@ from .metrics import (
 )
 from .solver import HomotopyConfig, _index, solve_maximal
 
-#: Number of quadrature nodes on |z| = 1/2 for derivatives at the origin.
-CAUCHY_NODES = 4096
-#: Number of boundary samples certifying competitor sup-norms.
+#: Number of boundary samples certifying the sup-norm of the antiderivative
+#: competitors, the one kind whose sup is not known in closed form.
 SUP_SAMPLES = 8192
-#: Competitors are shrunk by this before scoring, absorbing sampling error.
+#: Competitors are shrunk by this before scoring, absorbing the sampling
+#: error of the antiderivative kind's sup.  |f|^2 is a trigonometric
+#: polynomial of degree d, so Bernstein's inequality bounds the relative
+#: underestimate of sup |f| by about (d pi / SUP_SAMPLES)^2 / 4, up to about
+#: 5e-6 at d = 12 (a cubic p at mass 8, the corpus's highest degree).  The
+#: worst case is rare: over the corpus batches of mass >= 5 the
+#: underestimate is at most 6.4e-7 (tests/test_verify.py).
 DEFLATION = 1e-6
 #: Constraint check: |f^(i)| at a prescribed critical point, i up to its
 #: multiplicity, must not exceed this.
@@ -201,11 +207,13 @@ def default_competitor_specs(
     return specs
 
 
-#: Largest array over quadrature or sample nodes, in elements, that batched
-#: scoring builds: a quarter of one default PolarGrid field, so the few
-#: such arrays alive at once stay below the grid work beside them (peak
-#: traced memory of one 1000-competitor suite: 1.6 MB, against 2.7 MB at
-#: a full field).
+#: Largest complex array over ring or sample nodes, in elements, that
+#: batched scoring builds: a quarter of one default PolarGrid field, so the
+#: few such arrays alive at once stay below the grid work beside them.  The
+#: one larger array is the antiderivative kind's table of 2d + 1 real rows
+#: over the SUP_SAMPLES samples (0.9 MB at degree d = 6, 1.6 MB at d = 12).
+#: Peak traced memory of one 1000-competitor corpus suite: 1.6 MB at mass
+#: <= 2 and 2.6 MB at mass 8, against 2.7 MB for a full field.
 _BLOCK = 16384
 
 
@@ -223,27 +231,27 @@ def _worst(derivs: np.ndarray) -> np.ndarray:
 class _CompetitorEngine:
     """Shared evaluation data for scoring many competitors against one B.
 
-    Precomputes the Cauchy circle and the boundary samples (for the
-    antiderivative and re-solve kinds), B on small rings around each
-    prescribed critical point, and the matrix ``derivs`` taking values on
-    those rings to the constrained derivatives f^(i)(p), i = 1..multiplicity.
-    The scalar-multiple and automorphism kinds are scored in closed form
-    from B's order-(N+1) coefficient g(0) at the origin.  Each competitor
-    kind is scored as one batch.
+    Precomputes the boundary samples (for the antiderivative kind's sup),
+    B on small rings around each prescribed critical point, and the matrix
+    ``derivs`` taking values on those rings to the constrained derivatives
+    f^(i)(p), i = 1..multiplicity.  Every order-(N+1) coefficient is exact:
+    g(0) of B for the scalar-multiple and automorphism kinds, g(0) of the
+    re-solved product for the larger-critical-set kind, and a column of
+    the polynomial basis for the antiderivative kind.  Only the
+    antiderivative kind's sup is sampled; the others are bounded by 1 on
+    the circle.  Each competitor kind is scored as one batch.
     """
 
     def __init__(self, C: CriticalSet, B: FiniteBlaschke, cfg=None):
         self.C = C
         self.cfg = cfg
-        order = C.origin_multiplicity  # functional: Re f^(order+1)(0)
+        # functional: Re f^(order+1)(0)
+        self.order = order = C.origin_multiplicity
         # raises unless B = z^(order+1) g with g(0) != 0
         self.target = derivative_at_origin_order(B, order)
         # g(0), complex unless B is normalized: the order-(N+1) coefficient
-        self.g0 = math.prod((-a for a in B.zeros if a != 0), start=B.eta)
+        self.g0 = _origin_coefficient(B, order)
         self.factorial = math.factorial(order + 1)
-        k = np.arange(CAUCHY_NODES)
-        self.qnodes = 0.5 * np.exp(2j * np.pi * k / CAUCHY_NODES)
-        self.qweights = self.qnodes ** -(order + 1) / CAUCHY_NODES
         self.bnodes = np.exp(
             2j * np.pi * np.arange(SUP_SAMPLES) / SUP_SAMPLES
         )
@@ -293,8 +301,16 @@ class _CompetitorEngine:
         return scale * self.g0, np.abs(scale) * _worst(self.B_r @ self.derivs)
 
     def _antiderivatives(self, specs):
-        """f = P(z) @ basis: the antiderivative is linear in p's coefficients,
-        so the quadrature and ring checks run once per monomial basis row."""
+        """f = P @ basis, a polynomial of degree d: the antiderivative is
+        linear in p's coefficients, so the ring checks run once per monomial
+        basis row, and the order-(N+1) coefficient is read off ``basis``.
+
+        The sup is taken on the samples from |f(e^{it})|^2 = r_0 + 2 Re
+        sum_j r_j e^{ijt}, j = 1..d, with r_j = sum_k c_(k+j) conj(c_k) over
+        f's coefficients c_k: one real matmul against the rows [1, cos jt,
+        sin jt].  Its rounding relative to the max is at most about
+        (d + 1)(2d + 1) eps, below 1e-13 at d = 12.
+        """
         width = max(len(sp.poly_coeffs) for sp in specs)
         P = np.zeros((len(specs), width), dtype=complex)
         for row, sp in zip(P, specs):
@@ -303,25 +319,35 @@ class _CompetitorEngine:
         basis = np.array([antiderivative(e, points) for e in np.eye(width)])
         # np.polyval(columns, x): every basis row at the points x, by Horner
         columns = basis.T[:, :, None]
-        coeff = sum(
-            np.polyval(columns, self.qnodes[b]) @ self.qweights[b]
-            for b in _chunks(CAUCHY_NODES, width)
-        )
         ring = sum(
             np.polyval(columns, self.rnodes[b]) @ self.derivs[b]
             for b in _chunks(len(self.rnodes), width)
         )
-        sup = np.zeros(len(specs))
-        for b in _chunks(SUP_SAMPLES, width):
-            values = np.polyval(columns, self.bnodes[b])
-            for rows in _chunks(len(P), values.shape[1]):
-                sup[rows] = np.maximum(
-                    sup[rows], np.max(np.abs(P[rows] @ values), axis=1)
-                )
-        if np.any(sup == 0.0):
+        F = P @ basis  # descending: F[:, i] is the coefficient of z^(d-i)
+        d = F.shape[1] - 1
+        r = np.array(
+            [np.sum(F[:, : d + 1 - j] * np.conj(F[:, j:]), axis=1)
+             for j in range(d + 1)]
+        ).T
+        # |f|^2 = R @ [1, cos jt, sin jt], R = [r_0, 2 Re r_j, -2 Im r_j]
+        r[:, 1:] *= 2.0
+        R = np.hstack([r.real, -r.imag[:, 1:]])
+        # e^{ijt} at the k-th sample t = 2 pi k / SUP_SAMPLES is sample jk
+        trig = np.empty((2 * d + 1, SUP_SAMPLES))
+        trig[0] = 1.0
+        k = np.arange(SUP_SAMPLES)
+        for j in range(1, d + 1):
+            e = self.bnodes[j * k % SUP_SAMPLES]
+            trig[j], trig[d + j] = e.real, e.imag
+        # real entries, half the bytes of complex ones: 4 rows per block
+        squared = np.empty(len(specs))
+        for rows in _chunks(len(specs), SUP_SAMPLES // 2):
+            squared[rows] = np.max(R[rows] @ trig, axis=1)
+        if np.any(squared == 0.0):
             raise InputError("zero antiderivative competitor")
-        scale = (1.0 - DEFLATION) / sup
-        return scale * (P @ coeff), scale * _worst(P @ ring)
+        scale = (1.0 - DEFLATION) / np.sqrt(squared)
+        coeff = P @ basis[:, -(self.order + 2)]  # of z^(order+1)
+        return scale * coeff, scale * _worst(P @ ring)
 
     def _automorphisms(self, specs):
         """f = T o B with T(w) = eta (c - w) / (1 - conj(c) w).
@@ -342,18 +368,21 @@ class _CompetitorEngine:
         return scale * coeff, np.abs(scale) * _worst(ring)
 
     def _larger_sets(self, specs):
-        """Re-solve each enlarged critical set; the one kind scored singly."""
+        """Re-solve each enlarged critical set; the one kind scored singly.
+
+        The re-solved product is a Blaschke product, so its sup on the
+        circle is 1, and its order-(N+1) coefficient is g(0), or 0 when an
+        extra point at 0 raises its zero order there above N + 1.
+        """
         coeff = np.empty(len(specs), dtype=complex)
         violation = np.empty(len(specs))
         for i, sp in enumerate(specs):
             extra = CriticalSet(tuple((z, 1) for z in sp.extra_points))
             big = solve_maximal(self.C.union(extra), self.cfg).solution
-            sup = float(np.max(np.abs(evaluate(big, self.bnodes))))
-            scale = (1.0 - DEFLATION) / max(1.0, sup)
-            coeff[i] = scale * (evaluate(big, self.qnodes) @ self.qweights)
-            ring = evaluate(big, self.rnodes) @ self.derivs
-            violation[i] = scale * _worst(ring)
-        return coeff, violation
+            coeff[i] = _origin_coefficient(big, self.order)
+            violation[i] = _worst(evaluate(big, self.rnodes) @ self.derivs)
+        scale = 1.0 - DEFLATION
+        return scale * coeff, scale * violation
 
 
 def extremality_suite(

@@ -287,6 +287,21 @@ def test_derivative_at_origin_order_monomial():
         derivative_at_origin_order(B, 0)
 
 
+def test_origin_coefficient_against_taylor_series():
+    """B = 1j z^2 (z - a)/(1 - conj(a) z) = -1j a z^2 + O(z^3): the z^2
+    coefficient is g(0) = -1j a, complex; the z^1 coefficient is 0 (a zero
+    of higher order), and the z^3 one is not g(0), so it raises."""
+    a = 0.3 - 0.4j
+    B = FiniteBlaschke(zeros=(0j, a, 0j), eta=1j)
+    assert blaschke._origin_coefficient(B, 1) == -1j * a
+    assert derivative_at_origin_order(B, 1) == 2 * (-1j * a).real
+    assert blaschke._origin_coefficient(B, 0) == 0
+    with pytest.raises(InputError):
+        blaschke._origin_coefficient(B, 2)
+    with pytest.raises(InputError):
+        derivative_at_origin_order(B, 0)
+
+
 # ----------------------------------------------------------------------
 # critical numerator, the reference for the solver's condition assembly
 
