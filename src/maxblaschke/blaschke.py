@@ -400,7 +400,7 @@ def critical_points(B: FiniteBlaschke) -> CriticalSet:
             f"{d - len(zeros) + len(inside)}"
         )
     poles, signs = _poles(zeros, mult)
-    points, orders = _group(inside, poles, signs, np.array(B.zeros))
+    points, orders = _group(inside, poles, signs)
     for _ in range(3):
         r = 1 / (points[:, None] - poles)
         rk = signs * r ** orders[:, None]
@@ -418,16 +418,14 @@ def _poles(zeros, mult):
             np.concatenate([mult, -mult[nonzero]]).astype(float))
 
 
-def _group(z, poles, signs, zeros):
+def _group(z, poles, signs):
     """Roots of B'/B within ``GROUP_TOL`` of one another, as (points,
-    orders); ``zeros`` are those of ``B``, with multiplicity.
+    orders).
 
     A group of ``k`` with centroid ``c`` and radius ``r`` is one ``k``-fold
     root if the split ``|S_(k+1)(c)| r^k`` stays within ``SPLIT_TOL`` of
-    either of two sizes of B'/B at ``c``: that of its terms,
-    ``sum |s/(c - p)|``, or ``deg B / |prod P_j(c)|`` with ``P_j(z) =
-    (z - a_j)(1 - conj(a_j) z)``, the scale on which ``Q = B'/B prod P_j``
-    is the solver's residual.  Otherwise its members stay simple roots.
+    the size of B'/B at ``c``, the sum of its terms ``sum |s/(c - p)|``.
+    Otherwise its members stay simple roots.
     """
     linked = np.abs(z[:, None] - z) <= GROUP_TOL
     for j in range(z.size):
@@ -443,9 +441,7 @@ def _group(z, poles, signs, zeros):
             r = 1 / (c - poles)
             split = (abs(np.sum(signs * r ** (k + 1)))
                      * np.max(np.abs(members - c)) ** k)
-            prod = np.prod(np.abs((c - zeros) * (1 - np.conj(zeros) * c)))
-            if (split <= SPLIT_TOL * np.sum(np.abs(signs * r))
-                    or split * prod <= SPLIT_TOL * zeros.size):
+            if split <= SPLIT_TOL * np.sum(np.abs(signs * r)):
                 points.append(c)
                 orders.append(k)
                 continue

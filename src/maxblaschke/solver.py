@@ -11,14 +11,17 @@ nonzero point to its multiplicity.  The solver follows the path ``C(t) = t C``
 from the collapsed state ``B_0 = z^(m+1)`` at ``t = 0``.  Each step has one
 predictor, the last free zeros moved along a slope: first the tangent of the
 collapsed asymptotic, computed once, then the secant through the last
-accepted step.  A damped Newton iteration corrects it.  The first step tries
+accepted step.  A damped Newton iteration corrects it, measuring each
+residual row against the sum of the moduli of its terms and stopping once
+the largest such ratio is within ``newton_tol``.  The first step tries
 ``t = 1`` directly; each accepted step doubles the step, up to what is left
 of the path, and a predictor that leaves the disk or a failed correction
 halves it until it falls below ``_MIN_STEP``, where the solve raises.  A
 finite critical set has one extremal product (Heins), so a long step has no
 other branch to land on.  On the step that ends at ``t = 1``, the converged
 iterate gets one more Newton correction, so the product's accuracy does not
-depend on the path taken to it.  ``Q``
+depend on the path taken to it; where ``k + 1`` free zeros then sit on a
+``k``-fold target, they are set onto it exactly.  ``Q``
 and its derivatives with respect to ``b_k`` and ``conj(b_k)`` are short
 Taylor jets at the targets, all targets at once, built in factored form by
 one forward and one backward scan over the zeros.  Each Newton iterate is
@@ -87,8 +90,8 @@ class SolveReport:
     ``homotopy_trace`` holds one ``(t, residual, newton_iters)`` triple per
     accepted path step, often a single one at ``t = 1``, and the last
     step's count includes the endpoint polish when it was kept;
-    ``residual_norm`` is the final max-norm of the critical-numerator
-    conditions divided by the degree ``m + 1`` of the product;
+    ``residual_norm`` is the final largest ratio of a critical-numerator
+    condition to the sum of the moduli of its terms;
     ``roundtrip_error`` is the largest pseudo-hyperbolic distance
     between the requested critical set and the one recovered from the
     solution.
@@ -138,6 +141,8 @@ class _Conditions:
     and ``dQ/db_l = -conj(b_l) u_l - (1 - conj(b_l) z) S_l``,
     ``dQ/dconj(b_l) = -b_l u_l - (z - b_l) z S_l``.  So an iterate costs
     O(d) vectorized jet products and no factor is ever divided out.
+    :meth:`bound` runs the forward scan on the moduli of the jets, which
+    gives each row the sum of the moduli of its terms.
     """
 
     def __init__(self, n_origin, targets):
@@ -187,6 +192,15 @@ class _Conditions:
             pre[i + 1] = self._step(pre[i], P[i], w[i])
         return pre[-1, 1][self.rows_t, self.rows_j], (b, P, w, pre)
 
+    def bound(self, free):
+        """Each residual row's sum of the moduli of its terms at ``free``:
+        the forward scan on ``|P|`` jets, from ``|origin|``."""
+        P, w = self._factors(free[:, None])
+        P, pair = np.abs(P), np.abs(self.origin)
+        for i in range(len(free)):
+            pair = self._step(pair, P[i], w[i])
+        return pair[1][self.rows_t, self.rows_j]
+
     def jacobian(self, scan):
         """Blocks ``A``, ``Bm`` at the iterate whose forward scan is ``scan``."""
         b, P, w, pre = scan
@@ -217,12 +231,17 @@ class _Conditions:
         return dq[0].T, dq[1].T
 
 
-def _newton(free, conditions, cfg, scale, polish=False):
+def _newton(free, conditions, cfg, polish=False):
     """Damped Newton on the free zeros; returns (free, iters, residual).
 
-    It stops once ``max|R| / scale <= cfg.newton_tol``.  With ``polish``,
-    the converged iterate gets one more correction, kept only if the line
-    search accepts it.
+    Each residual row is measured against its own sum of the moduli of its
+    terms at the start, ``conditions.bound(free)`` (the componentwise
+    residual of Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., 5.1), and the rows of the Jacobian with it.  It stops once the
+    largest such ratio is ``<= cfg.newton_tol``; a bound with no finite
+    nonzero reciprocal (it underflows at small ``t`` for large sets)
+    raises ``NumericalError``.  With ``polish``, the converged iterate gets
+    one more correction, kept only if the line search accepts it.
 
     Each iterate is scanned once: the convergence test and every damping
     trial run the forward scan alone, and the scan of the accepted iterate
@@ -231,16 +250,22 @@ def _newton(free, conditions, cfg, scale, polish=False):
     """
     n = len(free)
     J = np.empty((2 * n, 2 * n))
+    bound = conditions.bound(free)
+    if not (bound.min() >= np.finfo(float).tiny and bound.max() < np.inf):
+        raise NumericalError("residual bound out of double range")
+    inv = 1.0 / bound
     R, scan = conditions.scan(free)
+    R *= inv
     converged = None
     for it in range(1, _MAX_NEWTON_ITERS + 1):
-        r_norm = np.max(np.abs(R))
-        res = float(r_norm) / scale
+        res = float(np.max(np.abs(R)))
         if res <= cfg.newton_tol:
             if converged or not polish:
                 return free, it, res
             converged = free, it, res
         A, Bm = conditions.jacobian(scan)
+        A *= inv[:, None]
+        Bm *= inv[:, None]
         ApB, AmB = A + Bm, A - Bm
         J[:n, :n], J[:n, n:] = ApB.real, -AmB.imag
         J[n:, :n], J[n:, n:] = ApB.imag, AmB.real
@@ -255,17 +280,43 @@ def _newton(free, conditions, cfg, scale, polish=False):
             if np.any(np.abs(trial) >= 1.0):
                 continue  # a zero escaped the closed disk: shrink the step
             Rt, st = conditions.scan(trial)
-            if np.max(np.abs(Rt)) <= (1 - 0.25 * alpha) * r_norm:
+            Rt *= inv
+            if np.max(np.abs(Rt)) <= (1 - 0.25 * alpha) * res:
                 free, R, scan = trial, Rt, st
                 break
         else:
             if converged:
                 return converged
             raise NumericalError("Newton step rejected (no admissible damping)")
-    res = float(np.max(np.abs(R))) / scale
+    res = float(np.max(np.abs(R)))
     if res <= cfg.newton_tol:
         return free, _MAX_NEWTON_ITERS, res
     raise NumericalError("Newton did not converge")
+
+
+def _snap(free, conditions, entries, cfg):
+    """The converged free zeros, with exact collisions on targets made exact.
+
+    The extremal product is unique (Heins), so where ``k + 1`` free zeros
+    converge onto a ``k``-fold target ``c`` it has a ``(k + 1)``-fold zero
+    at ``c``.  Newton cannot resolve that meeting, since the Jacobian is
+    singular there, and leaves the zeros split by about ``newton_tol **
+    (1 / (k + 1))``.  When exactly ``k + 1`` free zeros lie that close to
+    ``c`` they are set to ``c``.  The snap is kept only if each residual row
+    at the snapped zeros stays within ``newton_tol`` of its bound at the
+    unsnapped ones (the snapped rows' own bound is 0).
+    """
+    snapped = free.copy()
+    for c, k in entries:
+        near = np.abs(free - c) <= cfg.newton_tol ** (1 / (k + 1))
+        if np.count_nonzero(near) == k + 1:
+            snapped[near] = c
+    if np.array_equal(snapped, free):
+        return free
+    R, _ = conditions.scan(snapped)
+    if np.all(np.abs(R) <= cfg.newton_tol * conditions.bound(free)):
+        return snapped
+    return free
 
 
 def _collapsed_predictor(order, targets, total):
@@ -325,9 +376,6 @@ def solve_maximal(
         # p_1's, so the path leaves t = 0 along that tangent; each accepted
         # step replaces it by the secant through that step.
         slope = _collapsed_predictor(n_origin - 1, entries, m)
-        # Newton's residual is measured against deg B = m + 1, the largest
-        # coefficient of Q = (m + 1) z^m at the collapsed start
-        scale = m + 1.0
         t = 0.0
         dt = 1.0
         while t < 1.0:
@@ -336,11 +384,10 @@ def solve_maximal(
             accepted = None
             if np.all(np.abs(predictor) < 1.0):
                 targets = [(t_next * c, k) for c, k in entries]
+                conditions = _Conditions(n_origin, targets)
                 try:
-                    accepted = _newton(
-                        predictor, _Conditions(n_origin, targets), cfg, scale,
-                        polish=t_next == 1.0,
-                    )
+                    accepted = _newton(predictor, conditions, cfg,
+                                       polish=t_next == 1.0)
                 except NumericalError:
                     pass
             if accepted is None:
@@ -355,6 +402,9 @@ def solve_maximal(
             free, t = nxt, t_next
             dt = min(2 * dt, 1.0 - t)
             trace.append((t, res, iters))
+        # the loop ends on the step accepted at t = 1, whose conditions
+        # these are
+        free = _snap(free, conditions, entries, cfg)
 
     g0 = complex(np.prod(-free)) if len(free) else 1.0 + 0j
     if abs(g0) == 0:

@@ -395,8 +395,7 @@ def test_cluster_roots_leaves_the_merge_to_critical_set():
     the two of them within MERGE_TOL; CriticalSet merges those two."""
     roots = np.array([0.01, 0.01 + 5e-9, 0.01006], dtype=complex)
     points, orders = blaschke._group(roots, np.array([0.6, 1 / 0.6, 0j]),
-                                     np.array([1.0, -1.0, 1.0]),
-                                     np.array([0j, 0.6]))
+                                     np.array([1.0, -1.0, 1.0]))
     assert points.tolist() == roots.tolist() and orders.tolist() == [1] * 3
     assert CriticalSet(tuple(zip(points, orders))).entries == (
         (0.01 + 0j, 2), (0.01006 + 0j, 1)

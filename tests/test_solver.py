@@ -2,6 +2,7 @@ import math
 import signal
 from contextlib import contextmanager
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -208,7 +209,7 @@ def test_breakdown_after_fourteen_attempts(monkeypatch):
     ends at t = 1 and asks for the endpoint polish."""
     attempts = []
 
-    def failing(free, conditions, cfg, scale, polish=False):
+    def failing(free, conditions, cfg, polish=False):
         attempts.append(polish)
         raise NumericalError("Newton did not converge")
 
@@ -216,6 +217,68 @@ def test_breakdown_after_fourteen_attempts(monkeypatch):
     with pytest.raises(NumericalError, match="homotopy breakdown"):
         solve_maximal(CriticalSet.from_points([0.3, -0.2j]))
     assert attempts == [True] + [False] * 13
+
+
+@pytest.mark.parametrize("m", [48, 64])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_forty_eight_and_sixty_four_points_verify(m, seed):
+    """With Newton's stop test absolute in every row, rows whose terms are
+    small passed it long before their root was resolved, and the round
+    trip refused all six sets (5.3e-3 and 6.4e-3 for seed 1)."""
+    C = _sweep_set(m, seed)
+    with _alarm(2):
+        rep = solve_maximal(C)
+    assert rep.roundtrip_error <= 1e-12
+
+
+def test_sixty_four_point_product_against_mpmath():
+    """At 50 digits, each Taylor row 0..k-1 of B'/B at each prescribed
+    point vanishes to 1e-13 of the sum of the moduli of its terms; with the
+    absolute stop test the m = 64 sweep products were 0.24 to 0.32 off, and
+    the round trip refused them."""
+    C = _sweep_set(64, 1)
+    zeros = solve_maximal(C).solution.zeros
+    worst = 0.0
+    with mpmath.workdps(50):
+        poles = [(mpmath.mpc(a), 1) for a in zeros]
+        poles += [(1 / mpmath.conj(p), -1) for p, _ in poles if p != 0]
+        for c, k in C.entries:
+            for j in range(k):
+                terms = [s / (mpmath.mpc(c) - p) ** (j + 1) for p, s in poles]
+                ratio = abs(mpmath.fsum(terms)) / mpmath.fsum(map(abs, terms))
+                worst = max(worst, float(ratio))
+    assert worst <= 1e-13
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m", [96, 128])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_beyond_sixty_four_points_verify_or_raise_without_warning(m, seed):
+    """At small t the residual rows' bound underflows for these sets; it
+    must end the correction, not divide by zero."""
+    C = _sweep_set(m, seed)
+    with _alarm(2):
+        try:
+            rep = solve_maximal(C)
+        except NumericalError:
+            return
+    assert critical_points(rep.solution).match(C) <= 1e-8
+
+
+def test_snap_keeps_only_collisions_the_residual_accepts():
+    """B^2 has a double zero at each free zero b of B, a simple critical
+    point.  Two free zeros split 1e-6 about b snap onto it; onto a target
+    3e-7 off b, the rows of the other targets refuse the snap."""
+    B = solve_maximal(CriticalSet.from_points([0.3, -0.4j])).solution
+    b = [a for a in B.zeros if a != 0]
+    entries = [(a, 1) for a in b] + [(0.3, 1), (-0.4j, 1)]
+    conditions = _Conditions(2, entries)
+    cfg = HomotopyConfig()
+    split = np.array([b[0] + 5e-7, b[0] - 5e-7, b[1], b[1]])
+    snapped = solver._snap(split, conditions, entries, cfg)
+    assert snapped.tolist() == [b[0], b[0], b[1], b[1]]
+    moved = [(b[0] + 3e-7, 1)] + entries[1:]
+    assert solver._snap(split, _Conditions(2, moved), moved, cfg) is split
 
 
 @pytest.mark.parametrize("m", [24, 32, 48, 64])

@@ -238,6 +238,17 @@ def test_semigroup_composition(b_one):
     assert out["pass"]
 
 
+@pytest.mark.parametrize("outer, inner", [(5, 0), (5, 33), (39, 21)])
+def test_semigroup_check_on_corpus_composites(corpus_solves, outer, inner):
+    """Corpus set 5's product has the zeros {0, 0, 0}, so its composites
+    have triple zeros on double critical points; 39 o 21 once broke down
+    near t = 1.  With Newton's absolute stop test these failed the
+    dominance bound, the round trip and the path, in that order."""
+    out = semigroup_check(corpus_solves[inner][0].solution,
+                          corpus_solves[outer][0].solution)
+    assert out["pass"]
+
+
 def test_left_factor_of_composition():
     sq = FiniteBlaschke(zeros=(0j, 0j), eta=1.0)
     out = left_factor_check(sq)
