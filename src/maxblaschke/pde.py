@@ -23,13 +23,16 @@ boundary trace once, at every arm's crossing point, where it enters only the
 right-hand side.  The nonlinear system is solved by damped Newton; for
 kappa <= 0 the negated Jacobian is an irreducibly diagonally dominant
 M-matrix, so the linear solves are well posed.  The Jacobian is the grid's
-Laplacian plus an O(h^2) diagonal, so every Newton step is taken by GMRES
-preconditioned with the Laplacian's LU, the fixed fast-solver
+Laplacian plus an O(h^2) diagonal, so every Newton step is taken by a
+restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986)
+right-preconditioned with the Laplacian's LU, the fixed fast-solver
 preconditioner of Concus & Golub (*Use of fast direct methods for the
 efficient numerical solution of nonseparable elliptic equations*, SIAM J.
 Numer. Anal. 10, 1973), in an inexact Newton iteration (Kelley, *Solving
-Nonlinear Equations with Newton's Method*, SIAM 2003).  Only a GMRES
-failure factors a Jacobian, for that solve alone.
+Nonlinear Equations with Newton's Method*, SIAM 2003).  The Jacobian is
+applied as the Laplacian times a vector plus the diagonal times it, never
+assembled; only a GMRES failure assembles and factors one, for that solve
+alone.
 """
 
 from __future__ import annotations
@@ -51,9 +54,11 @@ RESIDUAL_TOL = 1e-10
 
 MAX_NEWTON_ITERS = 100
 
-# Relative tolerance of the preconditioned GMRES Newton steps: tight enough
-# that the iterates match exactly solved steps to ~1e-12, so the iteration
-# count and the convergence decision are those of exact Newton.
+# Relative true-residual tolerance ||b - J x|| <= _KRYLOV_RTOL ||b|| of the
+# right-preconditioned GMRES Newton steps, J applied and never assembled:
+# tight enough that the iterates match exactly solved steps to ~1e-12, so
+# the iteration count and the convergence decision are those of exact
+# Newton.
 _KRYLOV_RTOL = 1e-8
 
 
@@ -107,7 +112,8 @@ class PdeSolution:
     ``factorizations`` counts the sparse LU factorizations this solve
     performed: 1 when it built its grid and factored the Laplacian, 0 when
     the grid was cached, plus one per Jacobian factored after a GMRES
-    failure.  ``krylov_iters`` counts the preconditioned GMRES iterations.
+    failure.  ``krylov_iters`` counts the preconditioned GMRES iterations,
+    each of which costs one LU solve.
 
     ``residual_norm`` is the max-norm of the residual of the h^2/4-scaled
     system (row sums of the scaled Laplacian are O(1), so the norm is
@@ -132,7 +138,7 @@ class _Grid:
     ``cut_coefs`` and ``crossings``: each cut arm's row, stencil coefficient
     (of the unscaled Laplacian) and crossing point on the circle; ``As``: the
     cut-cell Laplacian on the interior nodes times ``h2`` = h^2/4, and
-    ``lu`` its sparse LU as a LinearOperator, the Newton preconditioner.
+    ``lu`` the solve of its sparse LU, the Newton preconditioner.
     """
 
     nodes: np.ndarray
@@ -142,19 +148,57 @@ class _Grid:
     crossings: np.ndarray
     As: sp.csr_matrix
     h2: float
-    lu: spla.LinearOperator
+    lu: Callable
 
 
-def _factor(M) -> spla.LinearOperator:
-    """Sparse LU of M as a LinearOperator applying M^{-1}: symmetric
-    minimum-degree ordering and no pivoting, since -M is a diagonally
-    dominant M-matrix."""
-    lu = spla.splu(
+def _factor(M) -> Callable:
+    """The solve of M's sparse LU, applying M^{-1}: symmetric minimum-degree
+    ordering and no pivoting, since -M is a diagonally dominant M-matrix."""
+    return spla.splu(
         M.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
         options=dict(SymmetricMode=True),
-    )
-    # an explicit dtype spares LinearOperator a probing solve
-    return spla.LinearOperator(M.shape, lu.solve, dtype=float)
+    ).solve
+
+
+def _gmres(As, d, b, solve):
+    """Restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986)
+    for (As + diag d) x = b, right-preconditioned with ``solve``, from x = 0.
+
+    Solves J M^{-1} y = b and sets x = M^{-1} V y, so the Arnoldi residual
+    is the true residual b - J x: it stops at ||b - J x|| <= _KRYLOV_RTOL
+    ||b||, re-checked on J itself at the end of each cycle of 20 iterations,
+    for at most 3 cycles.  J is applied, never assembled; each iteration
+    costs one ``solve``, and each cycle one more.  Returns (x, iterations,
+    converged).
+    """
+    tol = _KRYLOV_RTOL * np.linalg.norm(b)
+    x, r, iters = np.zeros_like(b), b, 0
+    for _ in range(3):
+        beta = np.linalg.norm(r)
+        if beta <= tol:
+            return x, iters, True
+        V, H = np.empty((21, b.size)), np.zeros((21, 20))
+        g = np.zeros(21)
+        V[0], g[0] = r / beta, beta
+        for j in range(20):
+            w = solve(V[j])
+            w = As @ w + d * w
+            for _ in range(2):  # Gram-Schmidt twice, as stable as modified
+                h = V[: j + 1] @ w
+                w -= h @ V[: j + 1]
+                H[: j + 1, j] += h
+            H[j + 1, j] = np.linalg.norm(w)
+            iters += 1
+            Hj, gj = H[: j + 2, : j + 1], g[: j + 2]
+            y = np.linalg.lstsq(Hj, gj, rcond=None)[0]
+            # tested before dividing by H[j + 1, j]: a zero subdiagonal (a
+            # happy breakdown) leaves a zero residual
+            if np.linalg.norm(Hj @ y - gj) <= tol:
+                break
+            V[j + 1] = w / H[j + 1, j]
+        x = x + solve(y @ V[: j + 1])
+        r = b - (As @ x + d * x)
+    return x, iters, bool(np.linalg.norm(r) <= tol)
 
 
 @functools.lru_cache(maxsize=2)
@@ -254,13 +298,15 @@ def solve_dirichlet(problem: PdeProblem) -> PdeSolution:
 
     The Jacobian is As + diag(2 h^2/4 kappa e^{2u}), the grid's scaled
     Laplacian plus an O(h^2) diagonal, so every Newton step, the first
-    included, is solved by GMRES preconditioned with the LU of As, which the
-    grid factors once for all solves on it (Concus & Golub, SIAM J. Numer.
-    Anal. 10, 1973), to a relative residual of 1e-8.  Should GMRES not reach
-    it, the current Jacobian is factored, solved directly and kept as this
-    solve's preconditioner (never cached), so the worst case is one
-    factorization per iteration.  Convergence is always decided on the exact
-    nonlinear residual.
+    included, is solved by GMRES right-preconditioned with the LU of As,
+    which the grid factors once for all solves on it (Concus & Golub, SIAM
+    J. Numer. Anal. 10, 1973), to a true relative residual of 1e-8, with
+    the Jacobian applied and never assembled: one LU solve per Krylov
+    iteration and one per restart cycle.  Should GMRES not reach it, the
+    current Jacobian is assembled, factored, solved directly and kept as
+    this solve's preconditioner (never cached), so the worst case is one
+    factorization per iteration.  Convergence is always decided on the
+    exact nonlinear residual.
 
     Raises
     ------
@@ -288,20 +334,14 @@ def solve_dirichlet(problem: PdeProblem) -> PdeSolution:
     iters = krylov_iters = 0
     precond = grid.lu
 
-    def count_krylov(_):
-        nonlocal krylov_iters
-        krylov_iters += 1
-
     while rnorm > RESIDUAL_TOL and iters < MAX_NEWTON_ITERS:
-        J = As + sp.diags(2.0 * h2 * kappa * np.exp(2.0 * u))
-        step, info = spla.gmres(
-            J, -res, rtol=_KRYLOV_RTOL, atol=0.0, restart=20, maxiter=3,
-            M=precond, callback=count_krylov, callback_type="pr_norm",
-        )
-        if info != 0:
-            precond = _factor(J)
+        d = 2.0 * h2 * kappa * np.exp(2.0 * u)
+        step, its, converged = _gmres(As, d, -res, precond)
+        krylov_iters += its
+        if not converged:
+            precond = _factor(As + sp.diags(d))
             factorizations += 1
-            step = precond.matvec(-res)
+            step = precond(-res)
         for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
             trial = u + alpha * step
             tres = scaled_residual(trial)

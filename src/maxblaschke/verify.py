@@ -464,26 +464,27 @@ def phi_boundary_bound(B: FiniteBlaschke) -> dict:
 def fit_automorphism(
     values_at: FiniteBlaschke, target: FiniteBlaschke
 ) -> DiskAutomorphism:
-    """T with target = T o values_at, from two point conditions.
+    """T with target = T o values_at, for a ``values_at`` with values_at(0)
+    = 0, as normalized products have.
 
-    Interpolates T at w = values_at(0) (which is 0 for normalized products)
-    and w = values_at(1/4); three real parameters against four real
-    conditions, so global validation afterwards is a genuine check.
+    Interpolates T at w = 0, where T(0) = target(0) fixes the center up to
+    the rotation, and at w = values_at(1), which lies on the unit circle,
+    so that point never degenerates and T(w) = target(1) fixes the
+    rotation.  Three real parameters from three real conditions; the global
+    validation afterwards is the check.
     """
-    w1 = evaluate(values_at, 0.25)
+    if abs(evaluate(values_at, 0.0)) > 1e-12:
+        raise NumericalError("automorphism fit needs values_at(0) = 0")
+    w1 = evaluate(values_at, 1.0)
     v0 = evaluate(target, 0.0)
-    v1 = evaluate(target, 0.25)
-    if abs(w1) < 1e-12 or abs(v0 - v1) < 1e-12:
-        raise NumericalError("degenerate automorphism interpolation data")
-    if abs(v0) < 1e-12:
-        # T is a pure rotation composed with negation: T(w) = eta*(-w)
-        return DiskAutomorphism(center=0j, rotation=-v1 / w1)
-    c = w1 * (v0 - v1 * abs(v0) ** 2) / (v0 - v1)
-    eta = v0 / c
-    if abs(c) >= 1.0:
-        raise NumericalError("fitted automorphism center left the disk")
+    v1 = evaluate(target, 1.0)
+    # T(w) = eta (c - w)/(1 - conj(c) w) with eta c = v0
+    eta = (v0 - v1) / (w1 * (1.0 - v1 * np.conj(v0)))
     if abs(abs(eta) - 1.0) > 1e-6:
         raise NumericalError("fitted rotation is not unimodular")
+    c = v0 / eta
+    if abs(c) >= 1.0:
+        raise NumericalError("fitted automorphism center left the disk")
     return DiskAutomorphism(center=complex(c), rotation=complex(eta))
 
 

@@ -249,6 +249,18 @@ def test_semigroup_check_on_corpus_composites(corpus_solves, outer, inner):
     assert out["pass"]
 
 
+def test_semigroup_check_fits_where_old_interpolation_point_vanishes(
+        corpus_solves):
+    """Corpus set 7's product nearly vanishes at 1/4, so the composite
+    5 o 7 does too (|A(1/4)| ~ 1e-13): an automorphism fitted at 1/4 had no
+    data there.  The fit at z = 1 reads a point of the unit circle."""
+    inner = corpus_solves[7][0].solution
+    assert abs(evaluate(inner, 0.25)) < 1e-4
+    out = semigroup_check(inner, corpus_solves[5][0].solution)
+    assert out["match_error"] <= 1e-8
+    assert out["pass"]
+
+
 def test_left_factor_of_composition():
     sq = FiniteBlaschke(zeros=(0j, 0j), eta=1.0)
     out = left_factor_check(sq)
