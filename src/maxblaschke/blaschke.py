@@ -304,6 +304,40 @@ def derivative(B: FiniteBlaschke, z):
     return complex(out) if out.ndim == 0 else out
 
 
+# jet arithmetic: a jet is [f(c), f'(c)/1!, ..., f^(K)(c)/K!] along the last
+# axis; leading axes stack points, zeros and targets.
+def _jet_mul(a, b):
+    """Truncated product of (broadcast-compatible) stacked jets."""
+    out = a[..., :1] * b
+    for i in range(1, a.shape[-1]):
+        out[..., i:] += a[..., i:i + 1] * b[..., :-i]
+    return out
+
+
+def _jet_div(a, b):
+    """Truncated quotient ``a / b`` of stacked jets, with b_0 != 0."""
+    q = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    for i in range(q.shape[-1]):
+        q[..., i] = a[..., i] - np.sum(b[..., i:0:-1] * q[..., :i], axis=-1)
+        q[..., i] /= b[..., 0]
+    return q
+
+
+def _taylor(B: FiniteBlaschke, points, K: int):
+    """Jets of ``B`` to order ``K`` at ``points``, one row per point: the
+    truncated product of each Moebius factor's series, (p - a)/D and then
+    (1 - |a|^2) conj(a)^(n-1) / D^(n+1) for n = 1..K, D = 1 - conj(a) p."""
+    p = np.asarray(points, dtype=complex)[:, None]
+    out = np.zeros((len(p), K + 1), dtype=complex)
+    out[:, 0] = B.eta
+    n = np.arange(K)
+    for a in B.zeros:
+        D = 1.0 - np.conj(a) * p
+        tail = (1.0 - abs(a) ** 2) * np.conj(a) ** n / D ** (n + 2)
+        out = _jet_mul(out, np.hstack([(p - a) / D, tail]))
+    return out
+
+
 def derivative_at_origin_order(B: FiniteBlaschke, order: int) -> float:
     """Value of ``Re B^(order+1)(0)`` given a zero of exact order ``order+1`` at 0.
 

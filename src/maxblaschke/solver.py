@@ -45,6 +45,7 @@ import numpy as np
 from .blaschke import (
     CriticalSet,
     FiniteBlaschke,
+    _jet_mul,
     antiderivative,
     critical_points,
     derivative,
@@ -102,18 +103,6 @@ class SolveReport:
     roundtrip_error: float
     functional_value: float
     homotopy_trace: list = field(default_factory=list)
-
-
-# ----------------------------------------------------------------------
-# jet arithmetic: a jet is [f(c), f'(c)/1!, ..., f^(K)(c)/K!] along the last
-# axis; leading axes stack pairs, zeros and targets.
-
-def _jet_mul(a, b):
-    """Truncated product of (broadcast-compatible) stacked jets."""
-    out = a[..., :1] * b
-    for i in range(1, a.shape[-1]):
-        out[..., i:] += a[..., i:i + 1] * b[..., :-i]
-    return out
 
 
 class _Conditions:
@@ -432,6 +421,8 @@ def solve_maximal(
 def _index(value, name: str) -> int:
     """``value`` as an int, read as ``operator.index`` reads it."""
     try:
+        if isinstance(value, bool):  # which operator.index reads as 0 or 1
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise InputError(f"{name} must be an integer, got {value!r}") from None

@@ -20,8 +20,10 @@ import numpy as np
 from .blaschke import (
     CriticalSet,
     FiniteBlaschke,
+    _jet_div,
     _origin_coefficient,
     _scan,
+    _taylor,
     antiderivative,
     compose,
     critical_points,
@@ -122,7 +124,7 @@ class BoundaryProbe:
     radii: tuple = (0.9, 0.99, 0.995, 0.999)
 
     def __post_init__(self):
-        if abs(abs(self.direction) - 1.0) > 1e-12:
+        if not abs(abs(self.direction) - 1.0) <= 1e-12:
             raise InputError("probe direction must lie on the unit circle")
         if any(not 0.0 < r < 1.0 for r in self.radii):
             raise InputError("probe radii must lie in (0, 1)")
@@ -134,10 +136,9 @@ def boundary_probes(C: CriticalSet, count: int = 8) -> list:
     if count < 1:
         raise InputError(f"need at least one probe direction, got {count}")
     candidates = np.exp(2j * np.pi * np.arange(64) / 64)
-    crit = np.array(C.points()) if C.entries else np.empty(0, dtype=complex)
-    if crit.size:
-        dist = np.min(np.abs(candidates[:, None] - crit[None, :]), axis=1)
-        candidates = candidates[dist >= 0.1]
+    dist = np.min(np.abs(candidates[:, None] - np.array(C.points())),
+                  axis=1, initial=np.inf)
+    candidates = candidates[dist >= 0.1]
     if len(candidates) < count:
         raise NumericalError("not enough clear probe directions")
     picks = candidates[:: max(1, len(candidates) // count)][:count]
@@ -207,13 +208,13 @@ def default_competitor_specs(
     return specs
 
 
-#: Largest complex array over ring or sample nodes, in elements, that
+#: Largest complex array over jets or sample nodes, in elements, that
 #: batched scoring builds: a quarter of one default PolarGrid field, so the
 #: few such arrays alive at once stay below the grid work beside them.  The
 #: one larger array is the antiderivative kind's table of 2d + 1 real rows
 #: over the SUP_SAMPLES samples (0.9 MB at degree d = 6, 1.6 MB at d = 12).
 #: Peak traced memory of one 1000-competitor corpus suite: 1.6 MB at mass
-#: <= 2 and 2.6 MB at mass 8, against 2.7 MB for a full field.
+#: <= 2 and 2.5 MB at mass 8, against 2.7 MB for a full field.
 _BLOCK = 16384
 
 
@@ -223,23 +224,18 @@ def _chunks(n: int, width: int) -> list:
     return [slice(lo, lo + step) for lo in range(0, max(n, 1), step)]
 
 
-def _worst(derivs: np.ndarray) -> np.ndarray:
-    """Row-wise max |entry| of ring derivatives; 0 with no constraints."""
-    return np.max(np.abs(derivs), axis=-1, initial=0.0)
-
-
 class _CompetitorEngine:
     """Shared evaluation data for scoring many competitors against one B.
 
-    Precomputes the boundary samples (for the antiderivative kind's sup),
-    B on small rings around each prescribed critical point, and the matrix
-    ``derivs`` taking values on those rings to the constrained derivatives
-    f^(i)(p), i = 1..multiplicity.  Every order-(N+1) coefficient is exact:
-    g(0) of B for the scalar-multiple and automorphism kinds, g(0) of the
-    re-solved product for the larger-critical-set kind, and a column of
-    the polynomial basis for the antiderivative kind.  Only the
-    antiderivative kind's sup is sampled; the others are bounded by 1 on
-    the circle.  Each competitor kind is scored as one batch.
+    Precomputes the boundary samples (for the antiderivative kind's sup)
+    and B's Taylor jets at the prescribed points, to the largest
+    multiplicity; each constrained f^(i)(p) is i! f_i of a competitor's
+    exact jet.  Every order-(N+1) coefficient is exact: g(0) of B for the
+    scalar-multiple and automorphism kinds, g(0) of the re-solved product
+    for the larger-critical-set kind, and a column of the polynomial basis
+    for the antiderivative kind.  Only the antiderivative kind's sup is
+    sampled; the others are bounded by 1 on the circle.  Each competitor
+    kind is scored as one batch.
     """
 
     def __init__(self, C: CriticalSet, B: FiniteBlaschke, cfg=None):
@@ -255,21 +251,17 @@ class _CompetitorEngine:
         self.bnodes = np.exp(
             2j * np.pi * np.arange(SUP_SAMPLES) / SUP_SAMPLES
         )
-        # rings used for derivative constraints at the critical points:
-        # f^(i)(p) = i! / (64 r^i) * sum_j f(p + r u_j) u_j^-i, r = 0.05
-        u = np.exp(2j * np.pi * np.arange(64) / 64)
-        self.rnodes = np.concatenate(
-            [p + 0.05 * u for p, _ in C.entries] or [np.empty(0, complex)]
-        )
-        self.derivs = np.zeros((len(self.rnodes), C.total), dtype=complex)
-        col = 0
-        for j, (p, m) in enumerate(C.entries):
-            for i in range(1, m + 1):
-                self.derivs[64 * j : 64 * (j + 1), col] = (
-                    math.factorial(i) * u**-i / (64 * 0.05**i)
-                )
-                col += 1
-        self.B_r = evaluate(B, self.rnodes)
+        self.points = np.array([p for p, _ in C.entries], dtype=complex)
+        self.K = K = max((m for _, m in C.entries), default=0)
+        # i! at each point's constrained orders i = 1..m of a jet, else 0
+        self.weights = np.array([[math.factorial(i) * (0 < i <= m)
+                                  for i in range(K + 1)]
+                                 for _, m in C.entries]).reshape(-1, K + 1)
+        self.jets = _taylor(B, self.points, K)
+
+    def _violation(self, jets):
+        """Worst constrained |f^(i)(p)| = i! |f_i| of each stack of jets."""
+        return np.max(np.abs(jets) * self.weights, axis=(-2, -1), initial=0)
 
     def scores(self, specs) -> tuple:
         """(margins, violations), one entry per spec, each kind in one batch.
@@ -298,11 +290,11 @@ class _CompetitorEngine:
         B's own, times s."""
         s = np.array([sp.scalar for sp in specs], dtype=complex)
         scale = s * (1.0 - DEFLATION)
-        return scale * self.g0, np.abs(scale) * _worst(self.B_r @ self.derivs)
+        return scale * self.g0, np.abs(scale) * self._violation(self.jets)
 
     def _antiderivatives(self, specs):
         """f = P @ basis, a polynomial of degree d: the antiderivative is
-        linear in p's coefficients, so the ring checks run once per monomial
+        linear in p's coefficients, so the jet checks run once per monomial
         basis row, and the order-(N+1) coefficient is read off ``basis``.
 
         The sup is taken on the samples from |f(e^{it})|^2 = r_0 + 2 Re
@@ -317,12 +309,12 @@ class _CompetitorEngine:
             row[width - len(sp.poly_coeffs) :] = sp.poly_coeffs
         points = self.C.points()
         basis = np.array([antiderivative(e, points) for e in np.eye(width)])
-        # np.polyval(columns, x): every basis row at the points x, by Horner
-        columns = basis.T[:, :, None]
-        ring = sum(
-            np.polyval(columns, self.rnodes[b]) @ self.derivs[b]
-            for b in _chunks(len(self.rnodes), width)
-        )
+        # f_i of each basis row has the coefficient C(k, i) c_k at z^(k-i);
+        # np.polyval(columns, x) runs Horner down the columns, for all rows
+        k = range(basis.shape[1] - 1, -1, -1)
+        jets = np.stack([np.polyval(
+            (basis * [math.comb(j, i) for j in k]).T[: len(k) - i, :, None],
+            self.points) for i in range(self.K + 1)], axis=-1)
         F = P @ basis  # descending: F[:, i] is the coefficient of z^(d-i)
         d = F.shape[1] - 1
         r = np.array(
@@ -347,7 +339,7 @@ class _CompetitorEngine:
             raise InputError("zero antiderivative competitor")
         scale = (1.0 - DEFLATION) / np.sqrt(squared)
         coeff = P @ basis[:, -(self.order + 2)]  # of z^(order+1)
-        return scale * coeff, scale * _worst(P @ ring)
+        return scale * coeff, scale * self._violation(np.tensordot(P, jets, 1))
 
     def _automorphisms(self, specs):
         """f = T o B with T(w) = eta (c - w) / (1 - conj(c) w).
@@ -360,12 +352,13 @@ class _CompetitorEngine:
         c = np.array([sp.automorphism.center for sp in specs])
         scale = eta * (1.0 - DEFLATION)
         coeff = (np.abs(c) ** 2 - 1.0) * self.g0
-        ring = np.empty((len(c), self.derivs.shape[1]), dtype=complex)
-        for rows in _chunks(len(c), len(self.rnodes)):
-            cc = c[rows, None]
-            T = (cc - self.B_r) / (1.0 - np.conj(cc) * self.B_r)
-            ring[rows] = T @ self.derivs
-        return scale * coeff, np.abs(scale) * _worst(ring)
+        one = np.eye(1, self.K + 1)
+        violation = np.empty(len(c))
+        for rows in _chunks(len(c), self.jets.size):
+            cc = c[rows, None, None]
+            violation[rows] = self._violation(_jet_div(
+                cc * one - self.jets, one - np.conj(cc) * self.jets))
+        return scale * coeff, np.abs(scale) * violation
 
     def _larger_sets(self, specs):
         """Re-solve each enlarged critical set; the one kind scored singly.
@@ -380,7 +373,7 @@ class _CompetitorEngine:
             extra = CriticalSet(tuple((z, 1) for z in sp.extra_points))
             big = solve_maximal(self.C.union(extra), self.cfg).solution
             coeff[i] = _origin_coefficient(big, self.order)
-            violation[i] = _worst(evaluate(big, self.rnodes) @ self.derivs)
+            violation[i] = self._violation(_taylor(big, self.points, self.K))
         scale = 1.0 - DEFLATION
         return scale * coeff, scale * violation
 
@@ -578,10 +571,7 @@ def union_suite(
     except NumericalError:
         zero_err = np.inf
     curv = discrete_curvature(mu)
-    if np.any(curv.defined):
-        worst_curv = float(np.max(curv.values[curv.defined]))
-    else:
-        worst_curv = -np.inf
+    worst_curv = float(np.max(curv.values[curv.defined], initial=-np.inf))
     direct = solve_maximal(expected, cfg)
     return {
         "suite": "union",

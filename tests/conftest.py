@@ -5,7 +5,15 @@ and boundary suites; solving it once per session keeps the whole run inside
 the runtime budget.
 """
 
-import time
+import os
+
+# One BLAS thread, set before numpy loads BLAS, as bench/run.py does: the
+# solver's matrices have at most a few hundred rows, and under OpenBLAS's
+# default pool the timed solver tests would depend on warm-up and load.
+for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import time  # noqa: E402
 
 import numpy as np
 import pytest

@@ -506,7 +506,7 @@ def test_truncation_rejects_long_prefix():
         truncation_sequence([0.5], -1)
 
 
-@pytest.mark.parametrize("n_max", [1.5, 1.0, "1", None])
+@pytest.mark.parametrize("n_max", [1.5, 1.0, "1", None, True])
 def test_truncation_rejects_non_integral_length(n_max):
     with pytest.raises(InputError, match="n_max"):
         truncation_sequence([0.5, -0.5], n_max)

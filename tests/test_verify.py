@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from maxblaschke.blaschke import (
     CriticalSet,
     FiniteBlaschke,
+    _taylor,
     antiderivative,
     compose,
     derivative_at_origin_order,
@@ -129,7 +131,7 @@ def test_default_specs_hold_one_of_each_kind():
 
 
 @pytest.mark.parametrize("count, larger", [(4, 2), (3, 1), (2, 0), (5, -1),
-                                          (7.5, 2), (8, 1.5)])
+                                          (7.5, 2), (8, 1.5), (8, True)])
 def test_default_specs_reject_too_few_for_every_kind(count, larger):
     """Too few for every kind, or a count that is not an integer."""
     with pytest.raises(InputError):
@@ -178,11 +180,25 @@ def test_probes_keep_clear_of_critical_points():
         assert abs(abs(p.direction) - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("count", [0, -2, 2.5])
+@pytest.mark.parametrize("count", [0, -2, 2.5, True])
 def test_probes_reject_count_below_one(count):
     """Below one, or not an integer."""
     with pytest.raises(InputError):
         boundary_probes(C_ONE, count)
+
+
+@pytest.mark.parametrize("direction, radii", [
+    (1.1, (0.9,)), (0.5j, (0.9,)), (complex("inf"), (0.9,)),
+    (complex("nan"), (0.9,)), (complex(1.0, float("nan")), (0.9,)),
+    (1.0, (0.0,)), (1j, (0.5, 1.0)), (-1.0, (float("nan"),)),
+], ids=["outside", "inside", "inf", "nan", "nan-imag", "radius-0",
+        "radius-1", "radius-nan"])
+def test_probe_rejects_off_circle_direction_and_radii_outside_unit_interval(
+        direction, radii):
+    """A NaN direction fails the unit-circle check, as NaN fails every
+    comparison; it would make every boundary quotient NaN."""
+    with pytest.raises(InputError):
+        BoundaryProbe(direction, radii)
 
 
 def test_phi_closed_forms(b_one):
@@ -511,6 +527,67 @@ def test_larger_set_with_origin_point_scores_the_target(
         assert np.all(margins == target)
         out = _assert_matches_reference(C, B, specs)
         assert out["skipped"] == 0
+
+
+def _points_on_circle(n, radius):
+    """n prescribed points spread evenly on |z| = radius."""
+    return CriticalSet.from_points(
+        radius * np.exp(2j * np.pi * (np.arange(n) + 0.3) / n))
+
+
+@pytest.mark.parametrize("C", [
+    CriticalSet.from_points([0.935]),
+    CriticalSet.from_points([0.95]),
+    CriticalSet.from_points([0.99]),
+    _points_on_circle(2, 0.95),
+    _points_on_circle(8, 0.95),
+    CriticalSet(((0.3 + 0.1j, 4),)),
+    CriticalSet(((0.2 + 0j, 5),)),
+], ids=["0.935", "0.95", "0.99", "two-at-0.95", "eight-at-0.95",
+        "fourfold", "fivefold"])
+def test_constraint_check_skips_no_competitor_near_circle_or_at_high_order(C):
+    """The constrained derivatives come from exact jets, so a maximal
+    product's competitors all pass the check: near the circle, where a
+    Cauchy ring of radius 0.05 failed on a reflected pole close by (136 to
+    140 of these 200 skipped), and at a 4- or 5-fold point, where its
+    rounding i! eps / 0.05^i did (62 and 79 skipped).  The largest violation left is
+    the product's own: a 50-digit evaluation puts |B'(0.99)| at 7.4e-13,
+    which an automorphism with |c| <= 0.85 multiplies by |T'(B)| < 10."""
+    B = solve_maximal(C).solution
+    specs = default_competitor_specs(C, 200, np.random.default_rng(0))
+    _, violations = _CompetitorEngine(C, B).scores(specs)
+    assert np.max(violations) <= 1e-11
+    out = extremality_suite(C, B, specs)
+    assert out["skipped"] == 0
+    assert out["pass"]
+
+
+@pytest.mark.parametrize("d", [3, 17, 65])
+def test_taylor_jets_match_mpmath(d):
+    """B's jets to order 5 against 50-digit ``mpmath.taylor``, at a point
+    with |p| = 0.99, at a zero of B and at points inside |z| < 0.99, each
+    within 1e-14 of the jet's largest entry."""
+    rng = np.random.default_rng(d)
+    zeros = 0.95 * np.sqrt(rng.random(d)) * np.exp(2j * np.pi * rng.random(d))
+    zeros[0] = 0.0
+    B = FiniteBlaschke(tuple(zeros), eta=np.exp(2j * np.pi * rng.random()))
+    points = np.concatenate([
+        [0.99 * np.exp(2j * np.pi * rng.random()), zeros[1]],
+        0.99 * np.sqrt(rng.random(3)) * np.exp(2j * np.pi * rng.random(3)),
+    ])
+    jets = _taylor(B, points, 5)
+    with mpmath.workdps(50):
+        a = [mpmath.mpc(x) for x in B.zeros]
+        eta = mpmath.mpc(B.eta)
+
+        def f(z):
+            return eta * mpmath.fprod(
+                (z - x) / (1 - mpmath.conj(x) * z) for x in a)
+
+        for p, row in zip(points, jets):
+            ref = np.array(
+                [complex(c) for c in mpmath.taylor(f, mpmath.mpc(p), 5)])
+            assert np.max(np.abs(row - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("index", [10, 20, 21])
