@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disk import BOUNDARY_TOL, DiskAutomorphism, pseudo_hyperbolic_distance
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, _complex, _count
 
 #: Final merge tolerance: points closer than this are never reported
 #: separately.
@@ -72,15 +72,7 @@ class CriticalSet:
         merged = []
         for point, mult in self.entries:
             point = complex(point)
-            # an integral number (2 or 2.0); int() would truncate 1.5 and
-            # read "2" or True
-            if isinstance(mult, float) and mult.is_integer():
-                mult = int(mult)
-            integral = isinstance(mult, (int, np.integer))
-            if isinstance(mult, bool) or not integral:
-                raise InputError("critical point multiplicity must be an "
-                                 f"integer, got {mult!r}")
-            mult = int(mult)
+            mult = _count(mult, "critical point multiplicity")
             if mult < 1:
                 raise InputError("critical point multiplicity must be >= 1")
             if not (cmath.isfinite(point)
@@ -189,8 +181,7 @@ class CriticalSet:
     def from_dict(cls, data):
         try:
             entries = tuple(
-                (complex(e["re"], e["im"]), e["multiplicity"])
-                for e in data["points"]
+                (_complex(e), e["multiplicity"]) for e in data["points"]
             )
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed critical set: {exc}") from exc
@@ -237,8 +228,8 @@ class FiniteBlaschke:
     @classmethod
     def from_dict(cls, data):
         try:
-            eta = complex(data["eta"]["re"], data["eta"]["im"])
-            zeros = tuple(complex(a["re"], a["im"]) for a in data["zeros"])
+            eta = _complex(data["eta"])
+            zeros = tuple(_complex(a) for a in data["zeros"])
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed Blaschke product: {exc}") from exc
         return cls(zeros=zeros, eta=eta)

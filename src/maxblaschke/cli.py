@@ -10,15 +10,21 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .blaschke import CriticalSet, FiniteBlaschke, critical_points
 from .disk import RiemannMapSpec
-from .errors import InputError, NumericalError
+from .errors import (
+    InputError,
+    NumericalError,
+    _complex,
+    _count,
+    _index,
+    _positive,
+)
 from .metrics import (
     PolarGrid,
     _curvature_band,
@@ -85,9 +91,7 @@ class JobConfig:
         for key in ("input_path", "output_path"):
             if not isinstance(getattr(self, key), (str, type(None))):
                 raise InputError(f"{key} must be a string")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise InputError("seed must be an integer")
-        if self.seed < 0:
+        if _index(self.seed, "seed") < 0:
             raise InputError("seed must be nonnegative")
         if not isinstance(self.grid, dict):
             raise InputError("grid must be a JSON object")
@@ -96,10 +100,7 @@ class JobConfig:
         for key, value in self.grid.items():
             if key not in _GRID_DEFAULTS:
                 raise InputError(f"unknown grid parameter {key!r}")
-            if not (isinstance(value, (int, float)) and 0 < value < math.inf):
-                raise InputError(
-                    f"grid parameter {key} must be a positive finite number"
-                )
+            _positive(value, f"grid parameter {key}")
         if self.grid.get("r_max", 0.0) >= 1.0 or self.grid.get("r", 0.0) >= 1.0:
             raise InputError("grid radius must be < 1")
         # the job's grid: defaults filled in, node counts as ints
@@ -115,15 +116,9 @@ class JobConfig:
         for key in self.tolerances:
             if key not in _TOLERANCES:
                 raise InputError(f"unknown tolerance {key!r}")
-        try:  # the tolerances the job runs with, echoed in its report
-            self.tolerances = {
-                k: float(self.tolerances.get(k, getattr(HomotopyConfig, k)))
-                for k in _TOLERANCES
-            }
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"tolerances must be numbers: {exc}") from exc
-        # positive and finite, or raises
         self.homotopy = HomotopyConfig(**self.tolerances)
+        # the tolerances the job runs with, echoed in its report
+        self.tolerances = asdict(self.homotopy)
 
 
 def _polar_grid(cfg: JobConfig) -> PolarGrid:
@@ -132,28 +127,10 @@ def _polar_grid(cfg: JobConfig) -> PolarGrid:
     return PolarGrid(**{f.name: cfg.grid[f.name] for f in fields(PolarGrid)})
 
 
-def _count(value, name: str) -> int:
-    """``value`` as an int: an integral number such as 257.0 passes; 16.7,
-    a string, a boolean or infinity is an InputError."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise InputError(f"{name} must be an integer, got {value!r}")
-
-
-def _scalar(data: dict, key: str, default) -> float:
-    """``float(data[key])``, or ``float(default)`` when the key is absent."""
-    try:
-        return float(data.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"input field {key!r}: {exc}") from exc
-
-
 def _points(data: dict, command: str) -> list:
     """The complex numbers of the input's ``points`` list."""
     try:
-        return [complex(e["re"], e["im"]) for e in data["points"]]
+        return [_complex(e) for e in data["points"]]
     except (KeyError, TypeError) as exc:
         raise InputError(f"{command} input needs a 'points' list") from exc
 
@@ -294,7 +271,7 @@ def _union(data: dict, cfg: JobConfig) -> dict:
         raise InputError(
             "union input needs 'first' and 'second' critical sets"
         ) from exc
-    c = _scalar(data, "scale", 0.5)
+    c = _positive(data.get("scale", 0.5), "input field 'scale'")
     return {
         "tolerances": cfg.tolerances,
         "scale": c,
@@ -329,9 +306,9 @@ def _map_spec(data) -> RiemannMapSpec:
         raise InputError("transplant map needs a 'kind'") from exc
     try:
         if kind == "scaled_disk":
-            return RiemannMapSpec(kind=kind, radius=float(data["radius"]))
+            return RiemannMapSpec(kind=kind, radius=data["radius"])
         if kind == "moebius":
-            coeffs = tuple(complex(c["re"], c["im"]) for c in data["coeffs"])
+            coeffs = tuple(_complex(c) for c in data["coeffs"])
             return RiemannMapSpec(kind=kind, coeffs=coeffs)
         return RiemannMapSpec(kind=kind)
     except KeyError as exc:

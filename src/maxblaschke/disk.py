@@ -10,12 +10,11 @@ written ``T(z) = eta * (c - z) / (1 - conj(c) z)`` with ``|eta| = 1`` and
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _positive
 
 #: Points this close to the unit circle are rejected by interior preconditions.
 BOUNDARY_TOL = 1e-12
@@ -44,7 +43,7 @@ def hyperbolic_density(z):
     z = np.asarray(z)
     a2 = np.abs(z) ** 2
     if np.any(a2 >= (1.0 - BOUNDARY_TOL) ** 2):
-        raise ValueError("hyperbolic density requires |z| < 1")
+        raise InputError("hyperbolic density requires |z| < 1")
     out = 1.0 / (1.0 - a2)
     return float(out) if out.ndim == 0 else out
 
@@ -137,9 +136,7 @@ class RiemannMapSpec:
         if self.kind == "identity":
             coeffs = (1.0, 0.0, 1.0)
         elif self.kind == "scaled_disk":
-            if not 0 < self.radius < math.inf:
-                raise InputError("scaled_disk requires a positive radius")
-            coeffs = (1.0, 0.0, self.radius)
+            coeffs = (1.0, 0.0, _positive(self.radius, "scaled_disk radius"))
         elif self.kind == "moebius":
             coeffs = self.coeffs
         else:

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .blaschke import CriticalSet, FiniteBlaschke, _scan, critical_points
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, _index
 
 #: Accept a curvature node when the Richardson estimate is below this many
 #: h^2 (after widening the estimate by one node in each direction).
@@ -41,7 +41,7 @@ class PolarGrid:
     r_max: float = 0.95
 
     def __post_init__(self):
-        if self.n_r < 8 or self.n_theta < 8:
+        if _index(self.n_r, "n_r") < 8 or _index(self.n_theta, "n_theta") < 8:
             raise InputError("grid needs at least 8 rings and 8 angles")
         if not 0.0 < self.r_max < 1.0:
             raise InputError("r_max must lie in (0, 1)")
@@ -157,7 +157,10 @@ def hyperbolic_field(grid: PolarGrid) -> DensityField:
 
 def _pullback(f: FiniteBlaschke, z, c: float = 1.0):
     """Damped pullback density c |f'| / (1 - c^2 |f|^2) at ``z``, from one
-    forward scan of ``f``; ``c = 1`` is the plain hyperbolic pullback."""
+    forward scan of ``f``; ``c = 1`` is the plain hyperbolic pullback.  A
+    constant ``f`` has |f| = 1 and f' = 0, so it is refused before 0/0."""
+    if not f.zeros:
+        raise InputError("a constant product has no pullback density")
     w, dw = _scan(f, z)
     return c * np.abs(dw) / (1.0 - c * c * np.abs(w) ** 2)
 

@@ -46,7 +46,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .blaschke import CriticalSet, FiniteBlaschke, critical_points
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, _index
 from .metrics import _pullback
 
 #: Scaled-residual convergence/report threshold (see PdeSolution.residual_norm).
@@ -92,7 +92,7 @@ class PdeProblem:
     boundary: Callable
 
     def __post_init__(self):
-        if self.n < 17:
+        if _index(self.n, "PDE grid size") < 17:
             raise InputError("PDE grid needs at least 17 nodes per side")
         if not 0.0 < self.radius < 1.0:
             raise InputError("PDE sub-disk radius must lie in (0, 1)")

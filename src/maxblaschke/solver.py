@@ -36,8 +36,6 @@ The conjugate-linear structure is handled by assembling the real
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -53,7 +51,7 @@ from .blaschke import (
     evaluate,
 )
 from .disk import RiemannMapSpec
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, _index, _positive
 
 
 #: Newton iterations allowed per path step.
@@ -70,18 +68,11 @@ class HomotopyConfig:
     roundtrip_tol: float = 1e-8
 
     def __post_init__(self):
-        # NaN fails every comparison, so a NaN tolerance would pass any
-        # residual or switch the round-trip check off
+        # a NaN tolerance would pass any residual or switch the round-trip
+        # check off
         for f in fields(self):
-            value = getattr(self, f.name)
-            try:
-                ok = 0.0 < value < math.inf
-            except TypeError:
-                ok = False
-            if not ok:
-                raise InputError(
-                    f"{f.name} must be a positive finite number, got {value!r}"
-                )
+            value = _positive(getattr(self, f.name), f.name)
+            object.__setattr__(self, f.name, value)
 
 
 @dataclass
@@ -416,16 +407,6 @@ def solve_maximal(
         functional_value=functional,
         homotopy_trace=trace,
     )
-
-
-def _index(value, name: str) -> int:
-    """``value`` as an int, read as ``operator.index`` reads it."""
-    try:
-        if isinstance(value, bool):  # which operator.index reads as 0 or 1
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise InputError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass

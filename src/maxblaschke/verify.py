@@ -31,7 +31,7 @@ from .blaschke import (
     evaluate,
 )
 from .disk import DiskAutomorphism
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, _index
 from .metrics import (
     PolarGrid,
     _curvature_band,
@@ -41,7 +41,7 @@ from .metrics import (
     pullback_density,
     union_metric,
 )
-from .solver import HomotopyConfig, _index, solve_maximal
+from .solver import HomotopyConfig, solve_maximal
 
 #: Number of boundary samples certifying the sup-norm of the antiderivative
 #: competitors, the one kind whose sup is not known in closed form.
@@ -466,6 +466,8 @@ def fit_automorphism(
     rotation.  Three real parameters from three real conditions; the global
     validation afterwards is the check.
     """
+    if target.degree != values_at.degree:  # T o values_at has its degree
+        raise NumericalError("automorphism fit needs products of one degree")
     if abs(evaluate(values_at, 0.0)) > 1e-12:
         raise NumericalError("automorphism fit needs values_at(0) = 0")
     w1 = evaluate(values_at, 1.0)

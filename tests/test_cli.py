@@ -156,6 +156,18 @@ def test_unknown_command_rejected_by_parser(tmp_path):
         ("solve", _crit([(0.5 + 0j, 1.5)]), []),
         ("solve", _crit([(0.5 + 0j, "2")]), []),
         ("solve", _crit([(0.5 + 0j, True)]), []),
+        ("solve", _crit([(0.3 + 0j, 1)]), ["--tol", '{"roundtrip_tol": true}']),
+        ("solve", _crit([(0.3 + 0j, 1)]), ["--tol", '{"newton_tol": "1e-12"}']),
+        ("solve", {"points": [{"re": False, "im": 0.0, "multiplicity": 1}]},
+         []),
+        ("union",
+         {"first": {"points": []}, "second": {"points": []}, "scale": "0.5"},
+         []),
+        ("transplant",
+         {"map": {"kind": "scaled_disk", "radius": "2"}, "points": []}, []),
+        ("compose",
+         {"outer": {"eta": {"re": 0.0, "im": 1.0}, "zeros": []},
+          "inner": B05}, []),
     ],
     ids=["grid-list", "grid-string", "grid-inf", "tol-string",
          "critpoints-tol-string", "pde-oracle-tol-string",
@@ -170,7 +182,9 @@ def test_unknown_command_rejected_by_parser(tmp_path):
          "pde-oracle-newton-tol-zero", "scale-string",
          "point-nan", "zero-nan", "eta-inf", "moebius-nan", "radius-inf",
          "outside-domain", "moebius-pole", "multiplicity-fraction",
-         "multiplicity-string", "multiplicity-bool"],
+         "multiplicity-string", "multiplicity-bool", "roundtrip-tol-bool",
+         "newton-tol-numeric-string", "coordinate-bool", "scale-numeric-string",
+         "radius-numeric-string", "compose-constant-outer"],
 )
 def test_bad_parameters_are_exit_2(tmp_path, capsys, command, data, flags):
     inp = _write(tmp_path, "in.json", data)

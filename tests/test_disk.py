@@ -21,6 +21,8 @@ def test_hyperbolic_density_closed_forms():
     assert hyperbolic_density(0.5) == pytest.approx(4.0 / 3.0, abs=1e-15)
     vals = hyperbolic_density(np.array([0.0, 0.3j, -0.6]))
     assert vals == pytest.approx([1.0, 1.0 / 0.91, 1.0 / 0.64], abs=1e-14)
+    with pytest.raises(InputError):
+        hyperbolic_density(np.array([0.0, 1.0]))
 
 
 @given(disk_points(), disk_points())

@@ -98,6 +98,9 @@ def test_grid_validation():
         PolarGrid(n_r=4)
     with pytest.raises(InputError):
         PolarGrid(r_max=1.0)
+    for counts in ({"n_r": float("nan")}, {"n_theta": 16.5}, {"n_r": 128.0}):
+        with pytest.raises(InputError):
+            PolarGrid(**counts)
 
 
 def test_density_field_rejects_negative_values():

@@ -130,10 +130,12 @@ def test_rejects_positive_curvature():
 
 
 def test_rejects_bad_grid_and_radius():
-    with pytest.raises(InputError):
-        PdeProblem(8, 0.5, -4.0, const_boundary(1.0))
-    with pytest.raises(InputError):
-        PdeProblem(65, 1.5, -4.0, const_boundary(1.0))
+    def curvature(z):
+        return np.full(np.shape(z), -4.0)
+
+    for n, radius in ((8, 0.5), (65, 1.5), (65.0, 0.5), (17.5, 0.5)):
+        with pytest.raises(InputError):
+            PdeProblem(n, radius, curvature, const_boundary(1.0))
 
 
 def test_rejects_non_callable_curvature_and_boundary():

@@ -118,7 +118,9 @@ def test_roundtrip_tolerance_is_enforced():
 
 
 @pytest.mark.parametrize("field", ["newton_tol", "roundtrip_tol"])
-@pytest.mark.parametrize("value", [0.0, -1e-8, math.nan, math.inf, "1e-8"])
+@pytest.mark.parametrize(
+    "value", [0.0, -1e-8, math.nan, math.inf, "1e-8", True]
+)
 def test_config_rejects_tolerance_that_is_not_positive_finite(field, value):
     """A NaN round-trip tolerance would switch the round-trip check off, and
     a NaN or nonpositive Newton tolerance would end in a breakdown."""

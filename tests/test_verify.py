@@ -16,7 +16,8 @@ from maxblaschke.blaschke import (
 )
 from maxblaschke.disk import DiskAutomorphism
 from maxblaschke.errors import InputError, NumericalError
-from maxblaschke.metrics import PolarGrid
+from maxblaschke.metrics import PolarGrid, pullback_density
+from maxblaschke.pde import oracle_validate
 from maxblaschke.solver import solve_maximal
 from maxblaschke.verify import (
     CONSTRAINT_TOL,
@@ -244,6 +245,24 @@ def test_fit_automorphism_rejects_degenerate_data():
     target = FiniteBlaschke(zeros=(0j,), eta=1.0)
     with pytest.raises(NumericalError):
         fit_automorphism(vanishing_at_quarter, target)
+
+
+def test_constant_product_is_refused_before_zero_over_zero():
+    """A constant product has |K| = 1 and K' = 0, so its pullback density
+    is 0/0, and T o g has g's degree, so no fit reaches it.  Each check
+    raises a typed error, not a RuntimeWarning."""
+    K = FiniteBlaschke(zeros=(), eta=1j)
+    F = FiniteBlaschke(zeros=(0j, 0.5 + 0j))
+    for check in (lambda: pullback_density(K, PolarGrid(16, 16)),
+                  lambda: boundary_quotient(K, BoundaryProbe(1 + 0j)),
+                  lambda: oracle_validate(K, 0.5, 33)):
+        with pytest.raises(InputError, match="constant"):
+            check()
+    for check in (lambda: fit_automorphism(F, K),
+                  lambda: left_factor_check(K),
+                  lambda: semigroup_check(F, K)):
+        with pytest.raises(NumericalError, match="degree"):
+            check()
 
 
 def test_semigroup_composition(b_one):
