@@ -32,7 +32,9 @@ Numer. Anal. 10, 1973), in an inexact Newton iteration (Kelley, *Solving
 Nonlinear Equations with Newton's Method*, SIAM 2003).  The Jacobian is
 applied as the Laplacian times a vector plus the diagonal times it, never
 assembled; only a GMRES failure assembles and factors one, for that solve
-alone.
+alone.  GMRES keeps each preconditioned Krylov vector, as flexible GMRES
+does (Saad, SIAM J. Sci. Comput. 14, 1993), so a Newton step costs one LU
+solve per Krylov iteration and none per restart cycle.
 """
 
 from __future__ import annotations
@@ -81,9 +83,10 @@ def divisor_poly(C: CriticalSet):
 class PdeProblem:
     """Dirichlet problem  Delta u = -kappa e^{2u},  u = log b  on |z| = radius.
 
-    ``curvature`` maps complex grid nodes to kappa (checked nonpositive and
-    finite on the grid by ``solve_dirichlet``); ``boundary`` maps complex
-    boundary points to the positive trace b.
+    ``curvature`` maps complex grid nodes to kappa (``solve_dirichlet``
+    calls it once, on the interior nodes in mask order, and checks it
+    nonpositive and finite there); ``boundary`` maps complex boundary points
+    to the positive trace b.
     """
 
     n: int
@@ -164,25 +167,29 @@ def _gmres(As, d, b, solve):
     """Restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986)
     for (As + diag d) x = b, right-preconditioned with ``solve``, from x = 0.
 
-    Solves J M^{-1} y = b and sets x = M^{-1} V y, so the Arnoldi residual
-    is the true residual b - J x: it stops at ||b - J x|| <= _KRYLOV_RTOL
-    ||b||, re-checked on J itself at the end of each cycle of 20 iterations,
-    for at most 3 cycles.  J is applied, never assembled; each iteration
-    costs one ``solve``, and each cycle one more.  Returns (x, iterations,
-    converged).
+    Solves J M^{-1} t = b over the Arnoldi basis V and sets x = M^{-1} V y,
+    so the Arnoldi residual is the true residual b - J x: it stops at
+    ||b - J x|| <= _KRYLOV_RTOL ||b||, re-checked on J itself at the end of
+    each cycle of 20 iterations, for at most 3 cycles.  J is applied, never
+    assembled.  Each z_j = M^{-1} v_j, solved once to apply J M^{-1}, is
+    kept, as in flexible GMRES (Saad, SIAM J. Sci. Comput. 14, 1993), so a
+    cycle ends with x += Z y and no solve: each iteration costs one
+    ``solve`` and a cycle none.  Returns (x, iterations, converged).
     """
     tol = _KRYLOV_RTOL * np.linalg.norm(b)
     x, r, iters = np.zeros_like(b), b, 0
+    # np.empty: only the rows a cycle writes become resident
+    V = np.empty((20, b.size))
     for _ in range(3):
         beta = np.linalg.norm(r)
         if beta <= tol:
             return x, iters, True
-        V, H = np.empty((21, b.size)), np.zeros((21, 20))
-        g = np.zeros(21)
+        H, g = np.zeros((21, 20)), np.zeros(21)
         V[0], g[0] = r / beta, beta
+        Z = []  # the z_j as ``solve`` returns them, neither copied nor padded
         for j in range(20):
-            w = solve(V[j])
-            w = As @ w + d * w
+            Z.append(solve(V[j]))
+            w = As @ Z[j] + d * Z[j]
             for _ in range(2):  # Gram-Schmidt twice, as stable as modified
                 h = V[: j + 1] @ w
                 w -= h @ V[: j + 1]
@@ -192,11 +199,13 @@ def _gmres(As, d, b, solve):
             Hj, gj = H[: j + 2, : j + 1], g[: j + 2]
             y = np.linalg.lstsq(Hj, gj, rcond=None)[0]
             # tested before dividing by H[j + 1, j]: a zero subdiagonal (a
-            # happy breakdown) leaves a zero residual
-            if np.linalg.norm(Hj @ y - gj) <= tol:
+            # happy breakdown) leaves a zero residual; the last iteration of
+            # a cycle needs no next vector
+            if np.linalg.norm(Hj @ y - gj) <= tol or j == 19:
                 break
             V[j + 1] = w / H[j + 1, j]
-        x = x + solve(y @ V[: j + 1])
+        for yj, zj in zip(y, Z):
+            x += yj * zj
         r = b - (As @ x + d * x)
     return x, iters, bool(np.linalg.norm(r) <= tol)
 
@@ -302,11 +311,12 @@ def solve_dirichlet(problem: PdeProblem) -> PdeSolution:
     which the grid factors once for all solves on it (Concus & Golub, SIAM
     J. Numer. Anal. 10, 1973), to a true relative residual of 1e-8, with
     the Jacobian applied and never assembled: one LU solve per Krylov
-    iteration and one per restart cycle.  Should GMRES not reach it, the
-    current Jacobian is assembled, factored, solved directly and kept as
-    this solve's preconditioner (never cached), so the worst case is one
-    factorization per iteration.  Convergence is always decided on the
-    exact nonlinear residual.
+    iteration and none per restart cycle.  Each trial iterate's e^{2u} is
+    kept for its residual and, once accepted, the Jacobian's diagonal.
+    Should GMRES not reach the tolerance, the current Jacobian is assembled,
+    factored, solved directly and kept as this solve's preconditioner (never
+    cached), so the worst case is one factorization per iteration.
+    Convergence is always decided on the exact nonlinear residual.
 
     Raises
     ------
@@ -327,15 +337,17 @@ def solve_dirichlet(problem: PdeProblem) -> PdeSolution:
     u = np.full(As.shape[0], log_b_min)
 
     def scaled_residual(uv):
-        return As @ uv + gs + h2 * kappa * np.exp(2.0 * uv)
+        """The residual at ``uv`` and e^{2 uv}, which the Jacobian reuses."""
+        e2u = np.exp(2.0 * uv)
+        return As @ uv + gs + h2 * kappa * e2u, e2u
 
-    res = scaled_residual(u)
+    res, e2u = scaled_residual(u)
     rnorm = float(np.max(np.abs(res)))
     iters = krylov_iters = 0
     precond = grid.lu
 
     while rnorm > RESIDUAL_TOL and iters < MAX_NEWTON_ITERS:
-        d = 2.0 * h2 * kappa * np.exp(2.0 * u)
+        d = 2.0 * h2 * kappa * e2u
         step, its, converged = _gmres(As, d, -res, precond)
         krylov_iters += its
         if not converged:
@@ -344,10 +356,10 @@ def solve_dirichlet(problem: PdeProblem) -> PdeSolution:
             step = precond(-res)
         for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
             trial = u + alpha * step
-            tres = scaled_residual(trial)
+            tres, te2u = scaled_residual(trial)
             tnorm = float(np.max(np.abs(tres)))
             if tnorm < rnorm:
-                u, res, rnorm = trial, tres, tnorm
+                u, res, e2u, rnorm = trial, tres, te2u, tnorm
                 break
         else:
             raise NumericalError(
@@ -402,17 +414,27 @@ def oracle_validate(B: FiniteBlaschke, radius: float, n: int = 257) -> float:
     Takes the trace of |B'|/(1-|B|^2) on |z| = radius, runs the
     divisor-reduced Dirichlet solve, recomposes |S| e^{u~}, and returns the
     largest relative interior deviation from the directly evaluated
-    pullback.  Should be O(h^2).
+    pullback.  Should be O(h^2).  A constant ``B`` has no pullback density
+    and is refused before any grid is built.
     """
+    if not B.zeros:
+        raise InputError("a constant product has no pullback density")
     C = critical_points(B)
+    smag, interior = divisor_poly(C), []
 
     def trace(xi):
         return _pullback(B, xi)
 
-    problem = divisor_reduced_problem(C, radius, trace, n)
-    sol = solve_dirichlet(problem)
-    nodes = _grid(n, radius).nodes[sol.mask]
-    lam_pde = divisor_poly(C)(nodes) * np.exp(sol.u[sol.mask])
+    def curvature(z):
+        # called once, at the interior nodes: their |S| is kept for the
+        # recomposition
+        interior.append((z, smag(z)))
+        return -4.0 * interior[-1][1] ** 2
+
+    reduced = divisor_reduced_problem(C, radius, trace, n)
+    sol = solve_dirichlet(PdeProblem(n, radius, curvature, reduced.boundary))
+    (nodes, s), = interior
+    lam_pde = s * np.exp(sol.u[sol.mask])
     lam_ref = trace(nodes)
     keep = lam_ref > 0.0
     return float(
