@@ -18,8 +18,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .blaschke import CriticalSet, FiniteBlaschke, _scan, critical_points
-from .errors import InputError, NumericalError, _index
+from .blaschke import (
+    _BLOCK,
+    CriticalSet,
+    FiniteBlaschke,
+    _chunks,
+    _scan,
+    critical_points,
+)
+from .errors import InputError, NumericalError, _index, _positive
 
 #: Accept a curvature node when the Richardson estimate is below this many
 #: h^2 (after widening the estimate by one node in each direction).
@@ -43,8 +50,10 @@ class PolarGrid:
     def __post_init__(self):
         if _index(self.n_r, "n_r") < 8 or _index(self.n_theta, "n_theta") < 8:
             raise InputError("grid needs at least 8 rings and 8 angles")
-        if not 0.0 < self.r_max < 1.0:
+        r_max = _positive(self.r_max, "r_max")
+        if not r_max < 1.0:
             raise InputError("r_max must lie in (0, 1)")
+        object.__setattr__(self, "r_max", r_max)
 
     @cached_property
     def radii(self) -> np.ndarray:
@@ -156,13 +165,36 @@ def hyperbolic_field(grid: PolarGrid) -> DensityField:
 
 
 def _pullback(f: FiniteBlaschke, z, c: float = 1.0):
-    """Damped pullback density c |f'| / (1 - c^2 |f|^2) at ``z``, from one
-    forward scan of ``f``; ``c = 1`` is the plain hyperbolic pullback.  A
-    constant ``f`` has |f| = 1 and f' = 0, so it is refused before 0/0."""
+    """Damped pullback density c |f'| / (1 - c^2 |f|^2) at ``z``; ``c = 1``
+    is the plain hyperbolic pullback.  A constant ``f`` has |f| = 1 and
+    f' = 0, so it is refused before 0/0.
+
+    An input of more than ``_BLOCK`` nodes is scanned block by block over
+    its flattened nodes, each block's density written into one output
+    array, so that the temporaries stay small (see ``_BLOCK``).  The values
+    keep the bits of one scan over the whole input.  Inputs of at most
+    ``_BLOCK`` nodes, 0-d ones included, take that one scan, and no block
+    holds a single node, on which numpy's in-place complex product skips
+    the fused multiply-add (see ``_scan``).
+    """
     if not f.zeros:
         raise InputError("a constant product has no pullback density")
-    w, dw = _scan(f, z)
-    return c * np.abs(dw) / (1.0 - c * c * np.abs(w) ** 2)
+
+    def density(nodes):
+        w, dw = _scan(f, nodes)
+        return c * np.abs(dw) / (1.0 - c * c * np.abs(w) ** 2)
+
+    z = np.asarray(z, dtype=complex)
+    if z.size <= _BLOCK:
+        return density(z)
+    flat = z.reshape(-1)
+    out = np.empty(flat.shape)
+    blocks = _chunks(flat.size, 1)
+    if flat.size % _BLOCK == 1:
+        blocks[-2:] = [slice(blocks[-2].start, flat.size)]
+    for rows in blocks:
+        out[rows] = density(flat[rows])
+    return out.reshape(z.shape)
 
 
 def _pullback_field(f: FiniteBlaschke, grid: PolarGrid, c: float = 1.0):
@@ -177,9 +209,10 @@ def _pullback_field(f: FiniteBlaschke, grid: PolarGrid, c: float = 1.0):
 def pullback_density(f: FiniteBlaschke, grid: PolarGrid) -> DensityField:
     """Density |f'| / (1 - |f|^2): the hyperbolic density pulled back by f.
 
-    Values come from one forward scan carrying (f, f') over the zeros of
-    ``f``.  The zero annotation is the critical set of ``f`` restricted to
-    the grid disk |z| <= r_max.
+    Values come from ``_pullback``: forward scans carrying (f, f') over the
+    zeros of ``f``, block by block over the grid nodes.  The zero
+    annotation is the critical set of ``f`` restricted to the grid disk
+    |z| <= r_max.
     """
     return _pullback_field(f, grid)
 
@@ -298,7 +331,8 @@ def union_metric(
     alpha is a grid maximum, so it certifies the curvature bound only at
     grid resolution.
     """
-    if not 0.0 < c < 1.0:
+    c = _positive(c, "damping constant")
+    if not c < 1.0:
         raise InputError("damping constant must lie in (0, 1)")
     product, kappa = product_density(
         _pullback_field(F, grid, c), _pullback_field(G, grid, c)

@@ -48,7 +48,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .blaschke import CriticalSet, FiniteBlaschke, critical_points
-from .errors import InputError, NumericalError, _index
+from .errors import InputError, NumericalError, _index, _positive
 from .metrics import _pullback
 
 #: Scaled-residual convergence/report threshold (see PdeSolution.residual_norm).
@@ -97,8 +97,10 @@ class PdeProblem:
     def __post_init__(self):
         if _index(self.n, "PDE grid size") < 17:
             raise InputError("PDE grid needs at least 17 nodes per side")
-        if not 0.0 < self.radius < 1.0:
+        radius = _positive(self.radius, "PDE sub-disk radius")
+        if not radius < 1.0:
             raise InputError("PDE sub-disk radius must lie in (0, 1)")
+        object.__setattr__(self, "radius", radius)
         if not (callable(self.curvature) and callable(self.boundary)):
             raise InputError("PDE curvature and boundary must be callables")
 
@@ -396,16 +398,17 @@ def divisor_reduced_problem(
     the reduced problem has a classical solution even though log(lambda)
     itself diverges at the divisor.
     """
-    if any(abs(p) >= radius for p, _ in C.entries):
-        raise InputError("divisor point on or outside the sub-disk boundary")
     smag = divisor_poly(C)
 
     def reduced_boundary(xi):
         return np.asarray(boundary(xi), dtype=float) / smag(xi)
 
-    return PdeProblem(
+    problem = PdeProblem(
         n, radius, lambda z: -4.0 * smag(z) ** 2, reduced_boundary
     )
+    if any(abs(p) >= problem.radius for p, _ in C.entries):
+        raise InputError("divisor point on or outside the sub-disk boundary")
+    return problem
 
 
 def oracle_validate(B: FiniteBlaschke, radius: float, n: int = 257) -> float:

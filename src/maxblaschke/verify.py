@@ -20,6 +20,7 @@ import numpy as np
 from .blaschke import (
     CriticalSet,
     FiniteBlaschke,
+    _chunks,
     _jet_div,
     _origin_coefficient,
     _scan,
@@ -206,22 +207,6 @@ def default_competitor_specs(
             )
         )
     return specs
-
-
-#: Largest complex array over jets or sample nodes, in elements, that
-#: batched scoring builds: a quarter of one default PolarGrid field, so the
-#: few such arrays alive at once stay below the grid work beside them.  The
-#: one larger array is the antiderivative kind's table of 2d + 1 real rows
-#: over the SUP_SAMPLES samples (0.9 MB at degree d = 6, 1.6 MB at d = 12).
-#: Peak traced memory of one 1000-competitor corpus suite: 1.6 MB at mass
-#: <= 2 and 2.5 MB at mass 8, against 2.7 MB for a full field.
-_BLOCK = 16384
-
-
-def _chunks(n: int, width: int) -> list:
-    """Slices over ``n`` rows so that rows x ``width`` stays within _BLOCK."""
-    step = max(1, _BLOCK // max(1, width))
-    return [slice(lo, lo + step) for lo in range(0, max(n, 1), step)]
 
 
 class _CompetitorEngine:

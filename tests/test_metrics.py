@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from scipy.ndimage import maximum_filter
 
-from maxblaschke.blaschke import CriticalSet, FiniteBlaschke
+from maxblaschke.blaschke import _BLOCK, CriticalSet, FiniteBlaschke, _scan
 from maxblaschke.errors import InputError, NumericalError
 from maxblaschke.metrics import (
     DensityField,
     _clear_of_zeros,
     _max_filter3,
+    _pullback,
     PolarGrid,
     ahlfors_check,
     discrete_curvature,
@@ -101,6 +102,7 @@ def test_grid_validation():
     for counts in ({"n_r": float("nan")}, {"n_theta": 16.5}, {"n_r": 128.0}):
         with pytest.raises(InputError):
             PolarGrid(**counts)
+    assert type(PolarGrid(r_max=np.float64(0.5)).r_max) is float
 
 
 def test_density_field_rejects_negative_values():
@@ -147,6 +149,47 @@ def test_pullback_of_identity_is_hyperbolic():
     lam = pullback_density(B, GRID)
     assert lam.values == pytest.approx(hyperbolic_field(GRID).values, rel=1e-13)
     assert lam.zero_set.entries == ()
+
+
+def _disk_nodes(rng, n):
+    return 0.95 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+
+
+@pytest.mark.parametrize("c", [1.0, 0.6])
+def test_pullback_blocks_keep_the_bits_of_one_scan(c):
+    """Block by block, the pullback density equals the one-pass expression
+    c |B'| / (1 - c^2 |B|^2) over the whole input bit for bit, with its
+    shape and scalar-ness: at block seams, where the final block would hold
+    one or two nodes, at a 0-d point, on an empty array and on 2-D arrays
+    that are not grids (one of _BLOCK + 1 nodes)."""
+    rng = np.random.default_rng(28)
+    for d in (1, 3, 4, 6):
+        zeros = 0.9 * np.sqrt(rng.random(d)) * np.exp(2j * np.pi * rng.random(d))
+        B = FiniteBlaschke(tuple(zeros), eta=np.exp(2j * np.pi * rng.random()))
+        cases = [_disk_nodes(rng, n) for n in (
+            _BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK, 2 * _BLOCK + 1,
+            3 * _BLOCK + 2)]
+        cases += [0.2 + 0.1j, np.array(-0.3j), np.empty(0, dtype=complex),
+                  _disk_nodes(rng, 145 * 113).reshape(145, 113),
+                  _disk_nodes(rng, 200 * 250).reshape(200, 250)]
+        for z in cases:
+            w, dw = _scan(B, z)
+            want = c * np.abs(dw) / (1.0 - c * c * np.abs(w) ** 2)
+            got = _pullback(B, z, c)
+            assert np.shape(got) == np.shape(want)
+            assert np.isscalar(got) == np.isscalar(want)
+            assert np.array_equal(got, want)
+
+
+def test_pullback_block_refuses_reflected_pole():
+    """A node within POLE_TOL of a reflected pole is refused in any block,
+    the folded final node included."""
+    B = FiniteBlaschke(zeros=(0.5 + 0j,), eta=1.0)
+    for index in (_BLOCK + 5, 2 * _BLOCK):
+        z = _disk_nodes(np.random.default_rng(index), 2 * _BLOCK + 1)
+        z[index] = 2.0  # 1/conj(0.5)
+        with pytest.raises(NumericalError, match="reflected pole"):
+            _pullback(B, z)
 
 
 def test_pullback_annotates_critical_points():

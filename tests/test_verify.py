@@ -16,8 +16,8 @@ from maxblaschke.blaschke import (
 )
 from maxblaschke.disk import DiskAutomorphism
 from maxblaschke.errors import InputError, NumericalError
-from maxblaschke.metrics import PolarGrid, pullback_density
-from maxblaschke.pde import oracle_validate
+from maxblaschke.metrics import PolarGrid, pullback_density, union_metric
+from maxblaschke.pde import PdeProblem, oracle_validate
 from maxblaschke.solver import solve_maximal
 from maxblaschke.verify import (
     CONSTRAINT_TOL,
@@ -245,6 +245,21 @@ def test_fit_automorphism_rejects_degenerate_data():
     target = FiniteBlaschke(zeros=(0j,), eta=1.0)
     with pytest.raises(NumericalError):
         fit_automorphism(vanishing_at_quarter, target)
+
+
+@pytest.mark.parametrize("radius", ["0.5", None, 0.5 + 0j])
+def test_radii_of_a_wrong_type_are_input_errors(radius):
+    """A grid radius, damping constant or PDE sub-disk radius that is not a
+    real number is refused with InputError, not a TypeError from a
+    comparison."""
+    F = FiniteBlaschke(zeros=(0j, 0.5 + 0j))
+    grid = PolarGrid(16, 16, 0.5)
+    for check in (lambda: PolarGrid(r_max=radius),
+                  lambda: union_metric(F, F, radius, grid),
+                  lambda: PdeProblem(33, radius, abs, abs),
+                  lambda: oracle_validate(F, radius, 33)):
+        with pytest.raises(InputError, match="positive finite number"):
+            check()
 
 
 def test_constant_product_is_refused_before_zero_over_zero():
