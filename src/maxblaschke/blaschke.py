@@ -11,9 +11,10 @@ point, and the others are the disk roots of the logarithmic derivative
 
     B'/B(z) = sum_k 1/(z - a_k) - sum_{a_k != 0} 1/(z - 1/conj(a_k)),
 
-whose roots are symmetric under reflection across the circle.  The module
-also composes products and builds the polynomial antiderivatives with
-prescribed roots that the solver's start and the competitor families use.
+whose roots are symmetric under reflection across the circle.  One scan
+over the zeros gives B, B' and the blocked pullback density c|B'|/(1 -
+c^2|B|^2).  Products compose, and antiderivatives with prescribed roots
+feed the solver's start and the competitor families.
 
 Serialization schema (JSON)
 ---------------------------
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disk import BOUNDARY_TOL, DiskAutomorphism, pseudo_hyperbolic_distance
-from .errors import InputError, NumericalError, _complex, _count
+from .errors import InputError, NumericalError, _complex, _count, _number
 
 #: Final merge tolerance: points closer than this are never reported
 #: separately.
@@ -71,12 +72,11 @@ class CriticalSet:
         # MERGE_TOL, which stays the representative
         merged = []
         for point, mult in self.entries:
-            point = complex(point)
+            point = complex(_number(point, "critical point"))
             mult = _count(mult, "critical point multiplicity")
             if mult < 1:
                 raise InputError("critical point multiplicity must be >= 1")
-            if not (cmath.isfinite(point)
-                    and abs(point) < 1.0 - BOUNDARY_TOL):
+            if not abs(point) < 1.0 - BOUNDARY_TOL:  # NaN fails too
                 raise InputError("critical points must lie inside the unit disk")
             for entry in merged:
                 if abs(point - entry[0]) <= MERGE_TOL:
@@ -200,13 +200,12 @@ class FiniteBlaschke:
     eta: complex = 1.0 + 0j
 
     def __post_init__(self):
-        e = complex(self.eta)
+        e = complex(_number(self.eta, "unimodular factor"))
         if not cmath.isfinite(e) or abs(e) == 0:
             raise InputError("unimodular factor must be finite and nonzero")
         object.__setattr__(self, "eta", e / abs(e))
-        zs = tuple(complex(a) for a in self.zeros)
-        if not all(cmath.isfinite(a) and abs(a) < 1.0 - BOUNDARY_TOL
-                   for a in zs):
+        zs = tuple(complex(_number(a, "Blaschke zero")) for a in self.zeros)
+        if not all(abs(a) < 1.0 - BOUNDARY_TOL for a in zs):  # NaN fails too
             raise InputError("zeros must lie strictly inside the unit disk")
         object.__setattr__(
             self, "zeros", tuple(sorted(zs, key=lambda a: (a.real, a.imag)))
@@ -237,18 +236,18 @@ class FiniteBlaschke:
 
 #: Largest complex array, in elements, that one batched step builds: a
 #: quarter of one default PolarGrid field (128 x 512 nodes).  ``_pullback``
-#: scans a larger input this many nodes at a time.  On the 13 mass-1-2
-#: corpus products on the default grid (2-core Xeon, numpy 2.4, one BLAS
-#: thread) that keeps the bits and takes the pullback inside verification
-#: runs from a median 6.0 ms to 3.9 ms per product, and in a loop over the
-#: products (best of 15) from 3.5-4.1 ms to 2.8-3.0 ms; blocks of 4096 to
-#: 16384 nodes ran within a tenth of each other, 2048 and 32768 slower.
-#: Batched competitor scoring sizes its jet and sample arrays by it too.
-#: The one larger array there is the antiderivative kind's table of 2d + 1
-#: real rows over the SUP_SAMPLES samples (0.9 MB at degree d = 6, 1.6 MB
-#: at d = 12).  Peak traced memory of one 1000-competitor corpus suite:
-#: 1.6 MB at mass <= 2 and 2.5 MB at mass 8, against 2.7 MB for a full
-#: field.
+#: below scans a larger input this many nodes at a time.  On the 13
+#: mass-1-2 corpus products on the default grid (2-core Xeon, numpy 2.4,
+#: one BLAS thread) that keeps the bits and takes the pullback inside
+#: verification runs from a median 6.0 ms to 3.9 ms per product, and in a
+#: loop over the products (best of 15) from 3.5-4.1 ms to 2.8-3.0 ms;
+#: blocks of 4096 to 16384 nodes ran within a tenth of each other, 2048
+#: and 32768 slower.  Batched competitor scoring sizes its jet and sample
+#: arrays by it too.  The one larger array there is the antiderivative
+#: kind's table of 2d + 1 real rows over the SUP_SAMPLES samples (0.9 MB
+#: at degree d = 6, 1.6 MB at d = 12).  Peak traced memory of one
+#: 1000-competitor corpus suite: 1.6 MB at mass <= 2 and 2.5 MB at mass 8,
+#: against 2.7 MB for a full field.
 _BLOCK = 16384
 
 
@@ -258,7 +257,7 @@ def _chunks(n: int, width: int) -> list:
     return [slice(lo, lo + step) for lo in range(0, max(n, 1), step)]
 
 
-def _scan(B: FiniteBlaschke, z, tangent=True):
+def _scan(B: FiniteBlaschke, z):
     """``(B(z), B'(z))`` from one forward pass over the zeros.
 
     The partial products ``P_k = P_{k-1} f_k`` of the Moebius factors
@@ -266,43 +265,72 @@ def _scan(B: FiniteBlaschke, z, tangent=True):
     ``P_k' = P_{k-1}' f_k + P_{k-1} f_k'``, with
     ``f_k' = (1 - |a_k|^2) / (1 - conj(a_k) z)^2``.  No factor is ever
     divided out, so ``B'`` is as accurate at the zeros of ``B`` as
-    elsewhere, and the work space is a few arrays of the shape of ``z``.
-    With ``tangent=False`` only the values are carried and ``B'`` comes
-    back as ``None``.
+    elsewhere, and the work space is four arrays of the shape of ``z``:
+    the two results and two work arrays that every zero reuses.
     """
     z = np.asarray(z, dtype=complex)
     p = np.ones(z.shape, dtype=complex)
-    dp = np.zeros(z.shape, dtype=complex) if tangent else None
+    dp = np.zeros(z.shape, dtype=complex)
+    denom, f = np.empty_like(z), np.empty_like(z)  # arrays even for 0-d z
     for a in B.zeros:
         # in place, each operation and its operands in the order of
         # dp * f + p * ((1 - |a|^2) / denom**2), since numpy's complex
         # product is not bitwise commutative; the bits are the expression
         # form's except on a one-element array, where numpy's in-place
-        # product skips the fused multiply-add.  empty_like buffers keep
-        # 0-d inputs working.
-        denom = np.multiply(np.conj(a), z, out=np.empty_like(z))
+        # product skips the fused multiply-add
+        np.multiply(np.conj(a), z, out=denom)
         np.subtract(1.0, denom, out=denom)
         if np.any(np.abs(denom) < POLE_TOL):
             raise NumericalError(
                 "evaluation point too close to a reflected pole"
             )
-        f = np.subtract(z, a, out=np.empty_like(z))
+        np.subtract(z, a, out=f)
         f /= denom
-        if tangent:
-            dp *= f
-            denom **= 2
-            np.divide(1.0 - abs(a) ** 2, denom, out=denom)
-            np.multiply(p, denom, out=denom)
-            dp += denom
+        dp *= f
+        denom **= 2
+        np.divide(1.0 - abs(a) ** 2, denom, out=denom)
+        np.multiply(p, denom, out=denom)
+        dp += denom
         p *= f
     # p[()] makes a 0-d result a numpy scalar, whose product with eta
     # rounds as the expression form's scalar arithmetic did
-    return B.eta * p[()], B.eta * dp[()] if tangent else None
+    return B.eta * p[()], B.eta * dp[()]
+
+
+def _pullback(f: FiniteBlaschke, z, c: float = 1.0):
+    """Damped pullback density c |f'| / (1 - c^2 |f|^2) at ``z``; ``c = 1``
+    is the plain hyperbolic pullback.  A constant ``f`` (|f| = 1, f' = 0)
+    is refused before 0/0.
+
+    Inputs of more than ``_BLOCK`` nodes are scanned block by block over
+    their flattened nodes into one output array, which keeps temporaries
+    small (see ``_BLOCK``) and the bits of one scan over the whole input;
+    no block holds a single node, on which numpy's in-place complex
+    product skips the fused multiply-add (see ``_scan``).
+    """
+    if not f.zeros:
+        raise InputError("a constant product has no pullback density")
+
+    def density(nodes):
+        w, dw = _scan(f, nodes)
+        return c * np.abs(dw) / (1.0 - c * c * np.abs(w) ** 2)
+
+    z = np.asarray(z, dtype=complex)
+    if z.size <= _BLOCK:
+        return density(z)
+    flat = z.reshape(-1)
+    out = np.empty(flat.shape)
+    blocks = _chunks(flat.size, 1)
+    if flat.size % _BLOCK == 1:
+        blocks[-2:] = [slice(blocks[-2].start, flat.size)]
+    for rows in blocks:
+        out[rows] = density(flat[rows])
+    return out.reshape(z.shape)
 
 
 def evaluate(B: FiniteBlaschke, z):
     """Evaluate ``B`` at ``z`` (scalar or ndarray)."""
-    out, _ = _scan(B, z, tangent=False)
+    out, _ = _scan(B, z)
     return complex(out) if out.ndim == 0 else out
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, _positive
+from .errors import InputError, _number, _positive
 
 #: Points this close to the unit circle are rejected by interior preconditions.
 BOUNDARY_TOL = 1e-12
@@ -83,7 +83,8 @@ class DiskAutomorphism:
     center: complex = 0j
 
     def __post_init__(self):
-        r, c = complex(self.rotation), complex(self.center)
+        r = complex(_number(self.rotation, "rotation factor"))
+        c = complex(_number(self.center, "automorphism center"))
         if not (cmath.isfinite(r) and cmath.isfinite(c)):
             raise InputError("automorphism parameters must be finite")
         if abs(r) < BOUNDARY_TOL:

@@ -6,13 +6,15 @@ numerics run) and numerical breakdowns (a computation started and could not
 be completed to tolerance).  The command-line driver maps them to distinct
 exit codes.
 
-Each count, tolerance, scale, radius and coordinate from JSON or a caller is
-read by one of the private readers below, none of which takes a boolean.
+Each count, tolerance, scale, radius, coordinate and point from JSON or a
+caller goes through one of the private readers below; none takes a boolean.
 """
 
 import math
 import numbers
 import operator
+
+import numpy as np
 
 
 class InputError(ValueError):
@@ -21,6 +23,14 @@ class InputError(ValueError):
 
 class NumericalError(RuntimeError):
     """A solver or numerical routine failed to reach its tolerance."""
+
+
+def _number(value, name: str):
+    """``value`` unchanged; a ``bool`` or ``numpy.bool_``, which ``complex``,
+    ``abs`` and comparisons read as 0 or 1, raises ``InputError``."""
+    if isinstance(value, (bool, np.bool_)):
+        raise InputError(f"{name} must be a number, got {value!r}")
+    return value
 
 
 def _index(value, name: str) -> int:

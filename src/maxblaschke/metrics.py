@@ -8,6 +8,7 @@ density's zeros, every curvature node carries a certificate: the same stencil
 at double spacing gives a Richardson error estimate, and only nodes whose
 estimate is below a fixed multiple of h^2 count as *defined*.  Comparisons
 against the constant -4 are then meaningful exactly on the defined set.
+Pullback densities of Blaschke products come from ``blaschke._pullback``.
 """
 
 from __future__ import annotations
@@ -18,14 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .blaschke import (
-    _BLOCK,
-    CriticalSet,
-    FiniteBlaschke,
-    _chunks,
-    _scan,
-    critical_points,
-)
+from .blaschke import CriticalSet, FiniteBlaschke, _pullback, critical_points
 from .errors import InputError, NumericalError, _index, _positive
 
 #: Accept a curvature node when the Richardson estimate is below this many
@@ -162,39 +156,6 @@ def hyperbolic_field(grid: PolarGrid) -> DensityField:
     """The density 1/(1 - |z|^2) sampled on the grid."""
     r2 = np.abs(grid.nodes) ** 2
     return DensityField(grid, 1.0 / (1.0 - r2))
-
-
-def _pullback(f: FiniteBlaschke, z, c: float = 1.0):
-    """Damped pullback density c |f'| / (1 - c^2 |f|^2) at ``z``; ``c = 1``
-    is the plain hyperbolic pullback.  A constant ``f`` has |f| = 1 and
-    f' = 0, so it is refused before 0/0.
-
-    An input of more than ``_BLOCK`` nodes is scanned block by block over
-    its flattened nodes, each block's density written into one output
-    array, so that the temporaries stay small (see ``_BLOCK``).  The values
-    keep the bits of one scan over the whole input.  Inputs of at most
-    ``_BLOCK`` nodes, 0-d ones included, take that one scan, and no block
-    holds a single node, on which numpy's in-place complex product skips
-    the fused multiply-add (see ``_scan``).
-    """
-    if not f.zeros:
-        raise InputError("a constant product has no pullback density")
-
-    def density(nodes):
-        w, dw = _scan(f, nodes)
-        return c * np.abs(dw) / (1.0 - c * c * np.abs(w) ** 2)
-
-    z = np.asarray(z, dtype=complex)
-    if z.size <= _BLOCK:
-        return density(z)
-    flat = z.reshape(-1)
-    out = np.empty(flat.shape)
-    blocks = _chunks(flat.size, 1)
-    if flat.size % _BLOCK == 1:
-        blocks[-2:] = [slice(blocks[-2].start, flat.size)]
-    for rows in blocks:
-        out[rows] = density(flat[rows])
-    return out.reshape(z.shape)
 
 
 def _pullback_field(f: FiniteBlaschke, grid: PolarGrid, c: float = 1.0):
@@ -361,16 +322,15 @@ def _enforce_curvature(field: DensityField, two_sided: bool):
     curv = discrete_curvature(field)
     if not np.any(curv.defined):
         return
-    vals = curv.values[curv.defined]
     if two_sided:
-        dev = float(np.max(np.abs(vals + 4.0)))
+        dev = curv.max_deviation(-4.0)
         if dev > band:
             raise InputError(
                 f"curvature deviates from -4 by {dev:.3e} (allowed "
                 f"{band:.3e}); not an admissible comparison density"
             )
     else:
-        worst = float(np.max(vals))
+        worst = float(np.max(curv.values[curv.defined]))
         if worst > -4.0 + band:
             raise InputError(
                 f"curvature reaches {worst:.6f}; need <= -4 within {band:.3e}"

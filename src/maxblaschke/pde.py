@@ -47,9 +47,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .blaschke import CriticalSet, FiniteBlaschke, critical_points
+from .blaschke import CriticalSet, FiniteBlaschke, _pullback, critical_points
 from .errors import InputError, NumericalError, _index, _positive
-from .metrics import _pullback
 
 #: Scaled-residual convergence/report threshold (see PdeSolution.residual_norm).
 RESIDUAL_TOL = 1e-10

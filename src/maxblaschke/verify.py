@@ -23,6 +23,7 @@ from .blaschke import (
     _chunks,
     _jet_div,
     _origin_coefficient,
+    _pullback,
     _scan,
     _taylor,
     antiderivative,
@@ -32,11 +33,10 @@ from .blaschke import (
     evaluate,
 )
 from .disk import DiskAutomorphism
-from .errors import InputError, NumericalError, _index
+from .errors import InputError, NumericalError, _index, _number
 from .metrics import (
     PolarGrid,
     _curvature_band,
-    _pullback,
     discrete_curvature,
     dominance_check,
     pullback_density,
@@ -98,9 +98,9 @@ class CompetitorSpec:
             if not _finite((self.scalar,)) or abs(self.scalar) > 1.0:
                 raise InputError("scalar multiplier must satisfy |c| <= 1")
         elif self.kind == "postcompose-automorphism":
-            if self.automorphism is None:
-                raise InputError("automorphism competitor needs an "
-                                 "automorphism")
+            if not isinstance(self.automorphism, DiskAutomorphism):
+                raise InputError("automorphism competitor needs a "
+                                 f"DiskAutomorphism: {self.automorphism!r}")
         elif self.kind == "larger-critical-set":
             if not _finite(self.extra_points):
                 raise InputError("extra critical points must be finite")
@@ -110,9 +110,10 @@ class CompetitorSpec:
 
 
 def _finite(values) -> bool:
-    """True when every entry is a finite (complex) number."""
+    """True when every entry is a finite number; booleans raise InputError."""
     try:
-        return all(map(cmath.isfinite, values))
+        return all(cmath.isfinite(_number(v, "competitor parameter"))
+                   for v in values)
     except TypeError:
         return False
 
@@ -125,7 +126,7 @@ class BoundaryProbe:
     radii: tuple = (0.9, 0.99, 0.995, 0.999)
 
     def __post_init__(self):
-        if not abs(abs(self.direction) - 1.0) <= 1e-12:
+        if not abs(abs(_number(self.direction, "direction")) - 1.0) <= 1e-12:
             raise InputError("probe direction must lie on the unit circle")
         if any(not 0.0 < r < 1.0 for r in self.radii):
             raise InputError("probe radii must lie in (0, 1)")

@@ -66,21 +66,20 @@ def critical_numerator_coeffs(zeros):
     return s[2:] if len(s) > 1 else s
 
 
-def scan_reference(B, z, tangent=True):
+def scan_reference(B, z):
     """``blaschke._scan`` in its expression form, one new array per
     operation: the reference that the in-place scan must match bit for
     bit on 0-d inputs and on arrays of two or more points, since it
     performs the same operations in the same order."""
     z = np.asarray(z, dtype=complex)
     p = np.ones(z.shape, dtype=complex)
-    dp = np.zeros(z.shape, dtype=complex) if tangent else None
+    dp = np.zeros(z.shape, dtype=complex)
     for a in B.zeros:
         denom = 1.0 - np.conj(a) * z
         f = (z - a) / denom
-        if tangent:
-            dp = dp * f + p * ((1.0 - abs(a) ** 2) / denom**2)
+        dp = dp * f + p * ((1.0 - abs(a) ** 2) / denom**2)
         p = p * f
-    return B.eta * p, B.eta * dp if tangent else None
+    return B.eta * p, B.eta * dp
 
 
 @pytest.fixture(scope="session")

@@ -65,6 +65,14 @@ def test_critical_set_input_validation():
             CriticalSet(((0.5 + 0j, mult),))
     assert CriticalSet(((0.5 + 0j, 2.0),)).entries == ((0.5 + 0j, 2),)
     assert CriticalSet(((0.5 + 0j, np.int64(2)),)).entries == ((0.5 + 0j, 2),)
+    # a boolean point or zero is refused, not read as 0 or 1
+    for flag in (False, np.False_):
+        with pytest.raises(InputError, match="must be a number"):
+            CriticalSet(((flag, 1),))
+        with pytest.raises(InputError, match="must be a number"):
+            FiniteBlaschke(zeros=(flag,))
+    with pytest.raises(InputError, match="must be a number"):
+        FiniteBlaschke(zeros=(0.5,), eta=True)
 
 
 def test_critical_set_union_and_contains():
@@ -223,9 +231,10 @@ def test_evaluate_and_derivative_match_mpmath(d):
 
 def test_scan_is_bit_identical_to_expression_form():
     """The in-place scan keeps every operation and its order, so values and
-    tangents equal the expression form's bit for bit: on seeded products of
-    degree <= 6 with random unimodular factors, at a 0-d point, on a polar
-    grid and with zeros at the origin."""
+    tangents, and the values ``evaluate`` returns, equal the expression
+    form's bit for bit: on seeded products of degree <= 6 with random
+    unimodular factors, at a 0-d point, on a polar grid and with zeros at
+    the origin."""
     rng = np.random.default_rng(2026)
     grid = PolarGrid(n_r=16, n_theta=32).nodes
     cases = []
@@ -242,8 +251,7 @@ def test_scan_is_bit_identical_to_expression_form():
         got, slope = blaschke._scan(B, z)
         assert got.shape == slope.shape == np.shape(z)
         assert np.array_equal(got, want) and np.array_equal(slope, want_slope)
-        value, none = blaschke._scan(B, z, tangent=False)
-        assert none is None and np.array_equal(value, want)
+        assert np.array_equal(evaluate(B, z), want)
 
 
 def test_evaluate_rejects_reflected_pole():

@@ -55,7 +55,10 @@ def test_automorphism_rejects_outside_center():
     {"center": complex("nan")},
     {"rotation": complex("nan")},
     {"rotation": complex("inf")},
-], ids=["center-nan", "rotation-nan", "rotation-inf"])
+    {"rotation": True},
+    {"center": np.False_},
+], ids=["center-nan", "rotation-nan", "rotation-inf", "rotation-bool",
+        "center-numpy-bool"])
 def test_automorphism_rejects_non_finite(kwargs):
     with pytest.raises(InputError):
         DiskAutomorphism(**kwargs)

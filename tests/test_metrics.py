@@ -2,13 +2,18 @@ import numpy as np
 import pytest
 from scipy.ndimage import maximum_filter
 
-from maxblaschke.blaschke import _BLOCK, CriticalSet, FiniteBlaschke, _scan
+from maxblaschke.blaschke import (
+    _BLOCK,
+    CriticalSet,
+    FiniteBlaschke,
+    _pullback,
+    _scan,
+)
 from maxblaschke.errors import InputError, NumericalError
 from maxblaschke.metrics import (
     DensityField,
     _clear_of_zeros,
     _max_filter3,
-    _pullback,
     PolarGrid,
     ahlfors_check,
     discrete_curvature,

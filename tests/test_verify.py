@@ -192,12 +192,14 @@ def test_probes_reject_count_below_one(count):
     (1.1, (0.9,)), (0.5j, (0.9,)), (complex("inf"), (0.9,)),
     (complex("nan"), (0.9,)), (complex(1.0, float("nan")), (0.9,)),
     (1.0, (0.0,)), (1j, (0.5, 1.0)), (-1.0, (float("nan"),)),
+    (True, (0.9,)), (np.True_, (0.9,)),
 ], ids=["outside", "inside", "inf", "nan", "nan-imag", "radius-0",
-        "radius-1", "radius-nan"])
+        "radius-1", "radius-nan", "bool", "numpy-bool"])
 def test_probe_rejects_off_circle_direction_and_radii_outside_unit_interval(
         direction, radii):
     """A NaN direction fails the unit-circle check, as NaN fails every
-    comparison; it would make every boundary quotient NaN."""
+    comparison; it would make every boundary quotient NaN.  A boolean
+    direction is refused, not read as 1."""
     with pytest.raises(InputError):
         BoundaryProbe(direction, radii)
 
@@ -713,9 +715,17 @@ def test_closed_forms_match_reference_on_rotated_products(
     {"kind": "larger-critical-set", "extra_points": (0.2, complex("inf"))},
     {"kind": "postcompose-automorphism",
      "automorphism": lambda: DiskAutomorphism(center=complex("nan"))},
+    {"kind": "postcompose-automorphism", "automorphism": 0.5},
+    {"kind": "scalar-multiple", "scalar": True},
+    {"kind": "scalar-multiple", "scalar": np.True_},
+    {"kind": "antiderivative-family", "poly_coeffs": (True,)},
+    {"kind": "larger-critical-set", "extra_points": (False,)},
 ], ids=["scalar-nan", "scalar-inf", "poly-empty", "poly-nan", "extra-inf",
-        "center-nan"])
+        "center-nan", "automorphism-float", "scalar-bool",
+        "scalar-numpy-bool", "poly-bool", "extra-bool"])
 def test_competitor_spec_rejects_non_finite_and_empty(kwargs):
+    """Booleans are refused, not read as 0 or 1, and an automorphism
+    competitor needs a DiskAutomorphism, not a number."""
     with pytest.raises(InputError):
         # callables are built inside the block: DiskAutomorphism itself
         # rejects a NaN center
