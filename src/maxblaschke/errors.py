@@ -6,8 +6,9 @@ numerics run) and numerical breakdowns (a computation started and could not
 be completed to tolerance).  The command-line driver maps them to distinct
 exit codes.
 
-Each count, tolerance, scale, radius, coordinate and point from JSON or a
-caller goes through one of the private readers below; none takes a boolean.
+Each count, tolerance, scale, radius, curvature, coordinate and point from
+JSON or a caller goes through one of the private readers below; none takes
+a boolean.
 """
 
 import math
@@ -59,6 +60,17 @@ def _positive(value, name: str) -> float:
             or not 0 < value < math.inf):
         raise InputError(
             f"{name} must be a positive finite number, got {value!r}"
+        )
+    return float(value)
+
+
+def _nonpositive(value, name: str) -> float:
+    """``value`` as a float, for a real number, not a boolean, with
+    -inf < value <= 0; NaN is refused too."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not -math.inf < value <= 0):
+        raise InputError(
+            f"{name} must be a finite number <= 0, got {value!r}"
         )
     return float(value)
 

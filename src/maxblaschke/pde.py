@@ -16,25 +16,32 @@ Discretization: Cartesian grid masked to the disk, with cut-cell (unequal
 arm) 5-point stencils where an arm crosses the circle (Shortley & Weller,
 J. Appl. Phys. 9, 1938), so the boundary data enters exactly on the circle.
 The stencil matrix depends only on the grid size and the radius, so each
-such grid is built once (the two grids used last stay cached) and holds only
+such grid is built once (the four grids used last stay cached) and holds only
 what the solves read: the Laplacian scaled by h^2/4, that factor h2, and the
 scaled Laplacian's LU.  Each solve looks its grid up once and reads the
 boundary trace once, at every arm's crossing point, where it enters only the
-right-hand side.  The nonlinear system is solved by damped Newton; for
-kappa <= 0 the negated Jacobian is an irreducibly diagonally dominant
-M-matrix, so the linear solves are well posed.  The Jacobian is the grid's
-Laplacian plus an O(h^2) diagonal, so every Newton step is taken by a
-restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986)
-right-preconditioned with the Laplacian's LU, the fixed fast-solver
-preconditioner of Concus & Golub (*Use of fast direct methods for the
-efficient numerical solution of nonseparable elliptic equations*, SIAM J.
-Numer. Anal. 10, 1973), in an inexact Newton iteration (Kelley, *Solving
-Nonlinear Equations with Newton's Method*, SIAM 2003).  The Jacobian is
-applied as the Laplacian times a vector plus the diagonal times it, never
-assembled; only a GMRES failure assembles and factors one, for that solve
-alone.  GMRES keeps each preconditioned Krylov vector, as flexible GMRES
-does (Saad, SIAM J. Sci. Comput. 14, 1993), so a Newton step costs one LU
-solve per Krylov iteration and none per restart cycle.
+right-hand side, and the curvature once, at the interior nodes.  The
+nonlinear system is solved by damped Newton; for kappa <= 0 the negated
+Jacobian is an irreducibly diagonally dominant M-matrix, so the linear solves
+are well posed.  The Jacobian is the grid's Laplacian plus an O(h^2)
+diagonal, so every Newton step is taken by a restarted GMRES (Saad & Schultz,
+SIAM J. Sci. Stat. Comput. 7, 1986) right-preconditioned with the Laplacian's
+LU, the fixed fast-solver preconditioner of Concus & Golub (*Use of fast
+direct methods for the efficient numerical solution of nonseparable elliptic
+equations*, SIAM J. Numer. Anal. 10, 1973), in an inexact Newton iteration
+(Kelley, *Solving Nonlinear Equations with Newton's Method*, SIAM 2003).  The
+Jacobian is applied as the Laplacian times a vector plus the diagonal times
+it, never assembled; only a GMRES failure assembles and factors one, for that
+solve alone.  GMRES keeps each preconditioned Krylov vector, as flexible
+GMRES does (Saad, SIAM J. Sci. Comput. 14, 1993), so a Newton step costs one
+LU solve per Krylov iteration and none per restart cycle.
+
+Nested iteration (Bank & Rose, Math. Comp. 39, 1982): on an odd grid of n
+nodes per side, the grid of (n + 1)/2 nodes is every other node of it, bit
+for bit, so the same Newton is first run there, on the curvature and trace
+values the fine grid read, and its solution interpolated bilinearly onto the
+fine grid is the fine Newton's start.  That start is within O(h^2) of the
+fine solution, which saves the fine grid a Newton step.
 """
 
 from __future__ import annotations
@@ -48,7 +55,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .blaschke import CriticalSet, FiniteBlaschke, _pullback, critical_points
-from .errors import InputError, NumericalError, _index, _positive
+from .errors import (
+    InputError, NumericalError, _index, _nonpositive, _positive,
+)
 
 #: Scaled-residual convergence/report threshold (see PdeSolution.residual_norm).
 RESIDUAL_TOL = 1e-10
@@ -61,6 +70,9 @@ MAX_NEWTON_ITERS = 100
 # the iteration count and the convergence decision are those of exact
 # Newton.
 _KRYLOV_RTOL = 1e-8
+
+# Fewest grid nodes per side of a problem, and of a nested coarse grid.
+_MIN_NODES = 17
 
 
 def divisor_poly(C: CriticalSet):
@@ -85,7 +97,8 @@ class PdeProblem:
     ``curvature`` maps complex grid nodes to kappa (``solve_dirichlet``
     calls it once, on the interior nodes in mask order, and checks it
     nonpositive and finite there); ``boundary`` maps complex boundary points
-    to the positive trace b.
+    to the positive trace b.  Each returns one real value per point, or one
+    real scalar for all of them.
     """
 
     n: int
@@ -94,8 +107,10 @@ class PdeProblem:
     boundary: Callable
 
     def __post_init__(self):
-        if _index(self.n, "PDE grid size") < 17:
-            raise InputError("PDE grid needs at least 17 nodes per side")
+        if _index(self.n, "PDE grid size") < _MIN_NODES:
+            raise InputError(
+                f"PDE grid needs at least {_MIN_NODES} nodes per side"
+            )
         radius = _positive(self.radius, "PDE sub-disk radius")
         if not radius < 1.0:
             raise InputError("PDE sub-disk radius must lie in (0, 1)")
@@ -113,11 +128,13 @@ class PdeSolution:
     """``u`` on the full grid (NaN outside the disk), with the interior mask
     (the cached grid's, read-only).
 
-    ``factorizations`` counts the sparse LU factorizations this solve
-    performed: 1 when it built its grid and factored the Laplacian, 0 when
-    the grid was cached, plus one per Jacobian factored after a GMRES
-    failure.  ``krylov_iters`` counts the preconditioned GMRES iterations,
-    each of which costs one LU solve.
+    ``newton_iters`` counts the Newton steps on the grid of ``u``.
+    ``factorizations`` and ``krylov_iters`` count the LU work of the whole
+    solve, on the nested coarse grid too when there is one (see
+    ``solve_dirichlet``): ``factorizations`` is one per Laplacian the solve
+    built and factored (grids it found cached cost none), plus one per
+    Jacobian factored after a GMRES failure; ``krylov_iters`` counts the
+    preconditioned GMRES iterations, each of which costs one LU solve.
 
     ``residual_norm`` is the max-norm of the residual of the h^2/4-scaled
     system (row sums of the scaled Laplacian are O(1), so the norm is
@@ -211,11 +228,11 @@ def _gmres(As, d, b, solve):
     return x, iters, bool(np.linalg.norm(r) <= tol)
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=4)
 def _grid(n: int, radius: float) -> _Grid:
     """The cut-cell grid of (n, radius) with its scaled Laplacian factored,
-    built on first use.  Two grids stay cached, so a caller alternating two
-    sizes factors each once."""
+    built on first use.  Four grids stay cached, so a caller alternating two
+    sizes, each with its nested coarse grid, factors each grid once."""
     r, h = radius, 2.0 * radius / (n - 1)
     xs = np.linspace(-r, r, n)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
@@ -281,30 +298,79 @@ def _grid(n: int, radius: float) -> _Grid:
     return _Grid(nodes, mask, cut_rows, cut_coefs, crossings, As, h2, lu)
 
 
+@functools.lru_cache(maxsize=2)
+def _transfer(n: int, radius: float):
+    """The maps between the odd grid of (n, radius) and its nested grid of
+    (n + 1)/2 nodes, whose nodes are the fine grid's of even index, bit for
+    bit (both are ``np.linspace(-radius, radius, .)``, and the coarse step
+    is the fine one doubled, exactly).
+
+    Returns (inject, cross, interpolate): the fine interior index of each
+    coarse interior node, the fine crossing index of each coarse crossing,
+    and the sparse bilinear interpolation from coarse to fine interior
+    values, which averages only the coarse neighbours inside the disk.  The
+    radius is a whole number of fine steps, so every fine interior node has
+    at least one.
+    """
+    fine, coarse = _grid(n, radius), _grid((n + 1) // 2, radius)
+    N, Nc = fine.As.shape[0], coarse.As.shape[0]
+    index = -np.ones(fine.mask.shape, dtype=int)
+    index[fine.mask] = np.arange(N)
+    inject = index[::2, ::2][coarse.mask]
+    where = {c: k for k, c in enumerate(fine.crossings.tolist())}
+    cross = np.array([where[c] for c in coarse.crossings.tolist()])
+    coarse_index = -np.ones(coarse.mask.shape, dtype=int)
+    coarse_index[coarse.mask] = np.arange(Nc)
+    # the coarse corners of each fine node's cell, doubled along an axis
+    # where the node sits on a coarse line; the duplicates sum
+    ii, jj = np.nonzero(fine.mask)
+    cols = np.concatenate([coarse_index[a, b]
+                           for a in (ii // 2, (ii + 1) // 2)
+                           for b in (jj // 2, (jj + 1) // 2)])
+    rows, inside = np.tile(np.arange(N), 4), cols >= 0
+    P = sp.csr_matrix((np.ones(inside.sum()), (rows[inside], cols[inside])),
+                      shape=(N, Nc))
+    return inject, cross, sp.diags(1.0 / P.sum(axis=1).A1) @ P
+
+
+def _values(result, size: int, name: str) -> np.ndarray:
+    """A callable's ``result`` as ``size`` floats: a real array of that
+    length, or a real scalar broadcast to it; anything else, a complex or
+    boolean array among them, raises ``InputError``."""
+    a = np.asarray(result)
+    if a.dtype.kind not in "iuf" or a.shape not in ((), (size,)):
+        raise InputError(
+            f"{name} must be {size} real values or one, "
+            f"got {a.dtype} of shape {a.shape}"
+        )
+    return np.full(size, float(a)) if a.ndim == 0 else a.astype(float)
+
+
 def _assemble(problem: PdeProblem, grid: _Grid):
     """The boundary term of ``problem`` on ``grid``: Delta_h u = A u + g.
 
-    Returns (g, log_b_min): g holds the boundary-data contributions from
-    arms cut by the circle to the unscaled stencil, and log_b_min is the
-    smallest log trace value the stencil reads.  ``problem.boundary`` is
-    called once, at every crossing point.
+    Returns (g, log_b): g holds the boundary-data contributions from arms
+    cut by the circle to the unscaled stencil, and log_b the log trace at
+    every crossing point, where ``problem.boundary`` is called once.
     """
-    b = np.asarray(problem.boundary(grid.crossings), dtype=float)
+    b = _values(problem.boundary(grid.crossings), grid.crossings.size,
+                "boundary trace")
     if np.any(b <= 0.0) or not np.all(np.isfinite(b)):
         raise InputError("boundary trace must be positive")
     log_b = np.log(b)
+    return _boundary_term(grid, log_b), log_b
+
+
+def _boundary_term(grid: _Grid, log_b: np.ndarray) -> np.ndarray:
+    """g of ``_assemble`` from the log trace at ``grid``'s crossings."""
     g = np.zeros(grid.As.shape[0])
     np.add.at(g, grid.cut_rows, grid.cut_coefs * log_b)
-    return g, float(log_b.min())
+    return g
 
 
-def solve_dirichlet(problem: PdeProblem) -> PdeSolution:
-    """Damped Newton for the discretized problem.
-
-    The grid of (n, radius) is looked up once and the boundary trace read
-    once, for the boundary term.  Starts from the constant u = min log b over
-    the trace values the stencil reads (for kappa <= 0 this sits below the
-    solution, where Newton for this monotone problem is reliable).
+def _newton(grid: _Grid, kappa, g, u):
+    """Damped Newton on ``grid`` for curvature ``kappa`` at its interior
+    nodes and boundary term ``g``, from ``u``.
 
     The Jacobian is As + diag(2 h^2/4 kappa e^{2u}), the grid's scaled
     Laplacian plus an O(h^2) diagonal, so every Newton step, the first
@@ -319,23 +385,11 @@ def solve_dirichlet(problem: PdeProblem) -> PdeSolution:
     cached), so the worst case is one factorization per iteration.
     Convergence is always decided on the exact nonlinear residual.
 
-    Raises
-    ------
-    NumericalError
-        If the scaled residual has not reached RESIDUAL_TOL after
-        MAX_NEWTON_ITERS damped iterations (final residual in the message).
+    Returns (u, residual_norm, newton_iters, factorizations, krylov_iters),
+    counting only the Jacobians factored here.
     """
-    misses = _grid.cache_info().misses
-    grid = _grid(problem.n, problem.radius)
-    factorizations = _grid.cache_info().misses - misses
-    g, log_b_min = _assemble(problem, grid)
-    mask = grid.mask
-    kappa = np.asarray(problem.curvature(grid.nodes[mask]), dtype=float)
-    if np.any(kappa > 0.0) or not np.all(np.isfinite(kappa)):
-        raise InputError("curvature must be nonpositive and finite")
     As, h2 = grid.As, grid.h2
     gs = g * h2
-    u = np.full(As.shape[0], log_b_min)
 
     def scaled_residual(uv):
         """The residual at ``uv`` and e^{2 uv}, which the Jacobian reuses."""
@@ -344,7 +398,7 @@ def solve_dirichlet(problem: PdeProblem) -> PdeSolution:
 
     res, e2u = scaled_residual(u)
     rnorm = float(np.max(np.abs(res)))
-    iters = krylov_iters = 0
+    iters = krylov_iters = factorizations = 0
     precond = grid.lu
 
     while rnorm > RESIDUAL_TOL and iters < MAX_NEWTON_ITERS:
@@ -372,19 +426,75 @@ def solve_dirichlet(problem: PdeProblem) -> PdeSolution:
             f"no convergence in {MAX_NEWTON_ITERS} iterations; "
             f"final scaled residual {rnorm:.3e}"
         )
+    return u, rnorm, iters, factorizations, krylov_iters
+
+
+def solve_dirichlet(problem: PdeProblem) -> PdeSolution:
+    """Damped Newton for the discretized problem (see ``_newton``).
+
+    The grid of (n, radius) is looked up once, the boundary trace read once,
+    at its crossings, and the curvature once, at its interior nodes.  When n
+    is odd and (n + 1)/2 is at least 17, the fewest a problem may have, the
+    grid of (n + 1)/2 nodes nests in it: the same Newton runs there first,
+    on the curvature and trace values the fine grid read at its nodes and
+    crossings, from the constant start below, and its solution,
+    interpolated bilinearly onto the fine interior (only the coarse
+    neighbours inside the disk are averaged), is the fine Newton's start
+    (Bank & Rose, Math. Comp. 39, 1982).  Any other grid starts from the
+    constant u = min log b over the trace values its stencil reads (for
+    kappa <= 0 this sits below the solution, where Newton for this monotone
+    problem is reliable).
+
+    Raises
+    ------
+    InputError
+        If the curvature or the boundary callable does not return one real
+        value per point or one real scalar, if a curvature value is positive
+        or not finite, or if a trace value is not positive and finite.
+    NumericalError
+        If the scaled residual on either grid has not reached RESIDUAL_TOL
+        after MAX_NEWTON_ITERS damped iterations (final residual in the
+        message).
+    """
+    n, radius = problem.n, problem.radius
+    nested = n % 2 == 1 and (n + 1) // 2 >= _MIN_NODES
+    misses = _grid.cache_info().misses
+    grid = _grid(n, radius)
+    if nested:
+        coarse = _grid((n + 1) // 2, radius)
+        inject, cross, interpolate = _transfer(n, radius)
+    factorizations = _grid.cache_info().misses - misses
+    g, log_b = _assemble(problem, grid)
+    mask = grid.mask
+    kappa = _values(problem.curvature(grid.nodes[mask]), grid.As.shape[0],
+                    "curvature")
+    if np.any(kappa > 0.0) or not np.all(np.isfinite(kappa)):
+        raise InputError("curvature must be nonpositive and finite")
+    krylov_iters = 0
+    if nested:
+        log_bc = log_b[cross]
+        uc, _, _, f, krylov_iters = _newton(
+            coarse, kappa[inject], _boundary_term(coarse, log_bc),
+            np.full(coarse.As.shape[0], log_bc.min()),
+        )
+        factorizations += f
+        u = interpolate @ uc
+    else:
+        u = np.full(grid.As.shape[0], log_b.min())
+    u, rnorm, iters, f, k = _newton(grid, kappa, g, u)
     full = np.full(mask.shape, np.nan)
     full[mask] = u
-    return PdeSolution(full, mask, rnorm, iters, factorizations, krylov_iters)
+    return PdeSolution(full, mask, rnorm, iters, factorizations + f,
+                       krylov_iters + k)
 
 
 def constant_curvature_problem(
     n: int, radius: float, kappa: float, boundary: Callable
 ) -> PdeProblem:
-    if kappa > 0:
-        raise InputError("curvature must be nonpositive")
-    return PdeProblem(
-        n, radius, lambda z: np.full(np.shape(z), float(kappa)), boundary
-    )
+    """The problem of the constant curvature ``kappa``, a finite real
+    number <= 0."""
+    kappa = _nonpositive(kappa, "PDE curvature")
+    return PdeProblem(n, radius, lambda z: kappa, boundary)
 
 
 def divisor_reduced_problem(
@@ -400,7 +510,7 @@ def divisor_reduced_problem(
     smag = divisor_poly(C)
 
     def reduced_boundary(xi):
-        return np.asarray(boundary(xi), dtype=float) / smag(xi)
+        return _values(boundary(xi), np.size(xi), "boundary trace") / smag(xi)
 
     problem = PdeProblem(
         n, radius, lambda z: -4.0 * smag(z) ** 2, reduced_boundary

@@ -256,16 +256,18 @@ def _two_point_problem(radius=0.75):
     return divisor_reduced_problem(C, radius, trace, 129)
 
 
-def _direct_newton(problem):
+def _direct_newton(problem, u=None):
     """Reference: the same damped Newton with every step solved by one
-    sparse direct solve of the current Jacobian."""
+    sparse direct solve of the current Jacobian, from ``u`` or else from the
+    constant min log b.  Returns (u on the full grid, iterations)."""
     grid = pde._grid(problem.n, problem.radius)
-    g, log_b_min = pde._assemble(problem, grid)
+    g, log_b = pde._assemble(problem, grid)
     mask = grid.mask
     kappa = np.asarray(problem.curvature(grid.nodes[mask]), dtype=float)
     h2 = problem.spacing ** 2 / 4.0
     As, gs = grid.As, g * h2
-    u = np.full(As.shape[0], log_b_min)
+    if u is None:
+        u = np.full(As.shape[0], log_b.min())
 
     def residual(v):
         return As @ v + gs + h2 * kappa * np.exp(2.0 * v)
@@ -292,13 +294,49 @@ def _direct_newton(problem):
     return full, iters
 
 
+def _bilinear_start(coarse_u, mask):
+    """Reference interpolation, one node at a time: the mean of the coarse
+    values inside the disk at the corners of each fine interior node's
+    coarse cell (at the node itself on a coarse node)."""
+    out = []
+    for i, j in zip(*np.nonzero(mask)):
+        corners = {(a, b) for a in (i // 2, (i + 1) // 2)
+                   for b in (j // 2, (j + 1) // 2)}
+        values = [coarse_u[c] for c in corners if not np.isnan(coarse_u[c])]
+        out.append(sum(values) / len(values))
+    return np.array(out)
+
+
+def _nested_direct_newton(problem):
+    """Reference for an odd grid: direct Newton on the problem at (n + 1)/2
+    nodes from its constant start, its solution interpolated onto the fine
+    grid by ``_bilinear_start``, then direct Newton from there.  Returns
+    (u on the full grid, fine iterations, coarse iterations)."""
+    coarse = PdeProblem((problem.n + 1) // 2, problem.radius,
+                        problem.curvature, problem.boundary)
+    coarse_u, coarse_iters = _direct_newton(coarse)
+    mask = pde._grid(problem.n, problem.radius).mask
+    u, iters = _direct_newton(problem, _bilinear_start(coarse_u, mask))
+    return u, iters, coarse_iters
+
+
+def _constant_start(problem):
+    """``pde._newton`` from the constant start min log b on the problem's
+    own grid, bypassing any nested grid."""
+    grid = pde._grid(problem.n, problem.radius)
+    g, log_b = pde._assemble(problem, grid)
+    kappa = pde._values(problem.curvature(grid.nodes[grid.mask]),
+                        grid.As.shape[0], "curvature")
+    return pde._newton(grid, kappa, g, np.full(grid.As.shape[0], log_b.min()))
+
+
 @pytest.fixture(scope="module")
 def two_point_reference():
-    return _direct_newton(_two_point_problem())
+    return _nested_direct_newton(_two_point_problem())
 
 
 def test_preconditioned_newton_matches_direct_newton(two_point_reference):
-    u_ref, iters_ref = two_point_reference
+    u_ref, iters_ref, _ = two_point_reference
     sol = solve_dirichlet(_two_point_problem())
     assert sol.newton_iters == iters_ref
     assert np.nanmax(np.abs(sol.u - u_ref)) <= 1e-12
@@ -306,8 +344,9 @@ def test_preconditioned_newton_matches_direct_newton(two_point_reference):
 
 
 def test_laplacian_factored_once_per_grid(monkeypatch):
-    """The grid's Laplacian is factored on its first solve only; a solve on
-    another radius is another grid."""
+    """Each grid's Laplacian, the nested coarse grid's included, is factored
+    on its first solve only; a solve on another radius is two other
+    grids."""
     pde._grid.cache_clear()
     factored = []
     splu = pde.spla.splu
@@ -319,17 +358,22 @@ def test_laplacian_factored_once_per_grid(monkeypatch):
     monkeypatch.setattr(pde.spla, "splu", counted_splu)
     first = solve_dirichlet(_two_point_problem())
     second = solve_dirichlet(_two_point_problem())
-    assert len(factored) == 1
-    assert (first.factorizations, second.factorizations) == (1, 0)
+    assert len(factored) == 2
+    assert (first.factorizations, second.factorizations) == (2, 0)
     assert second.newton_iters >= 2 and second.krylov_iters > 0
     assert np.array_equal(first.u, second.u, equal_nan=True)
     other = solve_dirichlet(_two_point_problem(radius=0.7))
-    assert len(factored) == 2
-    assert other.factorizations == 1
+    assert len(factored) == 4
+    assert other.factorizations == 2
+    # four grids stay cached: alternating the two sizes factors nothing
+    again = [solve_dirichlet(_two_point_problem(radius=r))
+             for r in (0.75, 0.7)]
+    assert len(factored) == 4
+    assert [s.factorizations for s in again] == [0, 0]
 
 
 def test_refactors_when_krylov_fails(monkeypatch, two_point_reference):
-    u_ref, iters_ref = two_point_reference
+    u_ref, iters_ref, coarse_iters_ref = two_point_reference
     clean = solve_dirichlet(_two_point_problem())
 
     def failing_gmres(As, d, b, solve):
@@ -339,11 +383,12 @@ def test_refactors_when_krylov_fails(monkeypatch, two_point_reference):
     sol = solve_dirichlet(_two_point_problem())
     assert sol.residual_norm <= 1e-10
     assert sol.newton_iters == iters_ref
-    assert sol.factorizations == sol.newton_iters
+    # one Jacobian LU per Newton step, on the coarse grid and the fine one
+    assert sol.factorizations == coarse_iters_ref + iters_ref
     assert np.nanmax(np.abs(sol.u - u_ref)) <= 1e-12
 
     # the Jacobian LUs of the fallback stay with that solve: the next one
-    # is preconditioned by the grid's Laplacian again
+    # is preconditioned by the grids' Laplacians again
     monkeypatch.undo()
     after = solve_dirichlet(_two_point_problem())
     assert after.factorizations == 0
@@ -406,22 +451,28 @@ def test_gmres_restart_cycles(preconditioner, scale):
 def test_one_lu_solve_per_krylov_iteration():
     """Right preconditioning with the preconditioned vectors kept: one LU
     solve per Krylov iteration and none per cycle, so M^{-1} v is never
-    solved twice."""
+    solved twice; the iterations count both grids' solves."""
     problem = _two_point_problem()
-    grid = pde._grid(problem.n, problem.radius)
-    lu, solves = grid.lu, []
+    grids = [pde._grid(n, problem.radius)
+             for n in (problem.n, (problem.n + 1) // 2)]
+    lus, solves = [grid.lu for grid in grids], []
 
-    def counted(v):
-        solves.append(1)
-        return lu(v)
+    def counter(lu):
+        def counted(v):
+            solves.append(lu)
+            return lu(v)
+        return counted
 
-    object.__setattr__(grid, "lu", counted)
+    for grid, lu in zip(grids, lus):
+        object.__setattr__(grid, "lu", counter(lu))
     try:
         sol = solve_dirichlet(problem)
     finally:
-        object.__setattr__(grid, "lu", lu)
+        for grid, lu in zip(grids, lus):
+            object.__setattr__(grid, "lu", lu)
     assert sol.factorizations == 0
     assert len(solves) == sol.krylov_iters
+    assert all(lu in solves for lu in lus)
 
 
 def test_gmres_happy_breakdown_returns_without_warning():
@@ -446,3 +497,127 @@ def test_solution_mask_is_read_only():
     with pytest.raises(ValueError):
         sol.mask[0, 0] = True
     assert np.array_equal(solve_dirichlet(prob).u, sol.u, equal_nan=True)
+
+
+@pytest.mark.parametrize("n", [33, 65, 129, 257])
+@pytest.mark.parametrize("r", [0.5, 0.63, 0.7, 0.75])
+def test_nested_grid_is_every_other_fine_node(n, r):
+    """The grid of (n + 1)/2 nodes is the odd grid's even-index nodes bit
+    for bit, with their mask and, among the fine crossings, its own; the
+    transfer's maps read the coarse values off the fine ones."""
+    fine, coarse = pde._grid(n, r), pde._grid((n + 1) // 2, r)
+    inject, cross, interpolate = pde._transfer(n, r)
+    assert np.array_equal(coarse.nodes, fine.nodes[::2, ::2])
+    assert np.array_equal(coarse.mask, fine.mask[::2, ::2])
+    assert np.array_equal(fine.nodes[fine.mask][inject],
+                          coarse.nodes[coarse.mask])
+    assert np.array_equal(fine.crossings[cross], coarse.crossings)
+    assert interpolate.shape == (fine.As.shape[0], coarse.As.shape[0])
+    assert np.allclose(interpolate.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    # a coarse node's fine copy takes its value alone
+    assert (interpolate[inject] != sp.identity(coarse.As.shape[0])).nnz == 0
+
+
+@pytest.mark.parametrize("n", [66, 17])
+def test_constant_start_where_no_grid_nests(n):
+    """An even n, or an odd one whose half grid would have fewer than 17
+    nodes, solves from the constant start alone, bit for bit."""
+    problem = constant_curvature_problem(
+        n, 0.7, -4.0, lambda xi: np.exp(np.real(xi)))
+    sol = solve_dirichlet(problem)
+    u, rnorm, iters, factorizations, krylov_iters = _constant_start(problem)
+    assert np.array_equal(sol.u[sol.mask], u)
+    assert (sol.residual_norm, sol.newton_iters, sol.krylov_iters) == (
+        rnorm, iters, krylov_iters)
+
+
+def test_callables_read_once_on_a_nested_grid():
+    """At n = 257 the coarse grid takes its curvature and trace values from
+    the fine grid's reads: each callable is called once, on the fine
+    interior nodes and crossings."""
+    calls = {"curvature": [], "boundary": []}
+
+    def curvature(z):
+        calls["curvature"].append(z)
+        return -4.0 * np.abs(z) ** 2
+
+    def boundary(xi):
+        calls["boundary"].append(xi)
+        return np.exp(np.real(xi))
+
+    sol = solve_dirichlet(PdeProblem(257, 0.75, curvature, boundary))
+    grid = pde._grid(257, 0.75)
+    (z,), (xi,) = calls["curvature"], calls["boundary"]
+    assert np.array_equal(z, grid.nodes[sol.mask])
+    assert np.array_equal(xi, grid.crossings)
+    assert sol.residual_norm <= 1e-10
+
+
+def test_nested_start_saves_a_newton_step():
+    """On the two-point problem the nested start takes 2 fine Newton steps
+    where the constant start takes 3.  The two answers differ by 1.4e-9,
+    the constant start's own error: it stops at a scaled residual of
+    2.8e-12, the nested one at 5e-15, and one more direct Newton step from
+    the constant-start answer lands within 1e-12 of the nested one."""
+    problem = _two_point_problem()
+    sol = solve_dirichlet(problem)
+    u, _, iters, _, _ = _constant_start(problem)
+    assert (sol.newton_iters, iters) == (2, 3)
+    assert np.max(np.abs(sol.u[sol.mask] - u)) <= 2e-9
+    grid = pde._grid(problem.n, problem.radius)
+    g, _ = pde._assemble(problem, grid)
+    kappa = problem.curvature(grid.nodes[grid.mask])
+    e2u = np.exp(2.0 * u)
+    J = grid.As + sp.diags(2.0 * grid.h2 * kappa * e2u)
+    res = grid.As @ u + grid.h2 * (g + kappa * e2u)
+    polished = u - scipy.sparse.linalg.spsolve(J.tocsc(), res)
+    assert np.max(np.abs(sol.u[sol.mask] - polished)) <= 1e-12
+
+
+_MALFORMED = {
+    "one short": lambda z, v: np.full(np.size(z) - 1, v),
+    "complex": lambda z, v: np.full(np.shape(z), complex(v)),
+    "boolean": lambda z, v: np.full(np.shape(z), True),
+    "column": lambda z, v: np.full((np.size(z), 1), v),
+    "length-1 list": lambda z, v: [v],
+    "string": lambda z, v: "x",
+    "None": lambda z, v: None,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_MALFORMED))
+def test_rejects_malformed_curvature_and_boundary_results(kind):
+    """Each callable gives one real value per point or one real scalar;
+    anything else is an InputError, never numpy's broadcasting ValueError
+    or a ComplexWarning with the imaginary part dropped."""
+    malformed = _MALFORMED[kind]
+
+    def curvature(z):
+        return np.full(np.shape(z), -4.0)
+
+    for problem in (
+        PdeProblem(33, 0.6, lambda z: malformed(z, -4.0), const_boundary(2.0)),
+        PdeProblem(33, 0.6, curvature, lambda xi: malformed(xi, 2.0)),
+        divisor_reduced_problem(CriticalSet.from_points([0.2]), 0.6,
+                                lambda xi: malformed(xi, 2.0), 33),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError):
+                solve_dirichlet(problem)
+
+
+def test_scalar_curvature_and_boundary_broadcast():
+    scalar = solve_dirichlet(PdeProblem(33, 0.6, lambda z: -4, lambda xi: 2.0))
+    array = solve_dirichlet(PdeProblem(
+        33, 0.6, lambda z: np.full(np.shape(z), -4.0), const_boundary(2.0)))
+    assert np.array_equal(scalar.u, array.u, equal_nan=True)
+    constant = constant_curvature_problem(33, 0.6, -4, const_boundary(2.0))
+    assert np.array_equal(solve_dirichlet(constant).u, array.u, equal_nan=True)
+
+
+@pytest.mark.parametrize("kappa", ["x", None, math.nan, -math.inf, 1.0,
+                                   True, -1 + 0j, np.array([-1.0])])
+def test_constant_curvature_refused_at_construction(kappa):
+    with pytest.raises(InputError):
+        constant_curvature_problem(33, 0.5, kappa, const_boundary(1.0))
