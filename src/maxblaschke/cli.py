@@ -300,17 +300,22 @@ def _converge(data: dict, cfg: JobConfig) -> dict:
 
 
 def _map_spec(data) -> RiemannMapSpec:
+    """The input's map, each kind as the coefficients (a, c, d) of
+    psi(z) = a z / (c z + d)."""
     try:
         kind = data["kind"]
     except (KeyError, TypeError) as exc:
         raise InputError("transplant map needs a 'kind'") from exc
     try:
-        if kind == "scaled_disk":
-            return RiemannMapSpec(kind=kind, radius=data["radius"])
-        if kind == "moebius":
+        if kind == "identity":
+            coeffs = (1.0, 0.0, 1.0)
+        elif kind == "scaled_disk":
+            coeffs = (1.0, 0.0, _positive(data["radius"], "scaled_disk radius"))
+        elif kind == "moebius":
             coeffs = tuple(_complex(c) for c in data["coeffs"])
-            return RiemannMapSpec(kind=kind, coeffs=coeffs)
-        return RiemannMapSpec(kind=kind)
+        else:
+            raise InputError(f"unknown map kind {kind!r}")
+        return RiemannMapSpec(coeffs=coeffs)
     except KeyError as exc:
         raise InputError(f"{kind} map needs {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -318,7 +323,7 @@ def _map_spec(data) -> RiemannMapSpec:
 
 
 def _transplant(data: dict, cfg: JobConfig) -> dict:
-    spec = _map_spec(data.get("map", {"kind": "identity"}))
+    spec = _map_spec(data["map"]) if "map" in data else RiemannMapSpec()
     points = _points(data, "transplant")
     result = transplant(points, spec, cfg.homotopy)
     return {

@@ -10,11 +10,11 @@ written ``T(z) = eta * (c - z) / (1 - conj(c) z)`` with ``|eta| = 1`` and
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, _number, _positive
+from .errors import InputError, _number
 
 #: Points this close to the unit circle are rejected by interior preconditions.
 BOUNDARY_TOL = 1e-12
@@ -104,54 +104,42 @@ class DiskAutomorphism:
 
 @dataclass(frozen=True)
 class RiemannMapSpec:
-    """Conformal map ``psi`` from a model domain onto the unit disk.
+    """Conformal map ``psi(z) = a z / (c z + d)`` from a domain onto the unit
+    disk, given by its Moebius coefficients ``coeffs = (a, c, d)``.
 
-    Supported kinds:
-
-    ``identity``
-        The disk itself, ``psi(z) = z``.
-    ``scaled_disk``
-        Disk of radius ``radius``, ``psi(z) = z / radius``.
-    ``moebius``
-        ``psi(z) = a z / (c z + d)`` with explicit coefficients; the domain is
-        the preimage of the unit disk.
-
-    Every kind is stored as the Moebius coefficients ``coeffs = (a, c, d)``
-    of ``psi(z) = a z / (c z + d)``, and every map satisfies ``psi(0) = 0``
-    and ``psi'(0) = a / d > 0``, validated on construction.
+    The domain is the preimage of the unit disk: ``(1, 0, r)`` is the disk
+    of radius ``r``, and the default ``(1, 0, 1)`` the unit disk itself.
+    The coefficients are checked on construction: three finite numbers, no
+    boolean among them, with ``a`` and ``d`` nonzero and ``psi'(0) = a / d``
+    real and positive.  So every map has ``psi(0) = 0`` and ``psi'(0) > 0``.
 
     Examples
     --------
-    >>> psi = RiemannMapSpec(kind="scaled_disk", radius=2.0)
+    >>> psi = RiemannMapSpec(coeffs=(1.0, 0.0, 2.0))
     >>> psi.coeffs
     ((1+0j), 0j, (2+0j))
     >>> psi(1.0), psi.derivative(1.0), psi.invert(0.5)
     ((0.5+0j), (0.5+0j), (1+0j))
     """
 
-    kind: str = "identity"
-    radius: float = 1.0
-    coeffs: tuple = field(default=(1.0 + 0j, 0j, 1.0 + 0j))
+    coeffs: tuple = (1.0 + 0j, 0j, 1.0 + 0j)
 
     def __post_init__(self):
-        if self.kind == "identity":
-            coeffs = (1.0, 0.0, 1.0)
-        elif self.kind == "scaled_disk":
-            coeffs = (1.0, 0.0, _positive(self.radius, "scaled_disk radius"))
-        elif self.kind == "moebius":
-            coeffs = self.coeffs
-        else:
-            raise InputError(f"unknown map kind {self.kind!r}")
-        a, c, d = (complex(x) for x in coeffs)
+        coeffs = tuple(self.coeffs)
+        if len(coeffs) != 3:
+            raise InputError(
+                f"map needs 3 coefficients (a, c, d), got {len(coeffs)}"
+            )
+        a, c, d = (complex(_number(x, "map coefficient")) for x in coeffs)
         if not all(map(cmath.isfinite, (a, c, d))):
             raise InputError("map coefficients must be finite")
         if abs(d) < BOUNDARY_TOL or abs(a) < BOUNDARY_TOL:
-            raise InputError("degenerate moebius coefficients")
+            raise InputError(
+                "degenerate map coefficients: a and d must be nonzero"
+            )
         d0 = a / d
         if abs(d0.imag) > BOUNDARY_TOL or d0.real <= 0:
-            raise InputError(
-                "moebius map must have real positive derivative at 0"
-            )
+            raise InputError("map must have real positive derivative at 0")
         object.__setattr__(self, "coeffs", (a, c, d))
 
     def __call__(self, z):

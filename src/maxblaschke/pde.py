@@ -19,12 +19,13 @@ The stencil matrix depends only on the grid size and the radius, so each
 such grid is built once (the four grids used last stay cached) and holds only
 what the solves read: the Laplacian scaled by h^2/4, that factor h2, and the
 scaled Laplacian's LU.  Each solve looks its grid up once and reads the
-boundary trace once, at every arm's crossing point, where it enters only the
-right-hand side, and the curvature once, at the interior nodes.  The
-nonlinear system is solved by damped Newton; for kappa <= 0 the negated
-Jacobian is an irreducibly diagonally dominant M-matrix, so the linear solves
-are well posed.  The Jacobian is the grid's Laplacian plus an O(h^2)
-diagonal, so every Newton step is taken by a restarted GMRES (Saad & Schultz,
+problem's data once, in one reader: the boundary trace at every arm's
+crossing point, where it enters only the right-hand side, and then the
+curvature at the interior nodes.  The nonlinear system is solved by damped
+Newton; for kappa <= 0 the negated Jacobian is an irreducibly diagonally
+dominant M-matrix, so the linear solves are well posed.  The Jacobian is
+the grid's Laplacian plus an O(h^2) diagonal, so every Newton step is taken
+by a restarted GMRES (Saad & Schultz,
 SIAM J. Sci. Stat. Comput. 7, 1986) right-preconditioned with the Laplacian's
 LU, the fixed fast-solver preconditioner of Concus & Golub (*Use of fast
 direct methods for the efficient numerical solution of nonseparable elliptic
@@ -346,31 +347,35 @@ def _values(result, size: int, name: str) -> np.ndarray:
     return np.full(size, float(a)) if a.ndim == 0 else a.astype(float)
 
 
-def _assemble(problem: PdeProblem, grid: _Grid):
-    """The boundary term of ``problem`` on ``grid``: Delta_h u = A u + g.
-
-    Returns (g, log_b): g holds the boundary-data contributions from arms
-    cut by the circle to the unscaled stencil, and log_b the log trace at
-    every crossing point, where ``problem.boundary`` is called once.
-    """
+def _read(problem: PdeProblem, grid: _Grid):
+    """(kappa, log_b) of ``problem`` on ``grid``: ``problem.boundary`` is
+    called once, at every crossing point, and then ``problem.curvature``
+    once, at the interior nodes in mask order."""
     b = _values(problem.boundary(grid.crossings), grid.crossings.size,
                 "boundary trace")
     if np.any(b <= 0.0) or not np.all(np.isfinite(b)):
         raise InputError("boundary trace must be positive")
-    log_b = np.log(b)
-    return _boundary_term(grid, log_b), log_b
+    kappa = _values(problem.curvature(grid.nodes[grid.mask]),
+                    grid.As.shape[0], "curvature")
+    if np.any(kappa > 0.0) or not np.all(np.isfinite(kappa)):
+        raise InputError("curvature must be nonpositive and finite")
+    return kappa, np.log(b)
 
 
 def _boundary_term(grid: _Grid, log_b: np.ndarray) -> np.ndarray:
-    """g of ``_assemble`` from the log trace at ``grid``'s crossings."""
+    """The boundary term g of Delta_h u = A u + g on ``grid``: the
+    contributions of the log trace ``log_b`` at its crossings, through the
+    arms cut by the circle, to the unscaled stencil."""
     g = np.zeros(grid.As.shape[0])
     np.add.at(g, grid.cut_rows, grid.cut_coefs * log_b)
     return g
 
 
-def _newton(grid: _Grid, kappa, g, u):
+def _newton(grid: _Grid, kappa, log_b, u=None):
     """Damped Newton on ``grid`` for curvature ``kappa`` at its interior
-    nodes and boundary term ``g``, from ``u``.
+    nodes and log trace ``log_b`` at its crossings, from ``u`` or else from
+    the constant u = min log b (for kappa <= 0 this sits below the solution,
+    where Newton for this monotone problem is reliable).
 
     The Jacobian is As + diag(2 h^2/4 kappa e^{2u}), the grid's scaled
     Laplacian plus an O(h^2) diagonal, so every Newton step, the first
@@ -389,7 +394,9 @@ def _newton(grid: _Grid, kappa, g, u):
     counting only the Jacobians factored here.
     """
     As, h2 = grid.As, grid.h2
-    gs = g * h2
+    gs = _boundary_term(grid, log_b) * h2
+    if u is None:
+        u = np.full(As.shape[0], log_b.min())
 
     def scaled_residual(uv):
         """The residual at ``uv`` and e^{2 uv}, which the Jacobian reuses."""
@@ -432,18 +439,15 @@ def _newton(grid: _Grid, kappa, g, u):
 def solve_dirichlet(problem: PdeProblem) -> PdeSolution:
     """Damped Newton for the discretized problem (see ``_newton``).
 
-    The grid of (n, radius) is looked up once, the boundary trace read once,
-    at its crossings, and the curvature once, at its interior nodes.  When n
-    is odd and (n + 1)/2 is at least 17, the fewest a problem may have, the
-    grid of (n + 1)/2 nodes nests in it: the same Newton runs there first,
-    on the curvature and trace values the fine grid read at its nodes and
-    crossings, from the constant start below, and its solution,
+    The grid of (n, radius) is looked up once and the problem's data read
+    once from it by ``_read``.  When n is odd and (n + 1)/2 is at least 17,
+    the fewest a problem may have, the grid of (n + 1)/2 nodes nests in it:
+    the same Newton runs there first, on the curvature and trace values the
+    fine grid read at its nodes and crossings, and its solution,
     interpolated bilinearly onto the fine interior (only the coarse
     neighbours inside the disk are averaged), is the fine Newton's start
-    (Bank & Rose, Math. Comp. 39, 1982).  Any other grid starts from the
-    constant u = min log b over the trace values its stencil reads (for
-    kappa <= 0 this sits below the solution, where Newton for this monotone
-    problem is reliable).
+    (Bank & Rose, Math. Comp. 39, 1982).  Every other Newton run starts from
+    the constant min log b of ``_newton``.
 
     Raises
     ------
@@ -464,24 +468,15 @@ def solve_dirichlet(problem: PdeProblem) -> PdeSolution:
         coarse = _grid((n + 1) // 2, radius)
         inject, cross, interpolate = _transfer(n, radius)
     factorizations = _grid.cache_info().misses - misses
-    g, log_b = _assemble(problem, grid)
-    mask = grid.mask
-    kappa = _values(problem.curvature(grid.nodes[mask]), grid.As.shape[0],
-                    "curvature")
-    if np.any(kappa > 0.0) or not np.all(np.isfinite(kappa)):
-        raise InputError("curvature must be nonpositive and finite")
-    krylov_iters = 0
+    kappa, log_b = _read(problem, grid)
+    u, krylov_iters = None, 0
     if nested:
-        log_bc = log_b[cross]
-        uc, _, _, f, krylov_iters = _newton(
-            coarse, kappa[inject], _boundary_term(coarse, log_bc),
-            np.full(coarse.As.shape[0], log_bc.min()),
-        )
+        uc, _, _, f, krylov_iters = _newton(coarse, kappa[inject],
+                                            log_b[cross])
         factorizations += f
         u = interpolate @ uc
-    else:
-        u = np.full(grid.As.shape[0], log_b.min())
-    u, rnorm, iters, f, k = _newton(grid, kappa, g, u)
+    u, rnorm, iters, f, k = _newton(grid, kappa, log_b, u)
+    mask = grid.mask
     full = np.full(mask.shape, np.nan)
     full[mask] = u
     return PdeSolution(full, mask, rnorm, iters, factorizations + f,

@@ -431,9 +431,10 @@ def truncation_sequence(
 ) -> TruncationResult:
     """Solve for each prefix of ``points`` up to length ``n_max``.
 
-    Functional values are verified non-increasing along the nesting (a larger
-    prescribed critical set can only shrink the extremal derivative); a rise
-    beyond rounding slack raises.
+    A larger prescribed critical set can only shrink the extremal derivative,
+    so the functionals should not increase along the nesting; they are
+    returned as solved, a rise included, and judging them is the caller's
+    (the CLI's ``converge`` report flags a rise above 1e-12).
     """
     points = list(points)
     n_max = _index(n_max, "n_max")
@@ -444,11 +445,6 @@ def truncation_sequence(
     reports = []
     for n in range(n_max + 1):
         reports.append(solve_maximal(CriticalSet.from_points(points[:n]), cfg))
-    for a, b in zip(reports, reports[1:]):
-        if b.functional_value > a.functional_value + 1e-10:
-            raise NumericalError(
-                "functional increased along a nested prefix"
-            )
     ring = 0.5 * np.exp(2j * np.pi * np.arange(1024) / 1024)
     sups = []
     for a, b in zip(reports, reports[1:]):

@@ -320,7 +320,7 @@ def test_criterion_13_phi_bound(corpus_solves):
 
 
 def test_criterion_14_transplant():
-    omega = RiemannMapSpec(kind="scaled_disk", radius=2.0)
+    omega = RiemannMapSpec(coeffs=(1.0, 0.0, 2.0))
     res = transplant([1.0], omega)
     d0 = complex(res.derivative(0.0))
     d_err = abs(d0 - 0.4)

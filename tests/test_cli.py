@@ -12,13 +12,13 @@ import re
 import shutil
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 import maxblaschke
-from maxblaschke import cli
+from maxblaschke import cli, solver
 from maxblaschke.cli import _TOLERANCES, COMMANDS, JobConfig, main
 from maxblaschke.errors import InputError
 from maxblaschke.serialize import read_json
@@ -442,6 +442,29 @@ def test_converge_family(tmp_path, capsys):
     assert len(rep["functionals"]) == 4
     assert len(rep["sup_differences"]) == 3
     assert rep["functionals"][0] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("rise", [5e-11, 5e-10])
+def test_converge_reports_a_rising_functional(rise, tmp_path, monkeypatch,
+                                              capsys):
+    """The library returns functionals that rise along the prefixes, and
+    the converge report alone judges them: a rise above 1e-12 fails it."""
+    solve = solver.solve_maximal
+
+    def rising(C, cfg=None):
+        rep = solve(C, cfg)
+        return replace(rep, functional_value=0.5 + rise * len(C.entries))
+
+    monkeypatch.setattr(solver, "solve_maximal", rising)
+    expected = [0.5, 0.5 + rise, 0.5 + 2 * rise]
+    assert solver.truncation_sequence([0.3, -0.2j], 2).functionals == expected
+    inp = _write(tmp_path, "pts.json", {"points": [
+        {"re": 0.3, "im": 0.0}, {"re": 0.0, "im": -0.2}]})
+    assert main(["converge", "--input", inp]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["functionals"] == expected
+    assert rep["non_increasing"] is False
+    assert rep["pass"] is False
 
 
 def test_transplant_scaled_disk(tmp_path, capsys):

@@ -72,9 +72,9 @@ def test_automorphism_sends_center_to_zero_and_keeps_the_disk(c, z):
 
 
 @pytest.mark.parametrize("spec", [
-    RiemannMapSpec(kind="identity"),
-    RiemannMapSpec(kind="scaled_disk", radius=2.0),
-    RiemannMapSpec(kind="moebius", coeffs=(1.0 + 0j, 0.2 + 0j, 1.0 + 0j)),
+    RiemannMapSpec(),
+    RiemannMapSpec(coeffs=(1.0, 0.0, 2.0)),
+    RiemannMapSpec(coeffs=(1.0 + 0j, 0.2 + 0j, 1.0 + 0j)),
 ])
 def test_riemann_map_round_trip(spec):
     w = np.array([0.0, 0.3 + 0.2j, -0.7j])
@@ -82,21 +82,36 @@ def test_riemann_map_round_trip(spec):
     assert spec(z) == pytest.approx(w, abs=1e-13)
 
 
+@pytest.mark.parametrize("coeffs", [
+    (True, 0j, 1.0),
+    (1.0, 0.0),
+    (complex("nan"), 0.0, 1.0),
+    (0.0, 0.0, 1.0),
+    (1.0, 0.0, 0.0),
+    (-1.0, 0.0, 1.0),
+    (1j, 0.0, 1.0),
+], ids=["boolean", "wrong-length", "nan", "a-zero", "d-zero",
+        "negative-derivative", "imaginary-derivative"])
+def test_riemann_map_rejects_bad_coefficients(coeffs):
+    with pytest.raises(InputError):
+        RiemannMapSpec(coeffs=coeffs)
+
+
 def test_riemann_map_derivative_scaled_disk():
-    spec = RiemannMapSpec(kind="scaled_disk", radius=2.0)
+    spec = RiemannMapSpec(coeffs=(1.0, 0.0, 2.0))
     assert spec.derivative(0.3) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_riemann_map_rejects_outside_domain():
-    spec = RiemannMapSpec(kind="scaled_disk", radius=2.0)
+    spec = RiemannMapSpec(coeffs=(1.0, 0.0, 2.0))
     with pytest.raises(ValueError):
         spec(2.5)
 
 
 @pytest.mark.parametrize("spec", [
-    RiemannMapSpec(kind="identity"),
-    RiemannMapSpec(kind="scaled_disk", radius=0.7),
-    RiemannMapSpec(kind="moebius", coeffs=(2.0 + 1j, 0.3 - 0.4j, 2.5 + 1.25j)),
+    RiemannMapSpec(coeffs=(1.0, 0.0, 1.0)),
+    RiemannMapSpec(coeffs=(1.0, 0.0, 0.7)),
+    RiemannMapSpec(coeffs=(2.0 + 1j, 0.3 - 0.4j, 2.5 + 1.25j)),
 ], ids=["identity", "scaled_disk", "moebius"])
 def test_riemann_map_derivative_matches_difference_quotient(spec):
     z, h = np.array([0.0, 0.2 + 0.1j, -0.3j]), 1e-6

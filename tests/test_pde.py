@@ -54,7 +54,7 @@ def test_flat_case_is_exact():
 
 
 def test_boundary_read_once_per_solve():
-    """The initial guess comes from the trace values the assembly reads."""
+    """The initial guess comes from the trace values the solve reads."""
     calls = []
 
     def boundary(xi):
@@ -232,10 +232,11 @@ def test_assembly_matches_loop_reference(n, r):
         return np.exp(np.real(xi))
 
     grid = pde._grid(n, r)
-    g, _ = pde._assemble(
+    _, log_b = pde._read(
         constant_curvature_problem(n, r, -4.0, boundary), grid
     )
     assert len(calls) == 1
+    g = pde._boundary_term(grid, log_b)
     A_ref, g_ref = _loop_assembly(n, r, lambda xi: math.exp(xi.real))
     As_ref = A_ref * grid.h2
     assert grid.As.shape == A_ref.shape == (int(grid.mask.sum()),) * 2
@@ -261,9 +262,9 @@ def _direct_newton(problem, u=None):
     sparse direct solve of the current Jacobian, from ``u`` or else from the
     constant min log b.  Returns (u on the full grid, iterations)."""
     grid = pde._grid(problem.n, problem.radius)
-    g, log_b = pde._assemble(problem, grid)
+    kappa, log_b = pde._read(problem, grid)
+    g = pde._boundary_term(grid, log_b)
     mask = grid.mask
-    kappa = np.asarray(problem.curvature(grid.nodes[mask]), dtype=float)
     h2 = problem.spacing ** 2 / 4.0
     As, gs = grid.As, g * h2
     if u is None:
@@ -324,10 +325,7 @@ def _constant_start(problem):
     """``pde._newton`` from the constant start min log b on the problem's
     own grid, bypassing any nested grid."""
     grid = pde._grid(problem.n, problem.radius)
-    g, log_b = pde._assemble(problem, grid)
-    kappa = pde._values(problem.curvature(grid.nodes[grid.mask]),
-                        grid.As.shape[0], "curvature")
-    return pde._newton(grid, kappa, g, np.full(grid.As.shape[0], log_b.min()))
+    return pde._newton(grid, *pde._read(problem, grid))
 
 
 @pytest.fixture(scope="module")
@@ -565,8 +563,8 @@ def test_nested_start_saves_a_newton_step():
     assert (sol.newton_iters, iters) == (2, 3)
     assert np.max(np.abs(sol.u[sol.mask] - u)) <= 2e-9
     grid = pde._grid(problem.n, problem.radius)
-    g, _ = pde._assemble(problem, grid)
-    kappa = problem.curvature(grid.nodes[grid.mask])
+    kappa, log_b = pde._read(problem, grid)
+    g = pde._boundary_term(grid, log_b)
     e2u = np.exp(2.0 * u)
     J = grid.As + sp.diags(2.0 * grid.h2 * kappa * e2u)
     res = grid.As @ u + grid.h2 * (g + kappa * e2u)

@@ -518,14 +518,14 @@ def test_truncation_rejects_non_integral_length(n_max):
 # transplantation
 
 def test_transplant_identity_reduces_to_solve():
-    res = transplant([0.5], RiemannMapSpec(kind="identity"))
+    res = transplant([0.5], RiemannMapSpec())
     direct = solve_maximal(CriticalSet.from_points([0.5]))
     assert res.report.solution.zeros == direct.solution.zeros
     assert res(0.3) == pytest.approx(evaluate(direct.solution, 0.3), abs=1e-14)
 
 
 def test_transplant_scaled_disk_chain_rule():
-    res = transplant([1.0], RiemannMapSpec(kind="scaled_disk", radius=2.0))
+    res = transplant([1.0], RiemannMapSpec(coeffs=(1.0, 0.0, 2.0)))
     assert res.derivative(0.0) == pytest.approx(0.4, abs=1e-10)
     pts = res.domain_critical_points()
     assert len(pts) == 1
@@ -533,11 +533,11 @@ def test_transplant_scaled_disk_chain_rule():
 
 
 def test_transplant_empty_set_is_the_map_itself():
-    res = transplant([], RiemannMapSpec(kind="scaled_disk", radius=2.0))
+    res = transplant([], RiemannMapSpec(coeffs=(1.0, 0.0, 2.0)))
     z = np.array([0.4, -1.0 + 0.3j])
     assert res(z) == pytest.approx(z / 2.0, abs=1e-14)
 
 
 def test_transplant_rejects_outside_domain_point():
     with pytest.raises(ValueError):
-        transplant([2.5], RiemannMapSpec(kind="scaled_disk", radius=2.0))
+        transplant([2.5], RiemannMapSpec(coeffs=(1.0, 0.0, 2.0)))
