@@ -33,7 +33,6 @@ are positive integers.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -72,11 +71,11 @@ class CriticalSet:
         # MERGE_TOL, which stays the representative
         merged = []
         for point, mult in self.entries:
-            point = complex(_number(point, "critical point"))
+            point = _number(point, "critical point")
             mult = _count(mult, "critical point multiplicity")
             if mult < 1:
                 raise InputError("critical point multiplicity must be >= 1")
-            if not abs(point) < 1.0 - BOUNDARY_TOL:  # NaN fails too
+            if not abs(point) < 1.0 - BOUNDARY_TOL:
                 raise InputError("critical points must lie inside the unit disk")
             for entry in merged:
                 if abs(point - entry[0]) <= MERGE_TOL:
@@ -200,12 +199,12 @@ class FiniteBlaschke:
     eta: complex = 1.0 + 0j
 
     def __post_init__(self):
-        e = complex(_number(self.eta, "unimodular factor"))
-        if not cmath.isfinite(e) or abs(e) == 0:
-            raise InputError("unimodular factor must be finite and nonzero")
+        e = _number(self.eta, "unimodular factor")
+        if abs(e) == 0:
+            raise InputError("unimodular factor must be nonzero")
         object.__setattr__(self, "eta", e / abs(e))
-        zs = tuple(complex(_number(a, "Blaschke zero")) for a in self.zeros)
-        if not all(abs(a) < 1.0 - BOUNDARY_TOL for a in zs):  # NaN fails too
+        zs = tuple(_number(a, "Blaschke zero") for a in self.zeros)
+        if not all(abs(a) < 1.0 - BOUNDARY_TOL for a in zs):
             raise InputError("zeros must lie strictly inside the unit disk")
         object.__setattr__(
             self, "zeros", tuple(sorted(zs, key=lambda a: (a.real, a.imag)))

@@ -9,7 +9,6 @@ written ``T(z) = eta * (c - z) / (1 - conj(c) z)`` with ``|eta| = 1`` and
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,10 +82,8 @@ class DiskAutomorphism:
     center: complex = 0j
 
     def __post_init__(self):
-        r = complex(_number(self.rotation, "rotation factor"))
-        c = complex(_number(self.center, "automorphism center"))
-        if not (cmath.isfinite(r) and cmath.isfinite(c)):
-            raise InputError("automorphism parameters must be finite")
+        r = _number(self.rotation, "rotation factor")
+        c = _number(self.center, "automorphism center")
         if abs(r) < BOUNDARY_TOL:
             raise InputError("rotation factor must be nonzero")
         if abs(c) >= 1.0 - BOUNDARY_TOL:
@@ -130,9 +127,7 @@ class RiemannMapSpec:
             raise InputError(
                 f"map needs 3 coefficients (a, c, d), got {len(coeffs)}"
             )
-        a, c, d = (complex(_number(x, "map coefficient")) for x in coeffs)
-        if not all(map(cmath.isfinite, (a, c, d))):
-            raise InputError("map coefficients must be finite")
+        a, c, d = (_number(x, "map coefficient") for x in coeffs)
         if abs(d) < BOUNDARY_TOL or abs(a) < BOUNDARY_TOL:
             raise InputError(
                 "degenerate map coefficients: a and d must be nonzero"

@@ -8,9 +8,10 @@ exit codes.
 
 Each count, tolerance, scale, radius, curvature, coordinate and point from
 JSON or a caller goes through one of the private readers below; none takes
-a boolean.
+a boolean.  ``_number`` reads every complex number that a caller passes.
 """
 
+import cmath
 import math
 import numbers
 import operator
@@ -26,12 +27,19 @@ class NumericalError(RuntimeError):
     """A solver or numerical routine failed to reach its tolerance."""
 
 
-def _number(value, name: str):
-    """``value`` unchanged; a ``bool`` or ``numpy.bool_``, which ``complex``,
-    ``abs`` and comparisons read as 0 or 1, raises ``InputError``."""
-    if isinstance(value, (bool, np.bool_)):
+def _number(value, name: str) -> complex:
+    """``complex(value)`` for a finite number, numpy scalars included.  A
+    boolean, a ``str`` or ``bytes`` (which ``complex`` reads as 0 or 1, or
+    parses), what ``complex`` refuses, NaN and infinities raise InputError."""
+    if isinstance(value, (bool, np.bool_, str, bytes)):
         raise InputError(f"{name} must be a number, got {value!r}")
-    return value
+    try:
+        z = complex(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{name} must be a number, got {value!r}") from None
+    if not cmath.isfinite(z):
+        raise InputError(f"{name} must be finite, got {value!r}")
+    return z
 
 
 def _index(value, name: str) -> int:

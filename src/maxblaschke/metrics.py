@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .blaschke import CriticalSet, FiniteBlaschke, _pullback, critical_points
+from .disk import hyperbolic_density
 from .errors import InputError, NumericalError, _index, _positive
 
 #: Accept a curvature node when the Richardson estimate is below this many
@@ -154,8 +155,7 @@ class CurvatureField:
 
 def hyperbolic_field(grid: PolarGrid) -> DensityField:
     """The density 1/(1 - |z|^2) sampled on the grid."""
-    r2 = np.abs(grid.nodes) ** 2
-    return DensityField(grid, 1.0 / (1.0 - r2))
+    return DensityField(grid, hyperbolic_density(grid.nodes))
 
 
 def _pullback_field(f: FiniteBlaschke, grid: PolarGrid, c: float = 1.0):

@@ -515,7 +515,7 @@ def divisor_reduced_problem(
     return problem
 
 
-def oracle_validate(B: FiniteBlaschke, radius: float, n: int = 257) -> float:
+def oracle_validate(B: FiniteBlaschke, radius: float, n: int) -> float:
     """Reconstruct the pullback density of ``B`` from boundary data only.
 
     Takes the trace of |B'|/(1-|B|^2) on |z| = radius, runs the

@@ -51,7 +51,7 @@ from .blaschke import (
     evaluate,
 )
 from .disk import RiemannMapSpec
-from .errors import InputError, NumericalError, _index, _positive
+from .errors import InputError, NumericalError, _index, _number, _positive
 
 
 #: Newton iterations allowed per path step.
@@ -483,7 +483,7 @@ def transplant(
     domain_points, spec: RiemannMapSpec, cfg: HomotopyConfig | None = None
 ) -> TransplantResult:
     """Solve the extremal problem for critical points in a mapped domain."""
-    images = [spec(p) for p in domain_points]
+    images = [spec(_number(p, "domain point")) for p in domain_points]
     disk_set = CriticalSet.from_points(images)
     report = solve_maximal(disk_set, cfg)
     return TransplantResult(

@@ -11,7 +11,6 @@ reports with a ``pass`` flag so the CLI can serialize them unchanged.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -33,7 +32,7 @@ from .blaschke import (
     evaluate,
 )
 from .disk import DiskAutomorphism
-from .errors import InputError, NumericalError, _index, _number
+from .errors import InputError, NumericalError, _index, _number, _positive
 from .metrics import (
     PolarGrid,
     _curvature_band,
@@ -77,45 +76,34 @@ _KINDS = (
 
 @dataclass(frozen=True)
 class CompetitorSpec:
-    """One competitor: an admissible function built from a solver output.
-
-    Exactly the parameters for its kind are meaningful: an automorphism to
-    postcompose, a scalar multiplier with |c| <= 1, extra critical points to
-    adjoin, or polynomial coefficients for the antiderivative construction
-    f(z) = integral of p(t) * prod (t - z_j)^{m_j}.
+    """One competitor, an admissible function built from a solver output:
+    its kind and one parameter.  That is a ``DiskAutomorphism`` T for T o B,
+    a scalar s with |s| <= 1 for s B, or a nonempty tuple of critical points
+    to adjoin, or of the coefficients of p for the antiderivative
+    construction f(z) = integral of p(t) * prod (t - z_j)^{m_j}.
     """
 
     kind: str
-    automorphism: DiskAutomorphism | None = None
-    scalar: complex | None = None
-    extra_points: tuple = ()
-    poly_coeffs: tuple = ()
+    parameter: object = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InputError(f"unknown competitor kind: {self.kind!r}")
-        if self.kind == "scalar-multiple":
-            if not _finite((self.scalar,)) or abs(self.scalar) > 1.0:
-                raise InputError("scalar multiplier must satisfy |c| <= 1")
-        elif self.kind == "postcompose-automorphism":
-            if not isinstance(self.automorphism, DiskAutomorphism):
-                raise InputError("automorphism competitor needs a "
-                                 f"DiskAutomorphism: {self.automorphism!r}")
-        elif self.kind == "larger-critical-set":
-            if not _finite(self.extra_points):
-                raise InputError("extra critical points must be finite")
-        elif not (self.poly_coeffs and _finite(self.poly_coeffs)):
-            raise InputError("antiderivative competitor needs finite "
-                             "polynomial coefficients")
-
-
-def _finite(values) -> bool:
-    """True when every entry is a finite number; booleans raise InputError."""
-    try:
-        return all(cmath.isfinite(_number(v, "competitor parameter"))
-                   for v in values)
-    except TypeError:
-        return False
+        p = self.parameter
+        if self.kind == "postcompose-automorphism":
+            if not isinstance(p, DiskAutomorphism):
+                raise InputError(
+                    f"automorphism competitor needs a DiskAutomorphism: {p!r}"
+                )
+        elif self.kind == "scalar-multiple":
+            p = _number(p, "scalar multiplier")
+            if abs(p) > 1.0:
+                raise InputError("scalar multiplier must satisfy |s| <= 1")
+        elif isinstance(p, tuple) and p:
+            p = tuple(_number(v, f"{self.kind} parameter") for v in p)
+        else:
+            raise InputError(f"{self.kind} needs a nonempty tuple, got {p!r}")
+        object.__setattr__(self, "parameter", p)
 
 
 @dataclass(frozen=True)
@@ -126,10 +114,14 @@ class BoundaryProbe:
     radii: tuple = (0.9, 0.99, 0.995, 0.999)
 
     def __post_init__(self):
-        if not abs(abs(_number(self.direction, "direction")) - 1.0) <= 1e-12:
+        direction = _number(self.direction, "probe direction")
+        if not abs(abs(direction) - 1.0) <= 1e-12:
             raise InputError("probe direction must lie on the unit circle")
-        if any(not 0.0 < r < 1.0 for r in self.radii):
-            raise InputError("probe radii must lie in (0, 1)")
+        radii = tuple(_positive(r, "probe radius") for r in self.radii)
+        if not radii or any(r >= 1.0 for r in radii):
+            raise InputError("probe radii must be nonempty and lie in (0, 1)")
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "radii", radii)
 
 
 def boundary_probes(C: CriticalSet, count: int = 8) -> list:
@@ -144,7 +136,7 @@ def boundary_probes(C: CriticalSet, count: int = 8) -> list:
     if len(candidates) < count:
         raise NumericalError("not enough clear probe directions")
     picks = candidates[:: max(1, len(candidates) // count)][:count]
-    return [BoundaryProbe(complex(z)) for z in picks]
+    return [BoundaryProbe(z) for z in picks]
 
 
 def default_competitor_specs(
@@ -170,9 +162,7 @@ def default_competitor_specs(
             z = rng.uniform(0.1, 0.7) * np.exp(2j * np.pi * rng.random())
             if all(abs(z - p) > 0.05 for p in list(pts) + extra):
                 extra.append(complex(z))
-        specs.append(
-            CompetitorSpec("larger-critical-set", extra_points=tuple(extra))
-        )
+        specs.append(CompetitorSpec("larger-critical-set", tuple(extra)))
     rest = count - larger
     n_auto = int(round(rest * 0.4))
     n_scal = int(round(rest * 0.3))
@@ -183,9 +173,7 @@ def default_competitor_specs(
         specs.append(
             CompetitorSpec(
                 "postcompose-automorphism",
-                automorphism=DiskAutomorphism(
-                    rotation=complex(eta), center=complex(c)
-                ),
+                DiskAutomorphism(rotation=complex(eta), center=complex(c)),
             )
         )
     for i in range(n_scal):
@@ -197,15 +185,12 @@ def default_competitor_specs(
             c = complex(
                 np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
             )
-        specs.append(CompetitorSpec("scalar-multiple", scalar=c))
+        specs.append(CompetitorSpec("scalar-multiple", c))
     for _ in range(n_anti):
         deg = int(rng.integers(0, 4))
         coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
         specs.append(
-            CompetitorSpec(
-                "antiderivative-family",
-                poly_coeffs=tuple(complex(v) for v in coeffs),
-            )
+            CompetitorSpec("antiderivative-family", tuple(coeffs))
         )
     return specs
 
@@ -274,7 +259,7 @@ class _CompetitorEngine:
     def _scalars(self, specs):
         """f = s B: |s B| = |s| <= 1 on the circle, and every coefficient is
         B's own, times s."""
-        s = np.array([sp.scalar for sp in specs], dtype=complex)
+        s = np.array([sp.parameter for sp in specs], dtype=complex)
         scale = s * (1.0 - DEFLATION)
         return scale * self.g0, np.abs(scale) * self._violation(self.jets)
 
@@ -289,10 +274,10 @@ class _CompetitorEngine:
         sin jt].  Its rounding relative to the max is at most about
         (d + 1)(2d + 1) eps, below 1e-13 at d = 12.
         """
-        width = max(len(sp.poly_coeffs) for sp in specs)
+        width = max(len(sp.parameter) for sp in specs)
         P = np.zeros((len(specs), width), dtype=complex)
         for row, sp in zip(P, specs):
-            row[width - len(sp.poly_coeffs) :] = sp.poly_coeffs
+            row[width - len(sp.parameter) :] = sp.parameter
         points = self.C.points()
         basis = np.array([antiderivative(e, points) for e in np.eye(width)])
         # f_i of each basis row has the coefficient C(k, i) c_k at z^(k-i);
@@ -334,8 +319,8 @@ class _CompetitorEngine:
         T o B = T(0) + T'(0) B + O(z^(2N+2)) and its order-(N+1) coefficient
         is T'(0) g(0), with T'(0) = eta (|c|^2 - 1).
         """
-        eta = np.array([sp.automorphism.rotation for sp in specs])
-        c = np.array([sp.automorphism.center for sp in specs])
+        eta = np.array([sp.parameter.rotation for sp in specs])
+        c = np.array([sp.parameter.center for sp in specs])
         scale = eta * (1.0 - DEFLATION)
         coeff = (np.abs(c) ** 2 - 1.0) * self.g0
         one = np.eye(1, self.K + 1)
@@ -356,7 +341,7 @@ class _CompetitorEngine:
         coeff = np.empty(len(specs), dtype=complex)
         violation = np.empty(len(specs))
         for i, sp in enumerate(specs):
-            extra = CriticalSet(tuple((z, 1) for z in sp.extra_points))
+            extra = CriticalSet(tuple((z, 1) for z in sp.parameter))
             big = solve_maximal(self.C.union(extra), self.cfg).solution
             coeff[i] = _origin_coefficient(big, self.order)
             violation[i] = self._violation(_taylor(big, self.points, self.K))
@@ -399,7 +384,7 @@ def boundary_quotient(B: FiniteBlaschke, probe: BoundaryProbe) -> dict:
     deviation = float(abs(q[-1] - 1.0))
     return {
         "suite": "boundary-quotient",
-        "direction": complex(probe.direction),
+        "direction": probe.direction,
         "radii": list(probe.radii),
         "quotients": [float(v) for v in q],
         "envelope_K": K,

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from maxblaschke.blaschke import CriticalSet, FiniteBlaschke
 from maxblaschke.disk import (
     DiskAutomorphism,
     RiemannMapSpec,
     hyperbolic_density,
     pseudo_hyperbolic_distance,
 )
-from maxblaschke.errors import InputError
+from maxblaschke.errors import InputError, _number
+from maxblaschke.solver import transplant
+from maxblaschke.verify import BoundaryProbe, CompetitorSpec
 
 
 def disk_points(max_radius=0.95):
@@ -118,3 +121,33 @@ def test_riemann_map_derivative_matches_difference_quotient(spec):
     fd = (spec(z + h) - spec(z - h)) / (2 * h)
     assert spec.derivative(z) == pytest.approx(fd, abs=1e-9)
 
+
+#: Each place a caller's complex number enters the library.
+NUMBER_SITES = {
+    "critical-point": lambda v: CriticalSet(((v, 1),)),
+    "blaschke-zero": lambda v: FiniteBlaschke(zeros=(v,)),
+    "blaschke-eta": lambda v: FiniteBlaschke(eta=v),
+    "rotation": lambda v: DiskAutomorphism(rotation=v),
+    "center": lambda v: DiskAutomorphism(center=v),
+    "map-coefficient": lambda v: RiemannMapSpec(coeffs=(1.0, v, 1.0)),
+    "probe-direction": lambda v: BoundaryProbe(v),
+    "competitor-scalar": lambda v: CompetitorSpec("scalar-multiple", v),
+    "competitor-extra-point":
+        lambda v: CompetitorSpec("larger-critical-set", (v,)),
+    "domain-point": lambda v: transplant([v], RiemannMapSpec()),
+}
+
+
+@pytest.mark.parametrize("value", ["0.5", b"0.5", None, complex("nan")],
+                         ids=["str", "bytes", "none", "nan"])
+@pytest.mark.parametrize("site", NUMBER_SITES)
+def test_every_site_refuses_what_is_not_a_finite_number(site, value):
+    """``complex`` would parse the string; None and NaN are no number."""
+    with pytest.raises(InputError):
+        NUMBER_SITES[site](value)
+
+
+def test_number_reader_returns_complex_for_numpy_values():
+    for value in (np.float64(0.5), np.complex128(0.5), np.array(0.5 + 0j)):
+        z = _number(value, "point")
+        assert type(z) is complex and z == 0.5

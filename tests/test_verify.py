@@ -63,7 +63,7 @@ def b_two():
 def test_larger_set_margin_closed_form(b_one):
     """Adjoining -0.5 shrinks the functional from 0.8 to the two-point
     value; the competitor is the deflated two-point solution."""
-    spec = CompetitorSpec(kind="larger-critical-set", extra_points=(-0.5 + 0j,))
+    spec = CompetitorSpec(kind="larger-critical-set", parameter=(-0.5 + 0j,))
     out = extremality_suite(C_ONE, b_one, [spec])
     assert out["skipped"] == 0
     assert out["margin"] == pytest.approx(F_ONE - DEFL * F_TWO, abs=1e-9)
@@ -72,7 +72,7 @@ def test_larger_set_margin_closed_form(b_one):
 
 def test_scalar_margin_closed_form(b_one):
     out = extremality_suite(
-        C_ONE, b_one, [CompetitorSpec(kind="scalar-multiple", scalar=0.9)])
+        C_ONE, b_one, [CompetitorSpec(kind="scalar-multiple", parameter=0.9)])
     assert out["margin"] == pytest.approx(F_ONE * (1.0 - 0.9 * DEFL), abs=1e-9)
 
 
@@ -81,7 +81,7 @@ def test_automorphism_negation_margin(b_one):
     # scores -0.8 DEFL, so the margin is 0.8 (1 + DEFL)
     T = DiskAutomorphism(rotation=1.0, center=0j)
     out = extremality_suite(
-        C_ONE, b_one, [CompetitorSpec(kind="postcompose-automorphism", automorphism=T)])
+        C_ONE, b_one, [CompetitorSpec(kind="postcompose-automorphism", parameter=T)])
     assert out["margin"] == pytest.approx(F_ONE * (1.0 + DEFL), abs=1e-9)
 
 
@@ -89,7 +89,7 @@ def test_antiderivative_competitors_lose(b_one):
     rng = np.random.default_rng(11)
     specs = [
         CompetitorSpec(kind="antiderivative-family",
-                       poly_coeffs=tuple(rng.normal(size=2) + 0j))
+                       parameter=tuple(rng.normal(size=2) + 0j))
         for _ in range(10)
     ]
     out = extremality_suite(C_ONE, b_one, specs)
@@ -114,7 +114,7 @@ def test_quadrature_functional_agrees_with_derivative(b_two):
     the closed forms against."""
     T = DiskAutomorphism(rotation=-1.0, center=0j)  # identity map
     out = extremality_suite(
-        C_TWO, b_two, [CompetitorSpec(kind="postcompose-automorphism", automorphism=T)])
+        C_TWO, b_two, [CompetitorSpec(kind="postcompose-automorphism", parameter=T)])
     direct = derivative_at_origin_order(b_two, 0)
     assert out["margin"] == pytest.approx(F_TWO * 1e-6, abs=1e-12)
     assert direct == pytest.approx(F_TWO, abs=1e-10)
@@ -144,7 +144,7 @@ def test_competitor_spec_validation():
     with pytest.raises(InputError):
         CompetitorSpec(kind="unheard-of")
     with pytest.raises(InputError):
-        CompetitorSpec(kind="scalar-multiple", scalar=1.5)
+        CompetitorSpec(kind="scalar-multiple", parameter=1.5)
     with pytest.raises(InputError):
         CompetitorSpec(kind="postcompose-automorphism")
 
@@ -192,14 +192,15 @@ def test_probes_reject_count_below_one(count):
     (1.1, (0.9,)), (0.5j, (0.9,)), (complex("inf"), (0.9,)),
     (complex("nan"), (0.9,)), (complex(1.0, float("nan")), (0.9,)),
     (1.0, (0.0,)), (1j, (0.5, 1.0)), (-1.0, (float("nan"),)),
-    (True, (0.9,)), (np.True_, (0.9,)),
+    (True, (0.9,)), (np.True_, (0.9,)), (1.0, ()), (1.0, ("0.5",)),
 ], ids=["outside", "inside", "inf", "nan", "nan-imag", "radius-0",
-        "radius-1", "radius-nan", "bool", "numpy-bool"])
+        "radius-1", "radius-nan", "bool", "numpy-bool", "radii-empty",
+        "radius-str"])
 def test_probe_rejects_off_circle_direction_and_radii_outside_unit_interval(
         direction, radii):
-    """A NaN direction fails the unit-circle check, as NaN fails every
-    comparison; it would make every boundary quotient NaN.  A boolean
-    direction is refused, not read as 1."""
+    """A NaN direction would make every boundary quotient NaN.  A boolean
+    direction is refused, not read as 1, and an empty tuple of radii leaves
+    no quotient to take."""
     with pytest.raises(InputError):
         BoundaryProbe(direction, radii)
 
@@ -384,20 +385,20 @@ class _PerSpecReference:
 
     def score(self, spec):
         if spec.kind == "postcompose-automorphism":
-            T = spec.automorphism
+            T = spec.parameter
             sup = float(np.max(np.abs(T(self.B_b))))
             scale = (1.0 - DEFLATION) / max(1.0, sup)
             fq = T(self.B_q) * scale
             rings = {p: T(bv) * scale
                      for p, (_, _, bv) in self.crit_rings.items()}
         elif spec.kind == "scalar-multiple":
-            sup = float(abs(spec.scalar) * np.max(np.abs(self.B_b)))
-            scale = spec.scalar * (1.0 - DEFLATION) / max(1.0, sup)
+            sup = float(abs(spec.parameter) * np.max(np.abs(self.B_b)))
+            scale = spec.parameter * (1.0 - DEFLATION) / max(1.0, sup)
             fq = self.B_q * scale
             rings = {p: bv * scale
                      for p, (_, _, bv) in self.crit_rings.items()}
         elif spec.kind == "larger-critical-set":
-            extra = CriticalSet(tuple((z, 1) for z in spec.extra_points))
+            extra = CriticalSet(tuple((z, 1) for z in spec.parameter))
             big = self.solve(self.C.union(extra)).solution
             sup = float(np.max(np.abs(evaluate(big, self.bnodes))))
             scale = (1.0 - DEFLATION) / max(1.0, sup)
@@ -405,7 +406,7 @@ class _PerSpecReference:
             rings = {p: evaluate(big, nodes) * scale
                      for p, (_, nodes, _) in self.crit_rings.items()}
         else:
-            coeffs = antiderivative(spec.poly_coeffs, self.C.points())
+            coeffs = antiderivative(spec.parameter, self.C.points())
             sup = float(np.max(np.abs(np.polyval(coeffs, self.bnodes))))
             scale = (1.0 - DEFLATION) / sup
             fq = np.polyval(coeffs, self.qnodes) * scale
@@ -476,7 +477,7 @@ def test_antiderivatives_match_reference_at_top_degree(
     for C, (rep, _), specs in zip(corpus, corpus_solves, corpus_batches):
         if C.total == 8:
             anti = [s for s in specs if s.kind == "antiderivative-family"]
-            degrees.update(len(s.poly_coeffs) + C.total for s in anti)
+            degrees.update(len(s.parameter) + C.total for s in anti)
             out = _assert_matches_reference(C, rep.solution, anti)
             assert out["skipped"] == 0
     assert max(degrees) == 12
@@ -536,7 +537,7 @@ def test_sampled_sup_within_deflation_of_refined_sup(corpus, corpus_batches):
         if C.total < 5:
             continue
         # f = P @ basis, P's rows p padded to the default cubic
-        anti = [s.poly_coeffs for s in specs
+        anti = [s.parameter for s in specs
                 if s.kind == "antiderivative-family"]
         P = np.zeros((len(anti), 4), dtype=complex)
         for row, p in zip(P, anti):
@@ -556,7 +557,7 @@ def test_larger_set_with_origin_point_scores_the_target(
     target itself; with and without a prescribed origin point."""
     origin = CriticalSet(((0j, 2), (0.4 + 0.1j, 1)))
     for C, B in ((C_ONE, b_one), (origin, solve_maximal(origin).solution)):
-        specs = [CompetitorSpec("larger-critical-set", extra_points=extra)
+        specs = [CompetitorSpec("larger-critical-set", extra)
                  for extra in ((0j,), (0j, -0.3 + 0.2j))]
         margins, _ = _CompetitorEngine(C, B).scores(specs)
         target = derivative_at_origin_order(B, C.origin_multiplicity)
@@ -665,12 +666,12 @@ def test_batched_scores_match_reference_on_single_kinds(b_two):
         _assert_matches_reference(C_TWO, b_two, batch[:3])
     # mixed polynomial lengths, from a constant up to degree 6
     anti = [CompetitorSpec("antiderivative-family",
-                           poly_coeffs=tuple(rng.normal(size=n) + 1j))
+                           tuple(rng.normal(size=n) + 1j))
             for n in (1, 7, 2, 5, 3)]
     _assert_matches_reference(C_TWO, b_two, anti)
     # centered at 0, where the automorphism series has a single term
     rotations = [CompetitorSpec("postcompose-automorphism",
-                                automorphism=DiskAutomorphism(rotation=eta))
+                                DiskAutomorphism(rotation=eta))
                  for eta in (1.0, -1.0, 1j, np.exp(0.3j))]
     _assert_matches_reference(C_TWO, b_two, rotations)
     empty = extremality_suite(C_TWO, b_two, [])
@@ -707,28 +708,31 @@ def test_closed_forms_match_reference_on_rotated_products(
         assert out["skipped"] == 0
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"kind": "scalar-multiple", "scalar": complex("nan")},
-    {"kind": "scalar-multiple", "scalar": complex("inf")},
-    {"kind": "antiderivative-family", "poly_coeffs": ()},
-    {"kind": "antiderivative-family", "poly_coeffs": (1.0, complex("nan"))},
-    {"kind": "larger-critical-set", "extra_points": (0.2, complex("inf"))},
-    {"kind": "postcompose-automorphism",
-     "automorphism": lambda: DiskAutomorphism(center=complex("nan"))},
-    {"kind": "postcompose-automorphism", "automorphism": 0.5},
-    {"kind": "scalar-multiple", "scalar": True},
-    {"kind": "scalar-multiple", "scalar": np.True_},
-    {"kind": "antiderivative-family", "poly_coeffs": (True,)},
-    {"kind": "larger-critical-set", "extra_points": (False,)},
+@pytest.mark.parametrize("kind, parameter", [
+    ("scalar-multiple", complex("nan")),
+    ("scalar-multiple", complex("inf")),
+    ("antiderivative-family", ()),
+    ("antiderivative-family", (1.0, complex("nan"))),
+    ("larger-critical-set", (0.2, complex("inf"))),
+    ("postcompose-automorphism",
+     lambda: DiskAutomorphism(center=complex("nan"))),
+    ("postcompose-automorphism", 0.5),
+    ("scalar-multiple", True),
+    ("scalar-multiple", np.True_),
+    ("antiderivative-family", (True,)),
+    ("larger-critical-set", (False,)),
+    ("larger-critical-set", ()),
+    ("larger-critical-set", 0.3),
 ], ids=["scalar-nan", "scalar-inf", "poly-empty", "poly-nan", "extra-inf",
         "center-nan", "automorphism-float", "scalar-bool",
-        "scalar-numpy-bool", "poly-bool", "extra-bool"])
-def test_competitor_spec_rejects_non_finite_and_empty(kwargs):
-    """Booleans are refused, not read as 0 or 1, and an automorphism
-    competitor needs a DiskAutomorphism, not a number."""
+        "scalar-numpy-bool", "poly-bool", "extra-bool", "extra-empty",
+        "extra-not-a-tuple"])
+def test_competitor_spec_rejects_non_finite_and_empty(kind, parameter):
+    """Booleans are refused, not read as 0 or 1; an automorphism competitor
+    needs a DiskAutomorphism, not a number; and the point and coefficient
+    kinds need a nonempty tuple, so an enlarged set never re-solves C
+    itself."""
     with pytest.raises(InputError):
-        # callables are built inside the block: DiskAutomorphism itself
+        # a callable is built inside the block: DiskAutomorphism itself
         # rejects a NaN center
-        CompetitorSpec(
-            **{k: v() if callable(v) else v for k, v in kwargs.items()}
-        )
+        CompetitorSpec(kind, parameter() if callable(parameter) else parameter)
