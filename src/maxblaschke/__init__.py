@@ -54,7 +54,6 @@ _EXPORTS = {
         "truncation_sequence",
     ),
     "verify": (
-        "BoundaryProbe",
         "CompetitorSpec",
         "boundary_probes",
         "boundary_quotient",

@@ -39,7 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disk import BOUNDARY_TOL, DiskAutomorphism, pseudo_hyperbolic_distance
-from .errors import InputError, NumericalError, _complex, _count, _number
+from .errors import (
+    InputError, NumericalError, _complex, _count, _items, _number,
+)
 
 #: Final merge tolerance: points closer than this are never reported
 #: separately.
@@ -70,7 +72,8 @@ class CriticalSet:
         # greedy merge: each point joins the first kept point within
         # MERGE_TOL, which stays the representative
         merged = []
-        for point, mult in self.entries:
+        for entry in _items(self.entries, "critical set"):
+            point, mult = _items(entry, "critical set entry", 2)
             point = _number(point, "critical point")
             mult = _count(mult, "critical point multiplicity")
             if mult < 1:
@@ -91,7 +94,7 @@ class CriticalSet:
     @classmethod
     def from_points(cls, points):
         """Build from a plain list of points, merging near-duplicates."""
-        return cls(tuple((p, 1) for p in points))
+        return cls(tuple((p, 1) for p in _items(points, "critical points")))
 
     @property
     def total(self) -> int:
@@ -203,7 +206,8 @@ class FiniteBlaschke:
         if abs(e) == 0:
             raise InputError("unimodular factor must be nonzero")
         object.__setattr__(self, "eta", e / abs(e))
-        zs = tuple(_number(a, "Blaschke zero") for a in self.zeros)
+        zs = tuple(_number(a, "Blaschke zero")
+                   for a in _items(self.zeros, "Blaschke zeros"))
         if not all(abs(a) < 1.0 - BOUNDARY_TOL for a in zs):
             raise InputError("zeros must lie strictly inside the unit disk")
         object.__setattr__(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, _number
+from .errors import InputError, _items, _number
 
 #: Points this close to the unit circle are rejected by interior preconditions.
 BOUNDARY_TOL = 1e-12
@@ -122,11 +122,7 @@ class RiemannMapSpec:
     coeffs: tuple = (1.0 + 0j, 0j, 1.0 + 0j)
 
     def __post_init__(self):
-        coeffs = tuple(self.coeffs)
-        if len(coeffs) != 3:
-            raise InputError(
-                f"map needs 3 coefficients (a, c, d), got {len(coeffs)}"
-            )
+        coeffs = _items(self.coeffs, "map coefficients (a, c, d)", 3)
         a, c, d = (_number(x, "map coefficient") for x in coeffs)
         if abs(d) < BOUNDARY_TOL or abs(a) < BOUNDARY_TOL:
             raise InputError(

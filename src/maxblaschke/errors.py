@@ -8,13 +8,15 @@ exit codes.
 
 Each count, tolerance, scale, radius, curvature, coordinate and point from
 JSON or a caller goes through one of the private readers below; none takes
-a boolean.  ``_number`` reads every complex number that a caller passes.
+a boolean.  ``_number`` reads every complex number that a caller passes,
+and ``_items`` every container of them.
 """
 
 import cmath
 import math
 import numbers
 import operator
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -40,6 +42,21 @@ def _number(value, name: str) -> complex:
     if not cmath.isfinite(z):
         raise InputError(f"{name} must be finite, got {value!r}")
     return z
+
+
+def _items(value, name: str, size: int | None = None) -> tuple:
+    """``tuple(value)``.  A ``str``, ``bytes`` or mapping (which ``tuple``
+    reads by character, byte or key), what ``tuple`` refuses, and a length
+    other than ``size``, when given, raise InputError."""
+    try:
+        if isinstance(value, (str, bytes, Mapping)):
+            raise TypeError
+        items = tuple(value)
+    except TypeError:
+        raise InputError(f"{name} must be a sequence, got {value!r}") from None
+    if size is not None and len(items) != size:
+        raise InputError(f"{name} needs {size} items, got {len(items)}")
+    return items
 
 
 def _index(value, name: str) -> int:

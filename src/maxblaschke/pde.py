@@ -527,22 +527,12 @@ def oracle_validate(B: FiniteBlaschke, radius: float, n: int) -> float:
     if not B.zeros:
         raise InputError("a constant product has no pullback density")
     C = critical_points(B)
-    smag, interior = divisor_poly(C), []
-
-    def trace(xi):
-        return _pullback(B, xi)
-
-    def curvature(z):
-        # called once, at the interior nodes: their |S| is kept for the
-        # recomposition
-        interior.append((z, smag(z)))
-        return -4.0 * interior[-1][1] ** 2
-
+    trace = functools.partial(_pullback, B)
     reduced = divisor_reduced_problem(C, radius, trace, n)
-    sol = solve_dirichlet(PdeProblem(n, radius, curvature, reduced.boundary))
-    (nodes, s), = interior
-    lam_pde = s * np.exp(sol.u[sol.mask])
-    lam_ref = trace(nodes)
+    sol = solve_dirichlet(reduced)
+    nodes = _grid(reduced.n, reduced.radius).nodes[sol.mask]  # cached
+    lam_pde = divisor_poly(C)(nodes) * np.exp(sol.u[sol.mask])
+    lam_ref = _pullback(B, nodes)
     keep = lam_ref > 0.0
     return float(
         np.max(np.abs(lam_pde[keep] - lam_ref[keep]) / lam_ref[keep])

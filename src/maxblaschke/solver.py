@@ -51,7 +51,9 @@ from .blaschke import (
     evaluate,
 )
 from .disk import RiemannMapSpec
-from .errors import InputError, NumericalError, _index, _number, _positive
+from .errors import (
+    InputError, NumericalError, _index, _items, _number, _positive,
+)
 
 
 #: Newton iterations allowed per path step.
@@ -436,7 +438,7 @@ def truncation_sequence(
     returned as solved, a rise included, and judging them is the caller's
     (the CLI's ``converge`` report flags a rise above 1e-12).
     """
-    points = list(points)
+    points = _items(points, "points")
     n_max = _index(n_max, "n_max")
     if n_max < 0:
         raise InputError("n_max must be nonnegative")
@@ -483,7 +485,8 @@ def transplant(
     domain_points, spec: RiemannMapSpec, cfg: HomotopyConfig | None = None
 ) -> TransplantResult:
     """Solve the extremal problem for critical points in a mapped domain."""
-    images = [spec(_number(p, "domain point")) for p in domain_points]
+    images = [spec(_number(p, "domain point"))
+              for p in _items(domain_points, "domain points")]
     disk_set = CriticalSet.from_points(images)
     report = solve_maximal(disk_set, cfg)
     return TransplantResult(

@@ -32,7 +32,7 @@ from .blaschke import (
     evaluate,
 )
 from .disk import DiskAutomorphism
-from .errors import InputError, NumericalError, _index, _number, _positive
+from .errors import InputError, NumericalError, _index, _items, _number
 from .metrics import (
     PolarGrid,
     _curvature_band,
@@ -60,6 +60,12 @@ CONSTRAINT_TOL = 1e-10
 #: Boundary quotient check: |q - 1| at the outermost probe radius must not
 #: exceed this.
 QUOTIENT_TOL = 1e-3
+#: The radii at which the boundary quotient samples each direction.
+PROBE_RADII = (0.9, 0.99, 0.995, 0.999)
+#: The number of directions ``boundary_probes`` returns.
+PROBE_COUNT = 8
+#: The number of re-solved competitors in ``default_competitor_specs``.
+RESOLVE_COUNT = 2
 #: Semigroup, left-factor and union checks: the re-solved product, or the
 #: union's zero set, must match within this (the solver round-trip level).
 MATCH_TOL = 1e-8
@@ -78,9 +84,9 @@ _KINDS = (
 class CompetitorSpec:
     """One competitor, an admissible function built from a solver output:
     its kind and one parameter.  That is a ``DiskAutomorphism`` T for T o B,
-    a scalar s with |s| <= 1 for s B, or a nonempty tuple of critical points
-    to adjoin, or of the coefficients of p for the antiderivative
-    construction f(z) = integral of p(t) * prod (t - z_j)^{m_j}.
+    a scalar s with |s| <= 1 for s B, or a nonempty sequence, kept as a
+    tuple, of critical points to adjoin or of the coefficients of p for the
+    antiderivative construction f(z) = integral of p(t) prod (t - z_j)^{m_j}.
     """
 
     kind: str
@@ -99,62 +105,41 @@ class CompetitorSpec:
             p = _number(p, "scalar multiplier")
             if abs(p) > 1.0:
                 raise InputError("scalar multiplier must satisfy |s| <= 1")
-        elif isinstance(p, tuple) and p:
-            p = tuple(_number(v, f"{self.kind} parameter") for v in p)
         else:
-            raise InputError(f"{self.kind} needs a nonempty tuple, got {p!r}")
+            p = tuple(_number(v, f"{self.kind} parameter")
+                      for v in _items(p, f"{self.kind} parameter"))
+            if not p:
+                raise InputError(f"{self.kind} needs a nonempty sequence")
         object.__setattr__(self, "parameter", p)
 
 
-@dataclass(frozen=True)
-class BoundaryProbe:
-    """A radial approach direction staying away from the critical points."""
-
-    direction: complex
-    radii: tuple = (0.9, 0.99, 0.995, 0.999)
-
-    def __post_init__(self):
-        direction = _number(self.direction, "probe direction")
-        if not abs(abs(direction) - 1.0) <= 1e-12:
-            raise InputError("probe direction must lie on the unit circle")
-        radii = tuple(_positive(r, "probe radius") for r in self.radii)
-        if not radii or any(r >= 1.0 for r in radii):
-            raise InputError("probe radii must be nonempty and lie in (0, 1)")
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "radii", radii)
-
-
-def boundary_probes(C: CriticalSet, count: int = 8) -> list:
-    """``count`` directions, spread out, all >= 0.1 from the critical points."""
-    count = _index(count, "count")
-    if count < 1:
-        raise InputError(f"need at least one probe direction, got {count}")
+def boundary_probes(C: CriticalSet) -> list:
+    """PROBE_COUNT unit directions, as Python complex numbers: spread out
+    over 64 equally spaced ones, each >= 0.1 from every critical point."""
     candidates = np.exp(2j * np.pi * np.arange(64) / 64)
     dist = np.min(np.abs(candidates[:, None] - np.array(C.points())),
                   axis=1, initial=np.inf)
     candidates = candidates[dist >= 0.1]
-    if len(candidates) < count:
+    if len(candidates) < PROBE_COUNT:
         raise NumericalError("not enough clear probe directions")
-    picks = candidates[:: max(1, len(candidates) // count)][:count]
-    return [BoundaryProbe(z) for z in picks]
+    picks = candidates[:: len(candidates) // PROBE_COUNT][:PROBE_COUNT]
+    return [complex(z) for z in picks]
 
 
 def default_competitor_specs(
-    C: CriticalSet, count: int, rng: np.random.Generator, larger: int = 2
+    C: CriticalSet, count: int, rng: np.random.Generator
 ) -> list:
-    """A mixed batch: ``larger`` of the expensive re-solve kind and the rest
-    split ~40/30/30 between the three cheap kinds, each of which gets at
-    least one, so with the default ``larger`` of 2 ``count`` must be >= 5."""
-    count, larger = _index(count, "count"), _index(larger, "larger")
-    if larger < 0:
-        raise InputError(f"larger must be nonnegative, got {larger}")
-    if count - larger < 3:
+    """A mixed batch: RESOLVE_COUNT (2) of the expensive re-solve kind and
+    the rest split ~40/30/30 between the three cheap kinds, each of which
+    gets at least one, so ``count`` must be >= 5."""
+    count = _index(count, "count")
+    if count - RESOLVE_COUNT < 3:
         raise InputError(
-            f"{count} competitors with {larger} larger-critical-set re-solves "
-            f"leave a kind empty: need at least {larger + 3}"
+            f"{count} competitors with {RESOLVE_COUNT} larger-critical-set "
+            f"re-solves leave a kind empty: need at least {RESOLVE_COUNT + 3}"
         )
     specs = []
-    for _ in range(larger):
+    for _ in range(RESOLVE_COUNT):
         extra = []
         pts = C.points()
         n_extra = int(rng.integers(1, 3))
@@ -163,7 +148,7 @@ def default_competitor_specs(
             if all(abs(z - p) > 0.05 for p in list(pts) + extra):
                 extra.append(complex(z))
         specs.append(CompetitorSpec("larger-critical-set", tuple(extra)))
-    rest = count - larger
+    rest = count - RESOLVE_COUNT
     n_auto = int(round(rest * 0.4))
     n_scal = int(round(rest * 0.3))
     n_anti = rest - n_auto - n_scal
@@ -370,22 +355,27 @@ def extremality_suite(
     }
 
 
-def boundary_quotient(B: FiniteBlaschke, probe: BoundaryProbe) -> dict:
-    """Schwarz-Pick quotient (1-|z|^2)|B'(z)|/(1-|B(z)|^2) along a ray.
+def boundary_quotient(B: FiniteBlaschke, direction: complex) -> dict:
+    """Schwarz-Pick quotient (1-|z|^2)|B'(z)|/(1-|B(z)|^2) at the radii
+    PROBE_RADII along the ray of ``direction``, a number on the unit circle
+    (``boundary_probes`` returns directions clear of the critical points).
 
     Approaches 1 at the rim away from critical directions.  The report fits
     the envelope |q - 1| <= K (1 - r); the observed monotonicity of q in r
     is logged but is not a claim worth asserting.
     """
-    zs = np.array([r * probe.direction for r in probe.radii])
+    direction = _number(direction, "probe direction")
+    if not abs(abs(direction) - 1.0) <= 1e-12:
+        raise InputError("probe direction must lie on the unit circle")
+    zs = np.array([r * direction for r in PROBE_RADII])
     q = (1.0 - np.abs(zs) ** 2) * _pullback(B, zs)
-    one_minus_r = 1.0 - np.asarray(probe.radii)
+    one_minus_r = 1.0 - np.asarray(PROBE_RADII)
     K = float(np.max(np.abs(q - 1.0) / one_minus_r))
     deviation = float(abs(q[-1] - 1.0))
     return {
         "suite": "boundary-quotient",
-        "direction": probe.direction,
-        "radii": list(probe.radii),
+        "direction": direction,
+        "radii": list(PROBE_RADII),
         "quotients": [float(v) for v in q],
         "envelope_K": K,
         "monotone": bool(np.all(np.diff(q) >= -1e-12)),
@@ -525,7 +515,7 @@ def union_suite(
     C1: CriticalSet,
     C2: CriticalSet,
     c: float,
-    grid: PolarGrid | None = None,
+    grid: PolarGrid,
     cfg=None,
 ) -> dict:
     """Certify the combined critical set two independent ways.
@@ -534,10 +524,9 @@ def union_suite(
     <= -4 density vanishing exactly on the multiset union.  The solver
     route: the extremal problem for the union is solvable outright.
     """
-    g = grid or PolarGrid()
     F = solve_maximal(C1, cfg).solution
     G = solve_maximal(C2, cfg).solution
-    mu, alpha = union_metric(F, G, c, g)
+    mu, alpha = union_metric(F, G, c, grid)
     expected = C1.union(C2)
     try:
         zero_err = expected.match(mu.zero_set)
@@ -554,6 +543,6 @@ def union_suite(
         "direct_functional": direct.functional_value,
         "pass": bool(
             zero_err <= MATCH_TOL
-            and worst_curv <= -4.0 + _curvature_band(g.h)
+            and worst_curv <= -4.0 + _curvature_band(grid.h)
         ),
     }

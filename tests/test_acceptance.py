@@ -290,12 +290,12 @@ def test_criterion_11_convergence():
 def test_criterion_12_boundary_quotient(corpus, corpus_solves):
     worst = 0.0
     for C, (rep, _) in zip(corpus, corpus_solves):
-        for probe in boundary_probes(C, 8):
-            out = boundary_quotient(rep.solution, probe)
+        for direction in boundary_probes(C):
+            out = boundary_quotient(rep.solution, direction)
             worst = max(worst, out["deviation"])
     z2 = FiniteBlaschke(zeros=(0j, 0j))
-    probe = boundary_probes(CriticalSet.from_points([0j]), 1)[0]
-    out = boundary_quotient(z2, probe)
+    direction = boundary_probes(CriticalSet.from_points([0j]))[0]
+    out = boundary_quotient(z2, direction)
     closed = [2.0 * r / (1.0 + r * r) for r in out["radii"]]
     z2_err = max(abs(q - v) for q, v in zip(out["quotients"], closed))
     _line(12, worst <= 1e-3 and z2_err <= 1e-12,

@@ -621,9 +621,9 @@ assert pde.oracle_validate is maxblaschke.oracle_validate
 
 #: The package's public names; a change to the surface changes this list.
 PUBLIC_NAMES = [
-    "BoundaryProbe", "CompetitorSpec", "CriticalSet", "CurvatureField",
-    "DensityField", "DiskAutomorphism", "FiniteBlaschke", "HomotopyConfig",
-    "InputError", "NumericalError", "PdeProblem", "PdeSolution", "PolarGrid",
+    "CompetitorSpec", "CriticalSet", "CurvatureField", "DensityField",
+    "DiskAutomorphism", "FiniteBlaschke", "HomotopyConfig", "InputError",
+    "NumericalError", "PdeProblem", "PdeSolution", "PolarGrid",
     "RiemannMapSpec", "SolveReport", "TransplantResult", "TruncationResult",
     "ahlfors_check", "boundary_probes", "boundary_quotient", "compose",
     "constant_curvature_problem", "critical_points",

@@ -10,8 +10,8 @@ from maxblaschke.disk import (
     pseudo_hyperbolic_distance,
 )
 from maxblaschke.errors import InputError, _number
-from maxblaschke.solver import transplant
-from maxblaschke.verify import BoundaryProbe, CompetitorSpec
+from maxblaschke.solver import transplant, truncation_sequence
+from maxblaschke.verify import CompetitorSpec, boundary_quotient
 
 
 def disk_points(max_radius=0.95):
@@ -130,7 +130,7 @@ NUMBER_SITES = {
     "rotation": lambda v: DiskAutomorphism(rotation=v),
     "center": lambda v: DiskAutomorphism(center=v),
     "map-coefficient": lambda v: RiemannMapSpec(coeffs=(1.0, v, 1.0)),
-    "probe-direction": lambda v: BoundaryProbe(v),
+    "probe-direction": lambda v: boundary_quotient(FiniteBlaschke((0j,)), v),
     "competitor-scalar": lambda v: CompetitorSpec("scalar-multiple", v),
     "competitor-extra-point":
         lambda v: CompetitorSpec("larger-critical-set", (v,)),
@@ -145,6 +145,42 @@ def test_every_site_refuses_what_is_not_a_finite_number(site, value):
     """``complex`` would parse the string; None and NaN are no number."""
     with pytest.raises(InputError):
         NUMBER_SITES[site](value)
+
+
+#: Each place a caller's container of numbers enters the library.
+CONTAINER_SITES = {
+    "critical-set": lambda v: CriticalSet(v),
+    "critical-set-entry": lambda v: CriticalSet((v,)),
+    "critical-points": lambda v: CriticalSet.from_points(v),
+    "blaschke-zeros": lambda v: FiniteBlaschke(zeros=v),
+    "map-coefficients": lambda v: RiemannMapSpec(coeffs=v),
+    "competitor-extra-points":
+        lambda v: CompetitorSpec("larger-critical-set", v),
+    "domain-points": lambda v: transplant(v, RiemannMapSpec()),
+    "truncation-points": lambda v: truncation_sequence(v, 0),
+}
+
+
+@pytest.mark.parametrize("value", [0.5, None, "0.5", b"0.5", {0.5: 1}],
+                         ids=["number", "none", "str", "bytes", "mapping"])
+@pytest.mark.parametrize("site", CONTAINER_SITES)
+def test_every_site_refuses_what_is_not_a_sequence(site, value):
+    """``tuple`` would read the string by character, the bytes by byte and
+    the mapping by key; a number and None are no container."""
+    with pytest.raises(InputError):
+        CONTAINER_SITES[site](value)
+
+
+@pytest.mark.parametrize("entry", [(0.5, 1, 2), (0.5,)])
+def test_critical_set_entry_is_a_point_and_a_multiplicity(entry):
+    with pytest.raises(InputError, match="needs 2 items"):
+        CriticalSet((entry,))
+
+
+def test_competitor_points_may_be_a_list():
+    spec = CompetitorSpec("larger-critical-set", [0.5, 0.25j])
+    assert spec.parameter == (0.5 + 0j, 0.25j)
+    assert type(spec.parameter) is tuple
 
 
 def test_number_reader_returns_complex_for_numpy_values():

@@ -22,9 +22,10 @@ from maxblaschke.solver import solve_maximal
 from maxblaschke.verify import (
     CONSTRAINT_TOL,
     DEFLATION,
+    PROBE_COUNT,
+    PROBE_RADII,
     QUOTIENT_TOL,
     SUP_SAMPLES,
-    BoundaryProbe,
     CompetitorSpec,
     boundary_probes,
     boundary_quotient,
@@ -131,13 +132,12 @@ def test_default_specs_hold_one_of_each_kind():
     )
 
 
-@pytest.mark.parametrize("count, larger", [(4, 2), (3, 1), (2, 0), (5, -1),
-                                          (7.5, 2), (8, 1.5), (8, True)])
-def test_default_specs_reject_too_few_for_every_kind(count, larger):
-    """Too few for every kind, or a count that is not an integer."""
-    with pytest.raises(InputError):
-        default_competitor_specs(C_TWO, count, np.random.default_rng(1),
-                                 larger=larger)
+@pytest.mark.parametrize("count", [4, 3, 2, 7.5, True])
+def test_default_specs_reject_too_few_for_every_kind(count):
+    """Too few for every kind beside the two re-solves, or a count that is
+    not an integer."""
+    with pytest.raises(InputError, match="need at least 5|integer"):
+        default_competitor_specs(C_TWO, count, np.random.default_rng(1))
 
 
 def test_competitor_spec_validation():
@@ -155,9 +155,9 @@ def test_competitor_spec_validation():
 def test_quotient_closed_form_for_squaring():
     """(1-r^2) 2r / (1-r^4) = 2r/(1+r^2) for B(z) = z^2."""
     B = FiniteBlaschke(zeros=(0j, 0j), eta=1.0)
-    probe = BoundaryProbe(1.0 + 0j, radii=(0.9, 0.99, 0.999))
-    out = boundary_quotient(B, probe)
-    for r, q in zip(probe.radii, out["quotients"]):
+    out = boundary_quotient(B, 1.0)
+    assert out["direction"] == 1.0 and out["radii"] == list(PROBE_RADII)
+    for r, q in zip(PROBE_RADII, out["quotients"]):
         assert q == pytest.approx(2 * r / (1 + r * r), abs=1e-12)
     assert out["quotients"][0] == pytest.approx(0.9944751381215471, abs=1e-12)
     assert out["deviation"] <= 1e-3
@@ -167,7 +167,7 @@ def test_quotient_closed_form_for_squaring():
 def test_quotient_fails_beyond_tolerance():
     """A zero 5e-4 inside the rim keeps q(0.999) 2e-3 away from 1."""
     B = FiniteBlaschke(zeros=(0j, 0.9995 + 0j), eta=1.0)
-    out = boundary_quotient(B, BoundaryProbe(1.0 + 0j))
+    out = boundary_quotient(B, 1.0 + 0j)
     assert out["deviation"] == pytest.approx(2.0e-3, rel=1e-3)
     assert out["deviation"] > QUOTIENT_TOL
     assert not out["pass"]
@@ -175,34 +175,22 @@ def test_quotient_fails_beyond_tolerance():
 
 def test_probes_keep_clear_of_critical_points():
     probes = boundary_probes(C_ONE)
-    assert len(probes) == 8
+    assert len(probes) == PROBE_COUNT
     for p in probes:
-        assert abs(p.direction - 0.5) >= 0.1
-        assert abs(abs(p.direction) - 1.0) <= 1e-12
+        assert type(p) is complex
+        assert abs(p - 0.5) >= 0.1
+        assert abs(abs(p) - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("count", [0, -2, 2.5, True])
-def test_probes_reject_count_below_one(count):
-    """Below one, or not an integer."""
-    with pytest.raises(InputError):
-        boundary_probes(C_ONE, count)
-
-
-@pytest.mark.parametrize("direction, radii", [
-    (1.1, (0.9,)), (0.5j, (0.9,)), (complex("inf"), (0.9,)),
-    (complex("nan"), (0.9,)), (complex(1.0, float("nan")), (0.9,)),
-    (1.0, (0.0,)), (1j, (0.5, 1.0)), (-1.0, (float("nan"),)),
-    (True, (0.9,)), (np.True_, (0.9,)), (1.0, ()), (1.0, ("0.5",)),
-], ids=["outside", "inside", "inf", "nan", "nan-imag", "radius-0",
-        "radius-1", "radius-nan", "bool", "numpy-bool", "radii-empty",
-        "radius-str"])
-def test_probe_rejects_off_circle_direction_and_radii_outside_unit_interval(
-        direction, radii):
+@pytest.mark.parametrize("direction", [
+    1.1, 0.5j, complex("inf"), complex("nan"), complex(1.0, float("nan")),
+    True, np.True_,
+], ids=["outside", "inside", "inf", "nan", "nan-imag", "bool", "numpy-bool"])
+def test_probe_rejects_off_circle_direction(b_one, direction):
     """A NaN direction would make every boundary quotient NaN.  A boolean
-    direction is refused, not read as 1, and an empty tuple of radii leaves
-    no quotient to take."""
+    direction is refused, not read as 1."""
     with pytest.raises(InputError):
-        BoundaryProbe(direction, radii)
+        boundary_quotient(b_one, direction)
 
 
 def test_phi_closed_forms(b_one):
@@ -272,7 +260,7 @@ def test_constant_product_is_refused_before_zero_over_zero():
     K = FiniteBlaschke(zeros=(), eta=1j)
     F = FiniteBlaschke(zeros=(0j, 0.5 + 0j))
     for check in (lambda: pullback_density(K, PolarGrid(16, 16)),
-                  lambda: boundary_quotient(K, BoundaryProbe(1 + 0j)),
+                  lambda: boundary_quotient(K, 1 + 0j),
                   lambda: oracle_validate(K, 0.5, 33)):
         with pytest.raises(InputError, match="constant"):
             check()
@@ -447,6 +435,11 @@ def _assert_matches_reference(C, B, specs):
     assert out["margin"] == pytest.approx(
         kept.min() if kept.size else np.inf, abs=1e-12)
     return out
+
+
+def _cheap(specs):
+    """The specs of a default batch that need no re-solve."""
+    return [s for s in specs if s.kind != "larger-critical-set"]
 
 
 @pytest.fixture(scope="module")
@@ -646,19 +639,20 @@ def test_batched_scores_match_reference_on_mismatched_pair(
     violate the second-order constraint and are skipped, while the
     antiderivatives (built from the double point) are scored."""
     C = CriticalSet(((0.5 + 0j, 2),))
-    specs = default_competitor_specs(C, 200, np.random.default_rng(5), larger=1)
+    specs = default_competitor_specs(C, 200, np.random.default_rng(5))
     out = _assert_matches_reference(C, b_one, specs)
     assert 0 < out["skipped"] < 200
     # and against an unrelated set, where the first derivative fails too
     other = CriticalSet.from_points([-0.3 + 0.2j, 0.1j])
-    specs = default_competitor_specs(other, 100, np.random.default_rng(6), larger=0)
+    specs = _cheap(default_competitor_specs(other, 100,
+                                            np.random.default_rng(6)))
     out = _assert_matches_reference(other, b_one, specs)
     assert out["skipped"] > 0
 
 
 def test_batched_scores_match_reference_on_single_kinds(b_two):
     rng = np.random.default_rng(8)
-    mixed = default_competitor_specs(C_TWO, 400, rng, larger=0)
+    mixed = default_competitor_specs(C_TWO, 400, rng)
     for kind in ("postcompose-automorphism", "scalar-multiple",
                  "antiderivative-family"):
         batch = [s for s in mixed if s.kind == kind]
@@ -684,7 +678,7 @@ def test_batched_scores_on_empty_set_and_origin_point():
     rng = np.random.default_rng(9)
     for C in (CriticalSet(), CriticalSet(((0j, 2), (0.4 + 0.1j, 1)))):
         B = solve_maximal(C).solution
-        specs = default_competitor_specs(C, 300, rng, larger=0)
+        specs = _cheap(default_competitor_specs(C, 300, rng))
         _assert_matches_reference(C, B, specs)
 
 
@@ -702,7 +696,7 @@ def test_closed_forms_match_reference_on_rotated_products(
     cases.append((C, solve_maximal(C).solution))
     for C, B in cases:
         B = FiniteBlaschke(B.zeros, eta=B.eta * np.exp(1j * theta))
-        specs = [s for s in default_competitor_specs(C, 200, rng, larger=0)
+        specs = [s for s in _cheap(default_competitor_specs(C, 200, rng))
                  if s.kind != "antiderivative-family"]
         out = _assert_matches_reference(C, B, specs)
         assert out["skipped"] == 0
@@ -730,7 +724,7 @@ def test_closed_forms_match_reference_on_rotated_products(
 def test_competitor_spec_rejects_non_finite_and_empty(kind, parameter):
     """Booleans are refused, not read as 0 or 1; an automorphism competitor
     needs a DiskAutomorphism, not a number; and the point and coefficient
-    kinds need a nonempty tuple, so an enlarged set never re-solves C
+    kinds need a nonempty sequence, so an enlarged set never re-solves C
     itself."""
     with pytest.raises(InputError):
         # a callable is built inside the block: DiskAutomorphism itself
