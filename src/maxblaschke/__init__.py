@@ -31,7 +31,6 @@ _EXPORTS = {
         "discrete_curvature",
         "dominance_check",
         "hyperbolic_field",
-        "product_density",
         "pullback_density",
         "refinement_contraction",
         "union_metric",

@@ -123,6 +123,11 @@ class CriticalSet:
         """Multiset union: multiplicities add, near-duplicate points merge."""
         return CriticalSet(self.entries + other.entries)
 
+    def within(self, radius: float) -> "CriticalSet":
+        """The entries with |p| <= radius: what a grid that far out sees."""
+        return CriticalSet(
+            tuple(e for e in self.entries if abs(e[0]) <= radius))
+
     def contains(self, other: "CriticalSet") -> bool:
         """True if every point of ``other`` appears here with at least its
         multiplicity (points matched within ``MERGE_TOL``)."""
@@ -449,7 +454,8 @@ def critical_points(B: FiniteBlaschke) -> CriticalSet:
     zeros, and so nearby-but-distinct critical points that close are
     reported as one.  Each ``k``-fold point is polished by three Newton
     steps on the ``(k - 1)``-th derivative of B'/B: with ``S_j = sum s
-    (z - p)^-j``, each step is ``z += S_k / (k S_(k+1))``.
+    (z - p)^-j``, each step is ``z += S_k / (k S_(k+1))``.  A root that
+    the eigen-solve loses next to a zero of B raises ``NumericalError``.
 
     For z(z - a)/(1 - a z) the critical point is (1 - sqrt(1 - a^2))/a:
 
@@ -480,10 +486,13 @@ def critical_points(B: FiniteBlaschke) -> CriticalSet:
         )
     poles, signs = _poles(zeros, mult)
     points, orders = _group(inside, poles, signs)
-    for _ in range(3):
-        r = 1 / (points[:, None] - poles)
-        rk = signs * r ** orders[:, None]
-        points = points + rk.sum(axis=1) / (orders * (rk * r).sum(axis=1))
+    with np.errstate(all="ignore"):  # a lost root lands on a pole
+        for _ in range(3):
+            r = 1 / (points[:, None] - poles)
+            rk = signs * r ** orders[:, None]
+            points += rk.sum(axis=1) / (orders * (rk * r).sum(axis=1))
+    if not np.all(np.isfinite(points)):
+        raise NumericalError("critical point lost next to a zero of B")
     entries.extend(zip(points, orders.tolist()))
     return CriticalSet(tuple(entries))
 

@@ -158,24 +158,18 @@ def hyperbolic_field(grid: PolarGrid) -> DensityField:
     return DensityField(grid, hyperbolic_density(grid.nodes))
 
 
-def _pullback_field(f: FiniteBlaschke, grid: PolarGrid, c: float = 1.0):
-    """``_pullback`` on the grid nodes, annotated with the critical set of
-    ``f`` restricted to the grid disk |z| <= r_max (where it vanishes)."""
-    inside = tuple(
-        (p, m) for p, m in critical_points(f).entries if abs(p) <= grid.r_max
-    )
-    return DensityField(grid, _pullback(f, grid.nodes, c), CriticalSet(inside))
-
-
 def pullback_density(f: FiniteBlaschke, grid: PolarGrid) -> DensityField:
     """Density |f'| / (1 - |f|^2): the hyperbolic density pulled back by f.
 
     Values come from ``_pullback``: forward scans carrying (f, f') over the
     zeros of ``f``, block by block over the grid nodes.  The zero
-    annotation is the critical set of ``f`` restricted to the grid disk
+    annotation is the critical set of ``f`` within the grid disk
     |z| <= r_max.
     """
-    return _pullback_field(f, grid)
+    # critical points first: their small arrays, made after the pullback's
+    # blocks, would leave later grid arrays to fault their pages in afresh
+    zeros = critical_points(f).within(grid.r_max)
+    return DensityField(grid, _pullback(f, grid.nodes), zeros)
 
 
 def _polar_laplacian(f: np.ndarray, radii: np.ndarray, n_theta: int, k: int):
@@ -262,32 +256,16 @@ def refinement_contraction(
     return dev_c / dev_f
 
 
-def product_density(a: DensityField, b: DensityField):
-    """Pointwise product with its closed-form curvature.
-
-    For two curvature -4 densities the product's curvature is
-    ``-4 (a^-2 + b^-2)``; the returned array holds that value where both
-    factors are positive and NaN elsewhere.  Returns (field, curvature).
-    """
-    if a.grid != b.grid:
-        raise InputError("density fields live on different grids")
-    values = a.values * b.values
-    with np.errstate(divide="ignore"):
-        kappa = -4.0 * (a.values**-2.0 + b.values**-2.0)
-    kappa = np.where((a.values > 0) & (b.values > 0), kappa, np.nan)
-    field = DensityField(a.grid, values, a.zero_set.union(b.zero_set))
-    return field, kappa
-
-
 def union_metric(
     F: FiniteBlaschke, G: FiniteBlaschke, c: float, grid: PolarGrid
 ):
     """Density with curvature <= -4 vanishing on the combined critical sets.
 
-    Builds the two damped pullbacks ``c |F'| / (1 - c^2 |F|^2)`` (and same
-    for G), multiplies them, reads off the largest curvature -alpha of the
-    product from its closed form, and rescales by sqrt(alpha)/2 so the
-    result is again a curvature <= -4 density.  Returns (field, alpha).
+    Takes the damped pullbacks a = ``c |F'| / (1 - c^2 |F|^2)`` and b (the
+    same for G).  Where both are positive ab has curvature -4 (a^-2 + b^-2),
+    at most -alpha on the grid, so ``sqrt(alpha)/2 ab`` is again a
+    curvature <= -4 density.  Its annotation is the union of the two
+    critical sets within the grid disk.  Returns (field, alpha).
 
     alpha is a grid maximum, so it certifies the curvature bound only at
     grid resolution.
@@ -295,17 +273,19 @@ def union_metric(
     c = _positive(c, "damping constant")
     if not c < 1.0:
         raise InputError("damping constant must lie in (0, 1)")
-    product, kappa = product_density(
-        _pullback_field(F, grid, c), _pullback_field(G, grid, c)
-    )
+    zeros = critical_points(F).union(critical_points(G)).within(grid.r_max)
+    a = _pullback(F, grid.nodes, c)
+    b = _pullback(G, grid.nodes, c)
+    with np.errstate(divide="ignore"):
+        kappa = -4.0 * (a**-2.0 + b**-2.0)
     finite = np.isfinite(kappa)
     if not np.any(finite):
         raise NumericalError("product density vanishes on the whole grid")
     alpha = -float(np.max(kappa[finite]))
     if alpha <= 0.0:
         raise NumericalError("curvature bound alpha came out nonpositive")
-    mu = 0.5 * math.sqrt(alpha) * product.values
-    return DensityField(grid, mu, product.zero_set), alpha
+    mu = 0.5 * math.sqrt(alpha) * (a * b)
+    return DensityField(grid, mu, zeros), alpha
 
 
 def _curvature_band(h: float) -> float:

@@ -56,6 +56,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .blaschke import CriticalSet, FiniteBlaschke, _pullback, critical_points
+from .disk import BOUNDARY_TOL
 from .errors import (
     InputError, NumericalError, _index, _nonpositive, _positive,
 )
@@ -500,7 +501,8 @@ def divisor_reduced_problem(
     The zeros of the target density are divided out: curvature becomes
     -4 |S|^2 and the boundary data b/|S|; both are smooth and positive, so
     the reduced problem has a classical solution even though log(lambda)
-    itself diverges at the divisor.
+    itself diverges at the divisor.  Divisor points may lie anywhere off
+    the sub-disk circle (within ``BOUNDARY_TOL`` of it they are refused).
     """
     smag = divisor_poly(C)
 
@@ -510,8 +512,9 @@ def divisor_reduced_problem(
     problem = PdeProblem(
         n, radius, lambda z: -4.0 * smag(z) ** 2, reduced_boundary
     )
-    if any(abs(p) >= problem.radius for p, _ in C.entries):
-        raise InputError("divisor point on or outside the sub-disk boundary")
+    if any(abs(abs(p) - problem.radius) <= BOUNDARY_TOL
+           for p, _ in C.entries):
+        raise InputError("divisor point on the sub-disk boundary")
     return problem
 
 

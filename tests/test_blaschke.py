@@ -85,6 +85,13 @@ def test_critical_set_union_and_contains():
     assert not A.contains(U)
 
 
+def test_critical_set_within_keeps_the_closed_disk():
+    C = CriticalSet(((0.5, 2), (0.3j, 1), (-0.9, 1), (0.95, 3)))
+    assert C.within(0.9).entries == ((0.3j, 1), (0.5 + 0j, 2), (-0.9 + 0j, 1))
+    assert C.within(0.95) == C
+    assert C.within(0.2) == CriticalSet()
+
+
 def test_critical_set_match_is_pseudo_hyperbolic():
     A = CriticalSet.from_points([0.5])
     B = CriticalSet.from_points([0.5 + 1e-10])
@@ -413,6 +420,18 @@ def test_cluster_roots_leaves_the_merge_to_critical_set():
 def test_monomial_critical_points_collapse():
     B = FiniteBlaschke(zeros=(0j, 0j, 0j), eta=1.0)
     assert critical_points(B).entries == ((0j, 2),)
+
+
+@pytest.mark.filterwarnings("error")
+def test_lost_critical_point_is_a_numerical_error():
+    """A root of B'/B within about eps times the largest pole of a zero of B
+    is lost to the eigen-solve; that is the solver's failure, not the
+    caller's, and no warning escapes the polish."""
+    with pytest.raises(NumericalError, match="lost"):
+        critical_points(FiniteBlaschke(zeros=(0, 2e-16)))
+    for p in (1e-16, 1e-100, 1e-300):
+        with pytest.raises(NumericalError, match="lost"):
+            solve_maximal(CriticalSet.from_points([p]))
 
 
 def test_identity_has_no_critical_points():

@@ -427,6 +427,24 @@ def test_union_pair(tmp_path, capsys):
     assert rep["zero_set_error"] <= 1e-8
 
 
+def test_union_with_a_point_beyond_the_grid(tmp_path, capsys):
+    """0.97 lies outside the default grid's r_max = 0.95: the grid-side
+    zero set is matched within the grid, and the solves verify the rest."""
+    inp = _write(
+        tmp_path,
+        "u.json",
+        {
+            "first": _crit([(0.97 + 0j, 1)]),
+            "second": _crit([(0.3j, 1)]),
+            "scale": 0.5,
+        },
+    )
+    assert main(["union", "--input", inp]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["pass"] is True
+    assert rep["zero_set_error"] <= 1e-8
+
+
 def test_converge_family(tmp_path, capsys):
     data = {
         "points": [
@@ -631,7 +649,7 @@ PUBLIC_NAMES = [
     "discrete_curvature", "divisor_reduced_problem", "dominance_check",
     "evaluate", "extremality_suite", "fit_automorphism", "hyperbolic_density",
     "hyperbolic_field", "left_factor_check", "oracle_validate",
-    "phi_boundary_bound", "product_density", "pseudo_hyperbolic_distance",
+    "phi_boundary_bound", "pseudo_hyperbolic_distance",
     "pullback_density", "refinement_contraction", "semigroup_check",
     "solve_dirichlet", "solve_maximal", "transplant", "truncation_sequence",
     "union_metric", "union_suite",

@@ -19,7 +19,6 @@ from maxblaschke.metrics import (
     discrete_curvature,
     dominance_check,
     hyperbolic_field,
-    product_density,
     pullback_density,
     refinement_contraction,
     union_metric,
@@ -258,29 +257,6 @@ def test_dominance_requires_zero_containment():
     lam = pullback_density(rep.solution, GRID)
     with pytest.raises(InputError):
         dominance_check(hyperbolic_field(GRID), lam)
-
-
-def test_product_density_closed_form_curvature():
-    a = hyperbolic_field(GRID)
-    b = scale_field(a, 2.0)
-    field, kappa = product_density(a, b)
-    assert field.values == pytest.approx(2.0 * a.values**2, rel=1e-13)
-    expect = -4.0 * (a.values**-2.0 + b.values**-2.0)
-    assert kappa == pytest.approx(expect, rel=1e-13)
-
-
-def test_product_curvature_matches_stencil():
-    """Dual route: closed-form product curvature against the finite
-    difference stencil of the actual product density."""
-    B1 = solve_maximal(CriticalSet.from_points([0.5])).solution
-    B2 = FiniteBlaschke(zeros=(0j, 0j), eta=1.0)
-    a = pullback_density(B1, GRID)
-    b = pullback_density(B2, GRID)
-    field, kappa = product_density(a, b)
-    curv = discrete_curvature(field)
-    mask = curv.defined & np.isfinite(kappa)
-    assert mask.any()
-    assert np.max(np.abs(curv.values[mask] - kappa[mask])) <= 10.0 * GRID.h**2
 
 
 def test_union_metric_properties():

@@ -167,10 +167,27 @@ def test_rejects_non_callable_curvature_and_boundary():
         PdeProblem(65, 0.5, lambda z: np.full(np.shape(z), -4.0), 1.0)
 
 
-def test_rejects_divisor_outside_subdisk():
+def test_accepts_divisor_outside_subdisk():
     C = CriticalSet.from_points([0.9])
-    with pytest.raises(InputError):
+    prob = divisor_reduced_problem(C, 0.5, const_boundary(1.0), 65)
+    assert prob.radius == 0.5
+
+
+@pytest.mark.parametrize("point", [0.5, -0.5j, 0.5 + 1e-13])
+def test_rejects_divisor_on_subdisk_circle(point):
+    C = CriticalSet.from_points([point])
+    with pytest.raises(InputError, match="sub-disk boundary"):
         divisor_reduced_problem(C, 0.5, const_boundary(1.0), 65)
+
+
+@pytest.mark.parametrize("zeros", [(0, 0.99), (0, 0.98, -0.97)])
+def test_oracle_divides_out_critical_points_beyond_subdisk(zeros):
+    """Critical points at 0.868, and at 0.819 and -0.781, lie outside the
+    sub-disk of radius 0.75; the oracle still reconstructs within 5h^2."""
+    B = FiniteBlaschke(zeros=zeros)
+    assert all(abs(p) > 0.75 for p, _ in critical_points(B).entries)
+    h = 2.0 * 0.75 / 256
+    assert oracle_validate(B, 0.75, 257) <= 5.0 * h * h
 
 
 def test_rejects_nonpositive_boundary():

@@ -140,6 +140,18 @@ def test_default_specs_reject_too_few_for_every_kind(count):
         default_competitor_specs(C_TWO, count, np.random.default_rng(1))
 
 
+def test_default_specs_refuse_a_set_with_no_clear_point():
+    """A lattice of spacing 0.06 leaves no point of 0.1 < |z| < 0.7 that is
+    0.05 clear of it, so the extra-point draws give up."""
+    g = np.arange(-0.78, 0.7801, 0.06)
+    lattice = [complex(x, y) for x in g for y in g
+               if 0.05 < abs(complex(x, y)) < 0.76]
+    assert len(lattice) == 504
+    with pytest.raises(NumericalError, match="clear of the set"):
+        default_competitor_specs(CriticalSet.from_points(lattice), 5,
+                                 np.random.default_rng(1))
+
+
 def test_competitor_spec_validation():
     with pytest.raises(InputError):
         CompetitorSpec(kind="unheard-of")
@@ -325,6 +337,22 @@ def test_union_suite_multiset():
     out = union_suite(C_ONE, C_ONE, 0.5, grid)
     assert out["pass"]
     assert out["zero_set_error"] <= 1e-8
+
+
+def test_union_suite_point_beyond_the_grid():
+    """0.97 lies outside r_max = 0.95: the metric's annotation is the union
+    within the grid disk, and so is the set it is matched against."""
+    grid = PolarGrid()
+    C1 = CriticalSet.from_points([0.97])
+    C2 = CriticalSet.from_points([0.3j])
+    out = union_suite(C1, C2, 0.5, grid)
+    assert out["pass"]
+    assert out["zero_set_error"] <= 1e-8
+    F = solve_maximal(C1).solution
+    G = solve_maximal(C2).solution
+    mu, _ = union_metric(F, G, 0.5, grid)
+    assert C1.union(C2).within(grid.r_max) == C2
+    assert C2.match(mu.zero_set) <= 1e-8
 
 
 # ----------------------------------------------------------------------
