@@ -6,8 +6,19 @@ Given a critical set ``C`` of total mass ``m`` containing 0 with multiplicity
     B(z) = eta * z^(N+1) * prod_k (z - b_k) / (1 - conj(b_k) z),
 
 so the unknowns are the ``m - N`` free zeros ``b_k``.  The defining equations
-say the critical numerator polynomial ``Q`` vanishes at each prescribed
-nonzero point to its multiplicity.  The solver follows the path ``C(t) = t C``
+say ``B'`` vanishes at each prescribed nonzero point to its multiplicity.
+Away from the zeros of ``B``, that is the vanishing of the Taylor rows there
+of
+
+    B'/B = (N+1)/z + sum_k [1/(z - b_k) + conj(b_k)/(1 - conj(b_k) z)],
+
+whose terms each depend on one zero: a row, the sum of the moduli of its
+terms and its derivatives with respect to ``b_k`` and ``conj(b_k)`` are
+closed-form sums over the free zeros.  Where ``k + 1`` free zeros meet a
+``k``-fold target, as in a composite such as ``z^2 o B``, ``B'/B`` has a
+pole on the target; there the rows of the critical numerator ``Q``, the
+numerator of ``B'``, stay finite, and a correction that fails on the sum
+rows is retried on them.  The solver follows the path ``C(t) = t C``
 from the collapsed state ``B_0 = z^(m+1)`` at ``t = 0``.  Each step has one
 predictor, the last free zeros moved along a slope: first the tangent of the
 collapsed asymptotic, computed once, then the secant through the last
@@ -15,19 +26,13 @@ accepted step.  A damped Newton iteration corrects it, measuring each
 residual row against the sum of the moduli of its terms and stopping once
 the largest such ratio is within ``newton_tol``.  The first step tries
 ``t = 1`` directly; each accepted step doubles the step, up to what is left
-of the path, and a predictor that leaves the disk or a failed correction
-halves it until it falls below ``_MIN_STEP``, where the solve raises.  A
-finite critical set has one extremal product (Heins), so a long step has no
-other branch to land on.  On the step that ends at ``t = 1``, the converged
-iterate gets one more Newton correction, so the product's accuracy does not
-depend on the path taken to it; where ``k + 1`` free zeros then sit on a
-``k``-fold target, they are set onto it exactly.  ``Q``
-and its derivatives with respect to ``b_k`` and ``conj(b_k)`` are short
-Taylor jets at the targets, all targets at once, built in factored form by
-one forward and one backward scan over the zeros.  Each Newton iterate is
-scanned once: the forward scan gives the residual, which is all the
-convergence test and the line search need, and when a step is taken the
-Jacobian reuses that scan's prefix pairs and adds only the backward scan.
+of the path, and a predictor that leaves the disk or fails its correction on
+both kinds of rows halves it until it falls below ``_MIN_STEP``, where the
+solve raises.  A finite critical set has one extremal product (Heins), so a
+long step has no other branch to land on.  On the step that ends at
+``t = 1``, the converged iterate gets one more Newton correction, so the
+product's accuracy does not depend on the path taken to it; where ``k + 1``
+free zeros then sit on a ``k``-fold target, they are set onto it exactly.
 What a path step's targets and origin zeros fix is set up once per step.
 The conjugate-linear structure is handled by assembling the real
 ``2(m-N)``-dimensional system.  The unimodular factor is set last so that
@@ -84,8 +89,9 @@ class SolveReport:
     ``homotopy_trace`` holds one ``(t, residual, newton_iters)`` triple per
     accepted path step, often a single one at ``t = 1``, and the last
     step's count includes the endpoint polish when it was kept;
-    ``residual_norm`` is the final largest ratio of a critical-numerator
-    condition to the sum of the moduli of its terms;
+    ``residual_norm`` is the final largest ratio of a condition (a Taylor
+    row of ``B'/B``, or of ``Q`` where the solve fell back on those) to
+    the sum of the moduli of its terms;
     ``roundtrip_error`` is the largest pseudo-hyperbolic distance
     between the requested critical set and the one recovered from the
     solution.
@@ -99,7 +105,71 @@ class SolveReport:
 
 
 class _Conditions:
-    """The conditions of one path step and their Wirtinger derivatives.
+    """The conditions of one path step as Taylor rows of ``B'/B``, and their
+    Wirtinger derivatives.
+
+    Row ``(c, i)``, the coefficient ``i`` of ``B'/B`` at a target ``(c,
+    k)`` with ``i < k``, is, with ``U = 1/(c - b)``, ``D = 1/(1 - conj(b)
+    c)`` and ``V = conj(b) D`` for each free zero ``b``,
+
+        n_origin (-1)^i c^-(i+1) + sum_b [(-1)^i U^(i+1) + V^(i+1)],
+
+    and its bound is the same sum over the moduli of the terms.  Its
+    derivatives with respect to ``b`` and ``conj(b)`` are ``A = (-1)^i (i+1)
+    U^(i+2)`` and ``Bm = (i+1) V^i D^2``.  Each is one (rows x free zeros)
+    array expression; the rows' targets, orders and origin terms are set up
+    once per path step.  A zero on a target makes the rows infinite, which
+    ``_newton`` meets as a bound out of range or a rejected damping trial,
+    and a Jacobian out of double range raises ``NumericalError``.
+    """
+
+    def __init__(self, n_origin, targets):
+        ks = [k for _, k in targets]
+        c = np.array([t for t, _ in targets], dtype=complex)
+        # rows as a column, against the free zeros along the last axis
+        self.c = np.repeat(c, ks)[:, None]
+        self.i = np.concatenate([np.arange(k) for k in ks])[:, None]
+        self.sign = (-1.0) ** self.i
+        self.origin = (n_origin * self.sign / self.c ** (self.i + 1))[:, 0]
+
+    def _terms(self, free):
+        """``U``, ``D`` and ``V`` for every row and free zero."""
+        bc = np.conj(free)
+        D = 1.0 / (1.0 - bc * self.c)
+        return 1.0 / (self.c - free), D, bc * D
+
+    def scan(self, free):
+        """Residual of the iterate ``free``, and the powers its Jacobian
+        reuses."""
+        with np.errstate(all="ignore"):
+            U, D, V = self._terms(free)
+            Ui, Vi = U ** (self.i + 1), V ** self.i
+            R = self.origin + (self.sign * Ui + Vi * V).sum(axis=1)
+        return R, (U, D, Ui, Vi)
+
+    def bound(self, free):
+        """Each residual row's sum of the moduli of its terms at ``free``."""
+        with np.errstate(all="ignore"):
+            U, _, V = self._terms(free)
+            terms = np.abs(U) ** (self.i + 1) + np.abs(V) ** (self.i + 1)
+            return np.abs(self.origin) + terms.sum(axis=1)
+
+    def jacobian(self, scan):
+        """Blocks ``A``, ``Bm`` at the iterate whose scan is ``scan``."""
+        U, D, Ui, Vi = scan
+        with np.errstate(all="ignore"):
+            A = self.sign * (self.i + 1) * Ui * U
+            Bm = (self.i + 1) * Vi * D * D
+        if not (np.isfinite(A).all() and np.isfinite(Bm).all()):
+            raise NumericalError("Jacobian out of double range")
+        return A, Bm
+
+
+class _NumeratorConditions:
+    """The conditions of one path step as Taylor rows of the critical
+    numerator ``Q``, and their Wirtinger derivatives: the rows a path step
+    falls back on where free zeros meet a target and ``B'/B`` has a pole,
+    and by which ``_snap`` judges a snap.
 
     With ``P_j(z) = (z - a_j)(1 - conj(a_j) z)`` and ``w_j = 1 - |a_j|^2``
     over all zeros ``a_j`` (the ``n_origin`` ones at 0 first), the critical
@@ -221,14 +291,15 @@ def _newton(free, conditions, cfg, polish=False):
     residual of Higham, *Accuracy and Stability of Numerical Algorithms*,
     2nd ed., 5.1), and the rows of the Jacobian with it.  It stops once the
     largest such ratio is ``<= cfg.newton_tol``; a bound with no finite
-    nonzero reciprocal (it underflows at small ``t`` for large sets)
-    raises ``NumericalError``.  With ``polish``, the converged iterate gets
+    nonzero reciprocal (``Q``'s underflows at small ``t`` for large sets,
+    and ``B'/B``'s is infinite with a zero on a target) raises
+    ``NumericalError``.  With ``polish``, the converged iterate gets
     one more correction, kept only if the line search accepts it.
 
     Each iterate is scanned once: the convergence test and every damping
-    trial run the forward scan alone, and the scan of the accepted iterate
+    trial take the residual alone, and the scan of the accepted iterate
     (the start, or the trial that won) carries into the next iteration,
-    where the Jacobian reuses it and runs only the backward scan.
+    where the Jacobian reuses it.
     """
     n = len(free)
     J = np.empty((2 * n, 2 * n))
@@ -276,7 +347,7 @@ def _newton(free, conditions, cfg, polish=False):
     raise NumericalError("Newton did not converge")
 
 
-def _snap(free, conditions, entries, cfg):
+def _snap(free, n_origin, entries, cfg):
     """The converged free zeros, with exact collisions on targets made exact.
 
     The extremal product is unique (Heins), so where ``k + 1`` free zeros
@@ -284,7 +355,9 @@ def _snap(free, conditions, entries, cfg):
     at ``c``.  Newton cannot resolve that meeting, since the Jacobian is
     singular there, and leaves the zeros split by about ``newton_tol **
     (1 / (k + 1))``.  When exactly ``k + 1`` free zeros lie that close to
-    ``c`` they are set to ``c``.  The snap is kept only if each residual row
+    ``c`` they are set to ``c``.  The snap is judged on the rows of ``Q``
+    at the targets ``entries``, built only when something snaps, since
+    ``B'/B`` has a pole at a snapped target: it is kept only if each row
     at the snapped zeros stays within ``newton_tol`` of its bound at the
     unsnapped ones (the snapped rows' own bound is 0).
     """
@@ -295,6 +368,7 @@ def _snap(free, conditions, entries, cfg):
             snapped[near] = c
     if np.array_equal(snapped, free):
         return free
+    conditions = _NumeratorConditions(n_origin, entries)
     R, _ = conditions.scan(snapped)
     if np.all(np.abs(R) <= cfg.newton_tol * conditions.bound(free)):
         return snapped
@@ -366,12 +440,15 @@ def solve_maximal(
             accepted = None
             if np.all(np.abs(predictor) < 1.0):
                 targets = [(t_next * c, k) for c, k in entries]
-                conditions = _Conditions(n_origin, targets)
-                try:
-                    accepted = _newton(predictor, conditions, cfg,
-                                       polish=t_next == 1.0)
-                except NumericalError:
-                    pass
+                # where zeros meet a target, B'/B has a pole there and the
+                # sum rows fail; Q's rows stay finite
+                for rows in (_Conditions, _NumeratorConditions):
+                    try:
+                        accepted = _newton(predictor, rows(n_origin, targets),
+                                           cfg, polish=t_next == 1.0)
+                        break
+                    except NumericalError:
+                        pass
             if accepted is None:
                 dt *= 0.5
                 if dt < _MIN_STEP:
@@ -384,9 +461,7 @@ def solve_maximal(
             free, t = nxt, t_next
             dt = min(2 * dt, 1.0 - t)
             trace.append((t, res, iters))
-        # the loop ends on the step accepted at t = 1, whose conditions
-        # these are
-        free = _snap(free, conditions, entries, cfg)
+        free = _snap(free, n_origin, entries, cfg)
 
     g0 = complex(np.prod(-free)) if len(free) else 1.0 + 0j
     if abs(g0) == 0:

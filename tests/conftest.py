@@ -52,7 +52,8 @@ def critical_numerator_coeffs(zeros):
 
     with ``P_j(z) = (z - a_j)(1 - conj(a_j) z)`` and ``w_j = 1 - |a_j|^2``.
     One forward scan over the zeros carries ``(prod P_j, Q)``, the
-    recurrence that ``solver._Conditions`` runs on Taylor jets; the sum is
+    recurrence that ``solver._NumeratorConditions``, the rows a path step
+    falls back on where zeros meet a target, runs on Taylor jets; the sum is
     kept padded to the length of the product, so its two leading entries
     stay zero.
     """

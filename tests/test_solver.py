@@ -11,6 +11,8 @@ from conftest import critical_numerator_coeffs
 from maxblaschke import solver
 from maxblaschke.blaschke import (
     CriticalSet,
+    FiniteBlaschke,
+    compose,
     critical_points,
     evaluate,
 )
@@ -19,11 +21,13 @@ from maxblaschke.errors import InputError, NumericalError
 from maxblaschke.solver import (
     HomotopyConfig,
     _Conditions,
+    _NumeratorConditions,
     _jet_mul,
     solve_maximal,
     transplant,
     truncation_sequence,
 )
+from maxblaschke.verify import _resolve_and_match
 
 # Two-point symmetric anchor: for C = {b', -b'} the solution has zeros
 # {0, b, -b}; the in-disk critical points of z(z^2 - b^2)/(1 - b^2 z^2) are
@@ -207,8 +211,9 @@ def test_corpus_path_work_is_bounded(corpus_solves):
 
 def test_breakdown_after_fourteen_attempts(monkeypatch):
     """A correction that always fails is tried at dt = 1, 1/2, ...,
-    2**-13 = _MIN_STEP, and then the solve raises; only the first attempt
-    ends at t = 1 and asks for the endpoint polish."""
+    2**-13 = _MIN_STEP, once on the sum rows and once on Q's, and then the
+    solve raises; only the first attempt ends at t = 1 and asks for the
+    endpoint polish."""
     attempts = []
 
     def failing(free, conditions, cfg, polish=False):
@@ -218,7 +223,7 @@ def test_breakdown_after_fourteen_attempts(monkeypatch):
     monkeypatch.setattr(solver, "_newton", failing)
     with pytest.raises(NumericalError, match="homotopy breakdown"):
         solve_maximal(CriticalSet.from_points([0.3, -0.2j]))
-    assert attempts == [True] + [False] * 13
+    assert attempts == [True, True] + [False, False] * 13
 
 
 @pytest.mark.parametrize("m", [48, 64])
@@ -274,13 +279,12 @@ def test_snap_keeps_only_collisions_the_residual_accepts():
     B = solve_maximal(CriticalSet.from_points([0.3, -0.4j])).solution
     b = [a for a in B.zeros if a != 0]
     entries = [(a, 1) for a in b] + [(0.3, 1), (-0.4j, 1)]
-    conditions = _Conditions(2, entries)
     cfg = HomotopyConfig()
     split = np.array([b[0] + 5e-7, b[0] - 5e-7, b[1], b[1]])
-    snapped = solver._snap(split, conditions, entries, cfg)
+    snapped = solver._snap(split, 2, entries, cfg)
     assert snapped.tolist() == [b[0], b[0], b[1], b[1]]
     moved = [(b[0] + 3e-7, 1)] + entries[1:]
-    assert solver._snap(split, _Conditions(2, moved), moved, cfg) is split
+    assert solver._snap(split, 2, moved, cfg) is split
 
 
 @pytest.mark.parametrize("m", [24, 32, 48, 64])
@@ -320,8 +324,8 @@ def test_collapsed_predictor_runs_once_per_solve(monkeypatch, points, calls):
 
 
 # ----------------------------------------------------------------------
-# condition assembly, checked against the expanded critical numerator and
-# against central differences
+# the rows of Q, the fallback where zeros meet a target, checked against
+# the expanded critical numerator and against central differences
 
 def _taylor_rows(zeros, targets):
     """Taylor coefficients 0..k-1 of the critical numerator at each target."""
@@ -345,7 +349,7 @@ ASSEMBLY_CASES = [
 
 def _assemble(free, n_origin, targets):
     """Residual and Wirtinger blocks from one forward scan and its reuse."""
-    conditions = _Conditions(n_origin, targets)
+    conditions = _NumeratorConditions(n_origin, targets)
     R, scan = conditions.scan(free)
     return (R,) + conditions.jacobian(scan)
 
@@ -473,16 +477,164 @@ def test_reused_scan_gives_the_fresh_blocks():
     """Newton keeps the scan of the accepted iterate across other trials;
     the Jacobian built from it equals one built from a fresh scan."""
     for n_origin, free, targets in _seeded_states(20, seed=7):
-        conditions = _Conditions(n_origin, targets)
+        conditions = _NumeratorConditions(n_origin, targets)
         R, kept = conditions.scan(free)
         conditions.scan(0.5 * free)  # a rejected damping trial
         A, Bm = conditions.jacobian(kept)
-        R_fresh, fresh = _Conditions(n_origin, targets).scan(free)
+        R_fresh, fresh = _NumeratorConditions(n_origin, targets).scan(free)
         A_fresh, Bm_fresh = conditions.jacobian(fresh)
         assert np.array_equal(R, R_fresh)
         assert np.array_equal(A, A_fresh)
         assert np.array_equal(Bm, Bm_fresh)
         assert np.array_equal(conditions.jacobian(kept)[0], A)
+
+
+# ----------------------------------------------------------------------
+# the sum rows of B'/B, checked against 50-digit Taylor coefficients and
+# against central differences
+
+def _mp_log_derivative_rows(n_origin, free, targets):
+    """Taylor coefficients 0..k-1 of B'/B at each target, at 50 digits:
+    ``mpmath.taylor`` expands B itself, and B B'/B = B' is solved for the
+    quotient's coefficients term by term."""
+    with mpmath.workdps(50):
+        zeros = [mpmath.mpc(0)] * n_origin + [mpmath.mpc(b) for b in free]
+
+        def B(z):
+            return mpmath.fprod((z - a) / (1 - mpmath.conj(a) * z)
+                                for a in zeros)
+
+        rows = []
+        for c, k in targets:
+            b = mpmath.taylor(B, mpmath.mpc(c), k)
+            q = []
+            for i in range(k):
+                known = mpmath.fsum(b[j] * q[i - j] for j in range(1, i + 1))
+                q.append(((i + 1) * b[i + 1] - known) / b[0])
+            rows.extend(complex(x) for x in q)
+    return np.array(rows)
+
+
+def _mp_row_bounds(n_origin, free, targets):
+    """Each row's sum of the moduli of its terms, at 50 digits, from the
+    poles of B'/B: 0 of weight n_origin, each free zero b of weight 1 and
+    1/conj(b) of weight -1."""
+    with mpmath.workdps(50):
+        poles = [(mpmath.mpc(0), n_origin)]
+        poles += [(mpmath.mpc(b), 1) for b in free]
+        poles += [(1 / mpmath.conj(b), 1) for b in free]
+        return np.array([
+            float(mpmath.fsum(s / abs(mpmath.mpc(c) - p) ** (i + 1)
+                              for p, s in poles))
+            for c, k in targets for i in range(k)])
+
+
+# the assembly cases with no free zero on a target, where B'/B is finite
+SUM_ROW_CASES = [case for case in ASSEMBLY_CASES
+                 if not {t for t, _ in case[2]} & set(case[1])]
+
+
+@pytest.mark.parametrize(
+    "n_origin, free, targets",
+    SUM_ROW_CASES + list(_seeded_states(10, seed=16)))
+def test_sum_rows_match_mpmath_taylor_coefficients(n_origin, free, targets):
+    """Every row is within 1e-15 of its bound of the 50-digit coefficient,
+    and the bound is the 50-digit sum of the moduli of the terms."""
+    free = np.array(free, dtype=complex)
+    conditions = _Conditions(n_origin, targets)
+    R, _ = conditions.scan(free)
+    bound = conditions.bound(free)
+    ref = _mp_log_derivative_rows(n_origin, free, targets)
+    assert np.all(np.abs(R - ref) <= 1e-15 * bound)
+    assert bound == pytest.approx(_mp_row_bounds(n_origin, free, targets),
+                                  rel=1e-14)
+
+
+@pytest.mark.parametrize("n_origin, free, targets", SUM_ROW_CASES)
+def test_sum_row_blocks_match_central_differences(n_origin, free, targets):
+    """``A`` and ``Bm`` are the Wirtinger derivatives of the rows; each row
+    is measured against its bound, as Newton measures it."""
+    free = np.array(free, dtype=complex)
+    conditions = _Conditions(n_origin, targets)
+    R, scan = conditions.scan(free)
+    A, Bm = conditions.jacobian(scan)
+    inv = 1.0 / conditions.bound(free)
+
+    def rows(f):
+        return conditions.scan(f)[0]
+
+    h = 1e-6
+    for l in range(len(free)):
+        e = np.zeros(len(free), dtype=complex)
+        e[l] = h
+        dx = (rows(free + e) - rows(free - e)) / (2 * h)
+        dy = (rows(free + 1j * e) - rows(free - 1j * e)) / (2 * h)
+        assert np.all(np.abs(A[:, l] - (dx - 1j * dy) / 2) * inv <= 1e-7)
+        assert np.all(np.abs(Bm[:, l] - (dx + 1j * dy) / 2) * inv <= 1e-7)
+
+
+@pytest.mark.filterwarnings("error")
+def test_zero_on_a_target_raises_numerical_error():
+    """In the composite case a free zero sits on a target, where B'/B has
+    a pole: the sum rows end in the typed error that sends the path step
+    to Q's rows, with no division warning."""
+    n_origin, free, targets = ASSEMBLY_CASES[2]
+    conditions = _Conditions(n_origin, targets)
+    with pytest.raises(NumericalError, match="bound out of double range"):
+        solver._newton(np.array(free, dtype=complex), conditions,
+                       HomotopyConfig())
+
+
+# ----------------------------------------------------------------------
+# composites, where zeros meet a target and the path step falls back on
+# Q's rows
+
+def test_corpus_converges_on_sum_rows(monkeypatch, corpus):
+    """No corpus set has zeros meeting a target: every correction runs on
+    the sum rows and is accepted, so none falls back on Q's."""
+    kinds = []
+    newton = solver._newton
+
+    def recorded(free, conditions, cfg, polish=False):
+        kinds.append(type(conditions))
+        return newton(free, conditions, cfg, polish)
+
+    monkeypatch.setattr(solver, "_newton", recorded)
+    steps = 0
+    for C in corpus:
+        rep = solve_maximal(C)
+        if C.total > C.origin_multiplicity:  # a zero is free
+            steps += len(rep.homotopy_trace)
+    assert set(kinds) == {_Conditions}
+    assert len(kinds) == steps
+
+
+def _composite_cases(corpus_solves):
+    """Corpus set 5's product, z^3, over every inner product with which
+    its composite has degree <= 18; z^2 over 12 seeded inner products; and
+    24 seeded pairs of corpus products of degree <= 18."""
+    products = [rep.solution for rep, _ in corpus_solves]
+    assert products[5].zeros == (0j, 0j, 0j)
+    square = FiniteBlaschke(zeros=(0j, 0j), eta=1.0)
+    rng = np.random.default_rng(36)
+    pairs = [(B, F) for B in products for F in products
+             if B.degree * F.degree <= 18]
+    return ([(products[5], F) for F in products if 4 * F.degree <= 18]
+            + [(square, products[i])
+               for i in rng.choice(len(products), 12, replace=False)]
+            + [pairs[i] for i in rng.choice(len(pairs), 24, replace=False)])
+
+
+@pytest.mark.filterwarnings("error")
+def test_corpus_composites_resolve(corpus_solves):
+    """A composite of maximal products is maximal, so re-solving its
+    critical set gives it back.  Where k + 1 free zeros meet a k-fold
+    target, B'/B has a pole there: on the sum rows alone, 587 of the 812
+    corpus composites of degree <= 18 re-solved, and 4 of the 50 of z^2
+    over a corpus product."""
+    for B, F in _composite_cases(corpus_solves):
+        _, err = _resolve_and_match(compose(B, F), None)
+        assert err <= 1e-8
 
 
 # ----------------------------------------------------------------------
