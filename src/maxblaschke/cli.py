@@ -63,8 +63,10 @@ _GRID_DEFAULTS = {
     "n": 257, "r": 0.75,  # PDE oracle
 }
 #: Largest grid, in nodes, a job may ask for: n_r * n_theta for the polar
-#: grid, n * n for the PDE oracle.  8 default polar grids, or a PDE grid up
-#: to n = 724 (n = 513 peaks at about 340 MB).
+#: grid, n * n for the PDE oracle, whose grid has (n - 1)^2 nodes.  8
+#: default polar grids, or a PDE grid up to n = 724 (a whole pde-oracle run
+#: peaks at 134 MB for n = 513 and 206 MB for n = 724, in 0.4 and 0.6 s on
+#: a 2-core machine).
 _MAX_GRID_NODES = 1 << 19
 #: Most competitors a verify-extremal input may ask for, checked before the
 #: solve: the specs are built one by one, and this many run in 4-7 s at a
@@ -192,12 +194,12 @@ def _curvature(data: dict, cfg: JobConfig):
 
 def _pde_oracle(data: dict, cfg: JobConfig) -> dict:
     # imported here: no other command needs the PDE layer's scipy.sparse
-    from .pde import oracle_validate
+    from .pde import _spacing, oracle_validate
 
     B = FiniteBlaschke.from_dict(data)
     n, r = cfg.grid["n"], cfg.grid["r"]
     deviation = oracle_validate(B, r, n)
-    h = 2.0 * r / (n - 1)
+    h = _spacing(n, r)
     budget = 5.0 * h * h
     return {
         "grid": {"n": n, "r": r},

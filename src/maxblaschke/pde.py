@@ -12,37 +12,35 @@ S(z) = prod (z - z_j)^{m_j}, the function u~ = log(lambda/|S|) solves the
 same equation with curvature -4|S(z)|^2 and boundary data b/|S|, and is
 smooth across the zeros.  Recomposing |S| e^{u~} restores the density.
 
-Discretization: Cartesian grid masked to the disk, with cut-cell (unequal
-arm) 5-point stencils where an arm crosses the circle (Shortley & Weller,
-J. Appl. Phys. 9, 1938), so the boundary data enters exactly on the circle.
-The stencil matrix depends only on the grid size and the radius, so each
-such grid is built once (the four grids used last stay cached) and holds only
-what the solves read: the Laplacian scaled by h^2/4, that factor h2, and the
-scaled Laplacian's LU.  Each solve looks its grid up once and reads the
-problem's data once, in one reader: the boundary trace at every arm's
-crossing point, where it enters only the right-hand side, and then the
-curvature at the interior nodes.  The nonlinear system is solved by damped
-Newton; for kappa <= 0 the negated Jacobian is an irreducibly diagonally
-dominant M-matrix, so the linear solves are well posed.  The Jacobian is
-the grid's Laplacian plus an O(h^2) diagonal, so every Newton step is taken
-by a restarted GMRES (Saad & Schultz,
-SIAM J. Sci. Stat. Comput. 7, 1986) right-preconditioned with the Laplacian's
-LU, the fixed fast-solver preconditioner of Concus & Golub (*Use of fast
-direct methods for the efficient numerical solution of nonseparable elliptic
-equations*, SIAM J. Numer. Anal. 10, 1973), in an inexact Newton iteration
-(Kelley, *Solving Nonlinear Equations with Newton's Method*, SIAM 2003).  The
-Jacobian is applied as the Laplacian times a vector plus the diagonal times
-it, never assembled; only a GMRES failure assembles and factors one, for that
-solve alone.  GMRES keeps each preconditioned Krylov vector, as flexible
-GMRES does (Saad, SIAM J. Sci. Comput. 14, 1993), so a Newton step costs one
-LU solve per Krylov iteration and none per restart cycle.
+Discretization: one polar grid.  For n nodes per side, N = floor((n - 1)/2)
+rings r_i = i h, h = radius/N, and M = 4N angles; ring N is the circle,
+where the trace enters, and ring 0 the centre, one node.  Rings 1 to N - 1
+take the conservative 5-point polar stencil, whose angular weight
+h^2/(r_i^2 (2 - 2 cos(2 pi/M))) makes it exact on Re z and Im z, the centre
+the row 4 (mean of ring 1 - u_0)/h^2, and every row is scaled to a unit
+diagonal.  Each grid is built once (the four used last stay cached), and a
+solve reads the trace once, on the circle, and the curvature once.
 
-Nested iteration (Bank & Rose, Math. Comp. 39, 1982): on an odd grid of n
-nodes per side, the grid of (n + 1)/2 nodes is every other node of it, bit
-for bit, so the same Newton is first run there, on the curvature and trace
-values the fine grid read, and its solution interpolated bilinearly onto the
-fine grid is the fine Newton's start.  That start is within O(h^2) of the
-fine solution, which saves the fine grid a Newton step.
+Damped Newton solves the nonlinear system; for kappa <= 0 the negated
+Jacobian is an irreducibly diagonally dominant M-matrix.  The Jacobian is
+the scaled stencil As plus an O(h^2) diagonal d, applied and never
+assembled, so each Newton step is a restarted GMRES (Saad & Schultz, SIAM
+J. Sci. Stat. Comput. 7, 1986) right-preconditioned with As + diag(d_bar),
+d_bar each ring's mean of d: a fast-solver preconditioner as in Concus &
+Golub (SIAM J. Numer. Anal. 10, 1973), solved exactly by one real FFT in
+angle and one tridiagonal sweep per angular mode (Swarztrauber & Sweet,
+SIAM J. Numer. Anal. 10, 1973), so nothing is factored.  This is inexact
+Newton (Kelley, *Solving Nonlinear Equations with Newton's Method*, SIAM
+2003); only a GMRES failure assembles and factors a Jacobian, for that step
+alone.  GMRES keeps each preconditioned Krylov vector, as flexible GMRES
+does (Saad, SIAM J. Sci. Comput. 14, 1993): one preconditioner solve per
+Krylov iteration and none per restart cycle.
+
+Nested iteration (Bank & Rose, Math. Comp. 39, 1982): for even N, the grid
+of N/2 rings and M/2 angles is every other ring and angle, bit for bit, so
+Newton first runs there on the fine grid's data, sliced, and its solution
+interpolated bilinearly in r and theta is the fine Newton's start, within
+O(h^2) of the fine solution: it saves the fine grid a Newton step.
 """
 
 from __future__ import annotations
@@ -73,8 +71,13 @@ MAX_NEWTON_ITERS = 100
 # Newton.
 _KRYLOV_RTOL = 1e-8
 
-# Fewest grid nodes per side of a problem, and of a nested coarse grid.
+# Fewest grid nodes per side of a problem (8 rings), and of a nested grid.
 _MIN_NODES = 17
+
+
+def _spacing(n: int, radius: float) -> float:
+    """h = radius/N for the N = floor((n - 1)/2) rings of n nodes per side."""
+    return radius / ((n - 1) // 2)
 
 
 def divisor_poly(C: CriticalSet):
@@ -97,7 +100,7 @@ class PdeProblem:
     """Dirichlet problem  Delta u = -kappa e^{2u},  u = log b  on |z| = radius.
 
     ``curvature`` maps complex grid nodes to kappa (``solve_dirichlet``
-    calls it once, on the interior nodes in mask order, and checks it
+    calls it once, on the distinct interior nodes in mask order, and checks it
     nonpositive and finite there); ``boundary`` maps complex boundary points
     to the positive trace b.  Each returns one real value per point, or one
     real scalar for all of them.
@@ -122,27 +125,29 @@ class PdeProblem:
 
     @property
     def spacing(self) -> float:
-        return 2.0 * self.radius / (self.n - 1)
+        """The grid's h: for odd n, 2 radius/(n - 1)."""
+        return _spacing(self.n, self.radius)
 
 
 @dataclass(frozen=True, eq=False)
 class PdeSolution:
-    """``u`` on the full grid (NaN outside the disk), with the interior mask
-    (the cached grid's, read-only).
+    """``u`` on the whole (N, M) polar grid, every entry a value: ring 0
+    is the centre, its M entries one value, so ``u[0, 0]`` is the centre.
+    ``mask`` (the cached grid's, read-only) marks each distinct node once:
+    the centre at [0, 0] and all of rings 1 to N - 1.
 
     ``newton_iters`` counts the Newton steps on the grid of ``u``.
-    ``factorizations`` and ``krylov_iters`` count the LU work of the whole
-    solve, on the nested coarse grid too when there is one (see
-    ``solve_dirichlet``): ``factorizations`` is one per Laplacian the solve
-    built and factored (grids it found cached cost none), plus one per
-    Jacobian factored after a GMRES failure; ``krylov_iters`` counts the
-    preconditioned GMRES iterations, each of which costs one LU solve.
+    ``factorizations`` and ``krylov_iters`` count the linear-algebra work of
+    the whole solve, on the nested coarse grid too when there is one (see
+    ``solve_dirichlet``): ``factorizations`` only the Jacobians factored
+    after a GMRES failure, ``krylov_iters`` the preconditioned GMRES
+    iterations, each one FFT-and-tridiagonal preconditioner solve.
 
-    ``residual_norm`` is the max-norm of the residual of the h^2/4-scaled
-    system (row sums of the scaled Laplacian are O(1), so the norm is
-    comparable across grid sizes and its double-precision floor is far below
-    the 1e-10 acceptance threshold, which the raw residual's ~8/h^2 row
-    scale would not allow on fine grids).
+    ``residual_norm`` is the max-norm of the residual with every row scaled
+    to a unit diagonal (a row's other entries then sum to at most 1, so the
+    norm is comparable across grid sizes and its double-precision floor is
+    far below the 1e-10 acceptance threshold, which the raw residual's
+    ~1/h^2 row scale would not allow on fine grids).
     """
 
     u: np.ndarray
@@ -155,23 +160,26 @@ class PdeSolution:
 
 @dataclass(frozen=True, eq=False)
 class _Grid:
-    """The (n, radius)-only part of the discretization, arrays read-only.
+    """The (N, radius)-only part of the discretization, arrays read-only.
 
-    ``nodes``/``mask``: the complex grid and its interior; ``cut_rows``,
-    ``cut_coefs`` and ``crossings``: each cut arm's row, stencil coefficient
-    (of the unscaled Laplacian) and crossing point on the circle; ``As``: the
-    cut-cell Laplacian on the interior nodes times ``h2`` = h^2/4, and
-    ``lu`` the solve of its sparse LU, the Newton preconditioner.
+    ``nodes``: the (N, M) grid r_i e^{i theta_j}; ``mask``: its distinct
+    nodes, in whose (row-major) order the unknowns run; ``circle``: the M
+    points radius e^{i theta_j}.  ``As``: the stencil with unit diagonal,
+    so that As u + g is ``scale`` times the discrete Laplacian of u, g the
+    boundary term (``_boundary_term``).  ``inward``, ``outward`` and
+    ``angular``: each ring's coefficient in As of its inner, outer (for ring
+    N - 1, the circle) and each angular neighbour; the centre's ``outward``
+    1 is its coefficient of ring 1's mean.
     """
 
     nodes: np.ndarray
     mask: np.ndarray
-    cut_rows: np.ndarray
-    cut_coefs: np.ndarray
-    crossings: np.ndarray
+    circle: np.ndarray
     As: sp.csr_matrix
-    h2: float
-    lu: Callable
+    scale: np.ndarray
+    inward: np.ndarray
+    outward: np.ndarray
+    angular: np.ndarray
 
 
 def _factor(M) -> Callable:
@@ -231,108 +239,107 @@ def _gmres(As, d, b, solve):
 
 
 @functools.lru_cache(maxsize=4)
-def _grid(n: int, radius: float) -> _Grid:
-    """The cut-cell grid of (n, radius) with its scaled Laplacian factored,
-    built on first use.  Four grids stay cached, so a caller alternating two
-    sizes, each with its nested coarse grid, factors each grid once."""
-    r, h = radius, 2.0 * radius / (n - 1)
-    xs = np.linspace(-r, r, n)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    nodes = X + 1j * Y
-    mask = np.abs(nodes) < r
-    N = int(mask.sum())
-    if N == 0:
-        raise InputError("no interior nodes; grid too coarse for the radius")
-    # one ring of -1 around the grid: an off-grid neighbour is a cut arm
-    idx = -np.ones((n + 2, n + 2), dtype=int)
-    idx[1:-1, 1:-1][mask] = np.arange(N)
-    ii, jj = np.nonzero(mask)
-    pos = nodes[mask]
-
-    rows, cols, vals = [], [], []
-    diag = np.zeros(N)
-    cut_rows, cut_coefs, crossings = [], [], []
-    for axis, (di, dj) in enumerate([(1, 0), (0, 1)]):
-        arms, nbs = [], []  # toward the -, + neighbours
-        for sign in (-1, 1):
-            nb = idx[ii + 1 + sign * di, jj + 1 + sign * dj]
-            cut = nb < 0
-            p = pos[cut]
-            # walk from p toward the boundary along the axis; the other
-            # coordinate is frozen, so the crossing solves a quadratic
-            # with only the axis coordinate free
-            fixed, coord = (p.imag, p.real) if axis == 0 else (p.real, p.imag)
-            target = sign * np.sqrt(np.maximum(r * r - fixed * fixed, 0.0))
-            arm = np.full(N, h)
-            arm[cut] = np.clip((target - coord) * sign, 1e-12 * h, h)
-            crossings.append(
-                target + 1j * fixed if axis == 0 else fixed + 1j * target
-            )
-            arms.append(arm)
-            nbs.append(nb)
-        hl, hr = arms
-        diag -= 2.0 / (hl * hr)
-        cl, cr = 2.0 / (hl * (hl + hr)), 2.0 / (hr * (hl + hr))
-        for nb, c in zip(nbs, (cl, cr)):
-            have = nb >= 0
-            rows.append(np.nonzero(have)[0])
-            cols.append(nb[have])
-            vals.append(c[have])
-            cut_rows.append(np.nonzero(~have)[0])
-            cut_coefs.append(c[~have])
-
-    rows.append(np.arange(N))
-    cols.append(np.arange(N))
-    vals.append(diag)
-    A = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N, N),
+def _grid(rings: int, radius: float) -> _Grid:
+    """The polar grid of ``rings`` rings on the disk of ``radius``, built on
+    first use.  Four grids stay cached, so a caller alternating two sizes,
+    each with its nested grid, builds each grid once."""
+    N, M = rings, 4 * rings
+    # products of whole numbers and one step each, so that the grid of
+    # N/2 rings is every other ring and angle of this one, bit for bit
+    ray = np.exp(1j * (np.arange(M) * (2.0 * np.pi / M)))
+    nodes = (np.arange(N) * (radius / N))[:, None] * ray
+    mask = np.ones((N, M), dtype=bool)
+    mask[0, 1:] = False
+    i = np.arange(1.0, N)
+    w = 1.0 / (i * i * 4.0 * np.sin(np.pi / M) ** 2)
+    diag = 2.0 + 2.0 * w  # minus h^2 times the stencil's diagonal
+    inward, outward, angular = (
+        np.concatenate(([first], rest / diag))
+        for first, rest in ((0.0, 1.0 - 0.5 / i), (1.0, 1.0 + 0.5 / i),
+                            (0.0, w))
     )
-    h2 = h ** 2 / 4.0
-    As = A * h2
-    lu = _factor(As)
-    cut_rows, cut_coefs, crossings = (
-        np.concatenate(a) for a in (cut_rows, cut_coefs, crossings)
+    h2 = (radius / N) ** 2
+    scale = np.concatenate(([h2 / 4.0], np.repeat(h2 / diag, M)))
+
+    size = 1 + (N - 1) * M
+    ids = np.zeros((N, M), dtype=int)  # ring 0 is the centre, unknown 0
+    ids[1:] = np.arange(1, size).reshape(N - 1, M)
+    ring = ids[1:]
+    entries = [
+        (np.arange(size), np.arange(size), -1.0),
+        (0, ids[1], outward[0] / M),  # the centre: ring 1's mean
+        (ring, ids[:-1], inward[1:, None]),  # ring 1's inward is the centre
+        (ring[:-1], ids[2:], outward[1:-1, None]),
+        (ring, np.roll(ring, 1, axis=1), angular[1:, None]),
+        (ring, np.roll(ring, -1, axis=1), angular[1:, None]),
+    ]
+    rows, cols, vals = (
+        np.concatenate([a.ravel() for a in arrays])
+        for arrays in zip(*(np.broadcast_arrays(*e) for e in entries))
     )
-    for arr in (nodes, mask, cut_rows, cut_coefs, crossings, As.data,
-                As.indices, As.indptr):
+    As = sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
+    circle = radius * ray
+    for arr in (nodes, mask, circle, scale, inward, outward, angular,
+                As.data, As.indices, As.indptr):
         arr.flags.writeable = False
-    return _Grid(nodes, mask, cut_rows, cut_coefs, crossings, As, h2, lu)
+    return _Grid(nodes, mask, circle, As, scale, inward, outward, angular)
 
 
-@functools.lru_cache(maxsize=2)
-def _transfer(n: int, radius: float):
-    """The maps between the odd grid of (n, radius) and its nested grid of
-    (n + 1)/2 nodes, whose nodes are the fine grid's of even index, bit for
-    bit (both are ``np.linspace(-radius, radius, .)``, and the coarse step
-    is the fine one doubled, exactly).
+def _full(grid: _Grid, x: np.ndarray) -> np.ndarray:
+    """``x``, one value per unknown, on the whole (N, M) grid of ``grid``:
+    the centre's value fills ring 0."""
+    out = np.empty(grid.mask.shape)
+    out[1:] = x[1:].reshape(out.shape[0] - 1, -1)
+    out[0] = x[0]
+    return out
 
-    Returns (inject, cross, interpolate): the fine interior index of each
-    coarse interior node, the fine crossing index of each coarse crossing,
-    and the sparse bilinear interpolation from coarse to fine interior
-    values, which averages only the coarse neighbours inside the disk.  The
-    radius is a whole number of fine steps, so every fine interior node has
-    at least one.
+
+def _preconditioner(grid: _Grid, d: np.ndarray) -> Callable:
+    """The solve of As + diag(d_bar), d_bar each ring's mean of ``d``, on
+    ``grid`` (Swarztrauber & Sweet, SIAM J. Numer. Anal. 10, 1973).
+
+    Each ring's row is the same at every angle, so a real FFT in angle
+    splits the system into one tridiagonal system in r per angular mode,
+    and one Thomas sweep, vectorised over the modes, solves them all.  The
+    centre, one value on all of ring 0, meets ring 1 in mode 0 alone,
+    through ring 1's mean.  The sweep's coefficients are computed here, once
+    per Newton step; nothing is factored or kept.
     """
-    fine, coarse = _grid(n, radius), _grid((n + 1) // 2, radius)
-    N, Nc = fine.As.shape[0], coarse.As.shape[0]
-    index = -np.ones(fine.mask.shape, dtype=int)
-    index[fine.mask] = np.arange(N)
-    inject = index[::2, ::2][coarse.mask]
-    where = {c: k for k, c in enumerate(fine.crossings.tolist())}
-    cross = np.array([where[c] for c in coarse.crossings.tolist()])
-    coarse_index = -np.ones(coarse.mask.shape, dtype=int)
-    coarse_index[coarse.mask] = np.arange(Nc)
-    # the coarse corners of each fine node's cell, doubled along an axis
-    # where the node sits on a coarse line; the duplicates sum
-    ii, jj = np.nonzero(fine.mask)
-    cols = np.concatenate([coarse_index[a, b]
-                           for a in (ii // 2, (ii + 1) // 2)
-                           for b in (jj // 2, (jj + 1) // 2)])
-    rows, inside = np.tile(np.arange(N), 4), cols >= 0
-    P = sp.csr_matrix((np.ones(inside.sum()), (rows[inside], cols[inside])),
-                      shape=(N, Nc))
-    return inject, cross, sp.diags(1.0 / P.sum(axis=1).A1) @ P
+    N, M = grid.mask.shape
+    a, c = grid.inward, grid.outward
+    modes = np.cos(np.arange(M // 2 + 1) * (2.0 * np.pi / M))
+    d_bar = _full(grid, d).mean(axis=1)
+    diag = (d_bar - 1.0)[:, None] + 2.0 * grid.angular[:, None] * modes
+    inv, cp = np.empty_like(diag), np.zeros_like(diag)
+    inv[0] = 1.0 / diag[0]
+    cp[0, 0] = c[0] * inv[0, 0]
+    for i in range(1, N):
+        inv[i] = 1.0 / (diag[i] - a[i] * cp[i - 1])
+        cp[i] = c[i] * inv[i]
+
+    def solve(v):
+        X = np.fft.rfft(_full(grid, v), axis=1)
+        X[0] *= inv[0]
+        for i in range(1, N):
+            X[i] -= a[i] * X[i - 1]
+            X[i] *= inv[i]
+        for i in range(N - 2, -1, -1):
+            X[i] -= cp[i] * X[i + 1]
+        return np.fft.irfft(X, M, axis=1)[grid.mask]
+
+    return solve
+
+
+def _interpolate(coarse: _Grid, uc: np.ndarray, log_b: np.ndarray):
+    """``uc`` on ``coarse``, with ``log_b`` on its circle, interpolated
+    bilinearly in r and theta onto the (N, M) grid of twice its rings and
+    angles."""
+    ext = np.vstack((_full(coarse, uc), log_b))
+    R = np.empty((2 * ext.shape[0] - 1, ext.shape[1]))
+    R[::2], R[1::2] = ext, 0.5 * (ext[:-1] + ext[1:])
+    F = np.empty((R.shape[0] - 1, 2 * R.shape[1]))
+    F[:, ::2], F[:, 1::2] = R[:-1], 0.5 * (R[:-1] + np.roll(R[:-1], -1, 1))
+    return F
 
 
 def _values(result, size: int, name: str) -> np.ndarray:
@@ -350,9 +357,10 @@ def _values(result, size: int, name: str) -> np.ndarray:
 
 def _read(problem: PdeProblem, grid: _Grid):
     """(kappa, log_b) of ``problem`` on ``grid``: ``problem.boundary`` is
-    called once, at every crossing point, and then ``problem.curvature``
-    once, at the interior nodes in mask order."""
-    b = _values(problem.boundary(grid.crossings), grid.crossings.size,
+    called once, at the M points of the circle, and then
+    ``problem.curvature`` once, at the distinct interior nodes in mask
+    order."""
+    b = _values(problem.boundary(grid.circle), grid.circle.size,
                 "boundary trace")
     if np.any(b <= 0.0) or not np.all(np.isfinite(b)):
         raise InputError("boundary trace must be positive")
@@ -364,59 +372,53 @@ def _read(problem: PdeProblem, grid: _Grid):
 
 
 def _boundary_term(grid: _Grid, log_b: np.ndarray) -> np.ndarray:
-    """The boundary term g of Delta_h u = A u + g on ``grid``: the
-    contributions of the log trace ``log_b`` at its crossings, through the
-    arms cut by the circle, to the unscaled stencil."""
+    """The boundary term g of As u + g on ``grid``: the log trace ``log_b``
+    on the circle times ring N - 1's outward coefficient, in ring N - 1's
+    rows."""
     g = np.zeros(grid.As.shape[0])
-    np.add.at(g, grid.cut_rows, grid.cut_coefs * log_b)
+    g[-log_b.size:] = grid.outward[-1] * log_b
     return g
 
 
 def _newton(grid: _Grid, kappa, log_b, u=None):
-    """Damped Newton on ``grid`` for curvature ``kappa`` at its interior
-    nodes and log trace ``log_b`` at its crossings, from ``u`` or else from
-    the constant u = min log b (for kappa <= 0 this sits below the solution,
-    where Newton for this monotone problem is reliable).
+    """Damped Newton on ``grid`` for curvature ``kappa`` at its unknowns and
+    log trace ``log_b`` on its circle, from ``u`` or else from the constant
+    u = min log b (for kappa <= 0 this sits below the solution, where Newton
+    for this monotone problem is reliable).
 
-    The Jacobian is As + diag(2 h^2/4 kappa e^{2u}), the grid's scaled
-    Laplacian plus an O(h^2) diagonal, so every Newton step, the first
-    included, is solved by GMRES right-preconditioned with the LU of As,
-    which the grid factors once for all solves on it (Concus & Golub, SIAM
-    J. Numer. Anal. 10, 1973), to a true relative residual of 1e-8, with
-    the Jacobian applied and never assembled: one LU solve per Krylov
-    iteration and none per restart cycle.  Each trial iterate's e^{2u} is
-    kept for its residual and, once accepted, the Jacobian's diagonal.
-    Should GMRES not reach the tolerance, the current Jacobian is assembled,
-    factored, solved directly and kept as this solve's preconditioner (never
-    cached), so the worst case is one factorization per iteration.
-    Convergence is always decided on the exact nonlinear residual.
+    Every step solves with the Jacobian As + diag(d), d = 2 scale kappa
+    e^{2u}, applied and never assembled, by GMRES to a true relative
+    residual of 1e-8, right-preconditioned with ``_preconditioner(grid,
+    d)``.  Each trial iterate's e^{2u} is kept for its residual and, once
+    accepted, the Jacobian's diagonal.  Should GMRES not reach the
+    tolerance, the Jacobian is assembled, factored and solved directly for
+    that step alone.  Convergence is decided on the exact nonlinear residual.
 
     Returns (u, residual_norm, newton_iters, factorizations, krylov_iters),
     counting only the Jacobians factored here.
     """
-    As, h2 = grid.As, grid.h2
-    gs = _boundary_term(grid, log_b) * h2
+    As = grid.As
+    gs = _boundary_term(grid, log_b)
+    sk = grid.scale * kappa
     if u is None:
         u = np.full(As.shape[0], log_b.min())
 
     def scaled_residual(uv):
         """The residual at ``uv`` and e^{2 uv}, which the Jacobian reuses."""
         e2u = np.exp(2.0 * uv)
-        return As @ uv + gs + h2 * kappa * e2u, e2u
+        return As @ uv + gs + sk * e2u, e2u
 
     res, e2u = scaled_residual(u)
     rnorm = float(np.max(np.abs(res)))
     iters = krylov_iters = factorizations = 0
-    precond = grid.lu
 
     while rnorm > RESIDUAL_TOL and iters < MAX_NEWTON_ITERS:
-        d = 2.0 * h2 * kappa * e2u
-        step, its, converged = _gmres(As, d, -res, precond)
+        d = 2.0 * sk * e2u
+        step, its, converged = _gmres(As, d, -res, _preconditioner(grid, d))
         krylov_iters += its
         if not converged:
-            precond = _factor(As + sp.diags(d))
+            step = _factor(As + sp.diags(d))(-res)
             factorizations += 1
-            step = precond(-res)
         for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
             trial = u + alpha * step
             tres, te2u = scaled_residual(trial)
@@ -440,15 +442,15 @@ def _newton(grid: _Grid, kappa, log_b, u=None):
 def solve_dirichlet(problem: PdeProblem) -> PdeSolution:
     """Damped Newton for the discretized problem (see ``_newton``).
 
-    The grid of (n, radius) is looked up once and the problem's data read
-    once from it by ``_read``.  When n is odd and (n + 1)/2 is at least 17,
-    the fewest a problem may have, the grid of (n + 1)/2 nodes nests in it:
-    the same Newton runs there first, on the curvature and trace values the
-    fine grid read at its nodes and crossings, and its solution,
-    interpolated bilinearly onto the fine interior (only the coarse
-    neighbours inside the disk are averaged), is the fine Newton's start
-    (Bank & Rose, Math. Comp. 39, 1982).  Every other Newton run starts from
-    the constant min log b of ``_newton``.
+    The grid of N = floor((n - 1)/2) rings is looked up once and the
+    problem's data read once from it by ``_read``.  When N is even and the
+    grid of N/2 rings still has the 8 of the smallest problem, that grid is
+    every other ring and angle of this one: the same Newton runs there
+    first, on the curvature and trace values the fine grid read, sliced,
+    and its solution, interpolated bilinearly in r and theta onto the fine
+    grid, is the fine Newton's start (Bank & Rose, Math. Comp. 39, 1982).
+    Every other Newton run starts from the constant min log b of
+    ``_newton``.
 
     Raises
     ------
@@ -461,27 +463,18 @@ def solve_dirichlet(problem: PdeProblem) -> PdeSolution:
         after MAX_NEWTON_ITERS damped iterations (final residual in the
         message).
     """
-    n, radius = problem.n, problem.radius
-    nested = n % 2 == 1 and (n + 1) // 2 >= _MIN_NODES
-    misses = _grid.cache_info().misses
-    grid = _grid(n, radius)
-    if nested:
-        coarse = _grid((n + 1) // 2, radius)
-        inject, cross, interpolate = _transfer(n, radius)
-    factorizations = _grid.cache_info().misses - misses
+    rings, radius = (problem.n - 1) // 2, problem.radius
+    grid = _grid(rings, radius)
     kappa, log_b = _read(problem, grid)
-    u, krylov_iters = None, 0
-    if nested:
-        uc, _, _, f, krylov_iters = _newton(coarse, kappa[inject],
-                                            log_b[cross])
-        factorizations += f
-        u = interpolate @ uc
+    u, factorizations, krylov_iters = None, 0, 0
+    if rings % 2 == 0 and rings >= _MIN_NODES - 1:
+        coarse = _grid(rings // 2, radius)
+        uc, _, _, factorizations, krylov_iters = _newton(
+            coarse, _full(grid, kappa)[::2, ::2][coarse.mask], log_b[::2])
+        u = _interpolate(coarse, uc, log_b[::2])[grid.mask]
     u, rnorm, iters, f, k = _newton(grid, kappa, log_b, u)
-    mask = grid.mask
-    full = np.full(mask.shape, np.nan)
-    full[mask] = u
-    return PdeSolution(full, mask, rnorm, iters, factorizations + f,
-                       krylov_iters + k)
+    return PdeSolution(_full(grid, u), grid.mask, rnorm, iters,
+                       factorizations + f, krylov_iters + k)
 
 
 def constant_curvature_problem(
@@ -533,7 +526,7 @@ def oracle_validate(B: FiniteBlaschke, radius: float, n: int) -> float:
     trace = functools.partial(_pullback, B)
     reduced = divisor_reduced_problem(C, radius, trace, n)
     sol = solve_dirichlet(reduced)
-    nodes = _grid(reduced.n, reduced.radius).nodes[sol.mask]  # cached
+    nodes = _grid((reduced.n - 1) // 2, reduced.radius).nodes[sol.mask]
     lam_pde = divisor_poly(C)(nodes) * np.exp(sol.u[sol.mask])
     lam_ref = _pullback(B, nodes)
     keep = lam_ref > 0.0

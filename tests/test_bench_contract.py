@@ -88,7 +88,9 @@ def test_span_name_is_a_traced_function(span):
 
 
 def test_pde_sparse_linalg_is_proxied():
-    """The tracer swaps ``maxblaschke.pde.spla`` to time sparse solves."""
+    """The tracer swaps ``maxblaschke.pde.spla`` to time sparse solves; the
+    PDE layer calls it only for the LU of a Jacobian after a GMRES failure,
+    so the proxy times only those fallback factorizations."""
     import scipy.sparse.linalg
 
     pde = importlib.import_module("maxblaschke.pde")
